@@ -13,7 +13,12 @@ Three claims are kept honest here:
 * streaming beats materializing — ``run_sharded`` folds per-tenant
   totals record by record, and its peak traced memory stays below the
   in-memory ``run`` path that keeps every ``TenantEpochRecord``
-  (recorded in ``extra_info`` so the artifact carries the numbers).
+  (recorded in ``extra_info`` so the artifact carries the numbers);
+* the population scales linearly — the log-log slope of elastic
+  ``run_sharded`` time over 10³–10⁴ tenants stays ≤ 1.25.  Unlike a
+  mean, the slope does not depend on the runner's speed, so a
+  returning quadratic fails here even where the ±25% mean gate would
+  let it pass.
 
 Every benchmarked run re-verifies the sum-to-fleet-ledger invariant
 and the byte-identity of the streamed CSV across shard counts.
@@ -21,6 +26,8 @@ and the byte-identity of the streamed CSV across shard counts.
 
 from __future__ import annotations
 
+import math
+import time
 import tracemalloc
 
 from repro.money import ZERO
@@ -29,6 +36,12 @@ from repro.simulate.presets import population_fleet_simulator
 
 EPOCHS = 4
 SHARDS = 8
+
+#: Tenant counts the scaling exponent is fitted over.
+SCALING_SIZES = (1_000, 3_000, 10_000)
+
+#: Largest accepted log-log slope of run time against tenant count.
+MAX_SCALING_EXPONENT = 1.25
 
 
 def _run_population(n_tenants, elastic, shards=SHARDS):
@@ -131,3 +144,49 @@ def test_streaming_peak_memory_below_in_memory(benchmark):
     }
     assert len(ledger.tenants) == 1_000
     assert streaming_peak < in_memory_peak
+
+
+def _slope(xs, ys) -> float:
+    """Least-squares slope of ``ln(ys)`` against ``ln(xs)``."""
+    lx = [math.log(x) for x in xs]
+    ly = [math.log(y) for y in ys]
+    mx, my = sum(lx) / len(lx), sum(ly) / len(ly)
+    return sum((x - mx) * (y - my) for x, y in zip(lx, ly)) / sum(
+        (x - mx) ** 2 for x in lx
+    )
+
+
+def test_population_scaling_exponent(benchmark):
+    """Elastic ``run_sharded`` time grows linearly with the population.
+
+    Times each size's run (best of two rounds, each on a freshly built
+    fleet, construction untimed), fits the log-log slope and records it
+    in ``extra_info``.  A per-event rebuild of the merged workload — the
+    quadratic this gate exists to catch — measured a slope of ~1.7 over
+    this range.
+    """
+
+    def run_seconds(n_tenants):
+        best = math.inf
+        for _ in range(2):
+            simulator = population_fleet_simulator(
+                n_tenants=n_tenants, elastic=True, n_epochs=EPOCHS
+            )
+            start = time.perf_counter()
+            simulator.run_sharded(NeverReselect(), shards=SHARDS)
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    seconds = benchmark.pedantic(
+        lambda: [run_seconds(n) for n in SCALING_SIZES], rounds=1, iterations=1
+    )
+    exponent = _slope(SCALING_SIZES, seconds)
+    benchmark.extra_info["scaling"] = {
+        "tenants": list(SCALING_SIZES),
+        "seconds": [round(s, 4) for s in seconds],
+        "exponent": round(exponent, 4),
+    }
+    assert exponent <= MAX_SCALING_EXPONENT, (
+        f"run time grows as tenants^{exponent:.2f} over {SCALING_SIZES} "
+        f"({[round(s, 3) for s in seconds]} s)"
+    )

@@ -23,7 +23,7 @@ import functools
 from decimal import Context, ROUND_HALF_UP, Decimal
 from typing import Union
 
-__all__ = ["Money", "ZERO", "dollars", "cents"]
+__all__ = ["Money", "ZERO", "MONEY_CONTEXT", "dollars", "cents", "to_decimal"]
 
 _Number = Union[int, str, float, Decimal]
 
@@ -33,17 +33,19 @@ _Number = Union[int, str, float, Decimal]
 # multi-tenant attributor multiplies full-precision amounts by such
 # ratios): products would be rounded, and per-tenant shares would sum
 # to the fleet bill only approximately.  Money therefore runs all its
-# arithmetic through a private 60-digit context — enough exact
-# headroom for every chain this library performs, identical in every
-# thread, and invisible to the host application's own ``decimal``
-# context.
-_CTX = Context(prec=60)
+# arithmetic through its own 60-digit context — enough exact headroom
+# for every chain this library performs, identical in every thread,
+# and invisible to the host application's own ``decimal`` context.
+# Hot loops may fold raw ``Decimal`` amounts through this same context
+# and wrap the result in Money once: the same operations on the same
+# operands in the same order give the same bytes.
+MONEY_CONTEXT = Context(prec=60)
 
 # One cent: the resolution every bill is quantized to on request.
 _CENT = Decimal("0.01")
 
 
-def _to_decimal(value: _Number) -> Decimal:
+def to_decimal(value: _Number) -> Decimal:
     """Convert a supported numeric type to ``Decimal`` exactly.
 
     Floats are routed through ``str`` so that ``0.1`` becomes
@@ -76,7 +78,7 @@ class Money:
     __slots__ = ("_amount",)
 
     def __init__(self, amount: _Number = 0) -> None:
-        self._amount = _to_decimal(amount)
+        self._amount = to_decimal(amount)
 
     # -- accessors ----------------------------------------------------
 
@@ -106,7 +108,7 @@ class Money:
     def __add__(self, other: "Money") -> "Money":
         if not isinstance(other, Money):
             return NotImplemented
-        return Money(_CTX.add(self._amount, other._amount))
+        return Money(MONEY_CONTEXT.add(self._amount, other._amount))
 
     def __radd__(self, other: object) -> "Money":
         # Support sum() which starts from int 0.
@@ -117,12 +119,12 @@ class Money:
     def __sub__(self, other: "Money") -> "Money":
         if not isinstance(other, Money):
             return NotImplemented
-        return Money(_CTX.subtract(self._amount, other._amount))
+        return Money(MONEY_CONTEXT.subtract(self._amount, other._amount))
 
     def __mul__(self, factor: _Number) -> "Money":
         if isinstance(factor, Money):
             raise TypeError("cannot multiply Money by Money")
-        return Money(_CTX.multiply(self._amount, _to_decimal(factor)))
+        return Money(MONEY_CONTEXT.multiply(self._amount, to_decimal(factor)))
 
     def __rmul__(self, factor: _Number) -> "Money":
         return self.__mul__(factor)
@@ -132,13 +134,13 @@ class Money:
             raise TypeError(
                 "Money / Money is a ratio; use .ratio_to() for that"
             )
-        return Money(_CTX.divide(self._amount, _to_decimal(divisor)))
+        return Money(MONEY_CONTEXT.divide(self._amount, to_decimal(divisor)))
 
     def __neg__(self) -> "Money":
-        return Money(_CTX.minus(self._amount))
+        return Money(MONEY_CONTEXT.minus(self._amount))
 
     def __abs__(self) -> "Money":
-        return Money(_CTX.abs(self._amount))
+        return Money(MONEY_CONTEXT.abs(self._amount))
 
     def ratio_to(self, other: "Money") -> float:
         """Dimensionless ratio ``self / other`` as a float.
@@ -150,7 +152,7 @@ class Money:
             raise TypeError("ratio_to expects Money")
         if other._amount == 0:
             raise ZeroDivisionError("ratio to zero Money")
-        return float(_CTX.divide(self._amount, other._amount))
+        return float(MONEY_CONTEXT.divide(self._amount, other._amount))
 
     # -- comparisons / hashing ---------------------------------------
 

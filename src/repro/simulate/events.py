@@ -40,12 +40,12 @@ order within an epoch).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import SchemaError, SimulationError
 from ..pricing.providers import Provider
 from ..workload.query import AggregateQuery
-from ..workload.workload import Workload
+from .attribution import TENANT_SEPARATOR
 from .state import WarehouseState
 
 __all__ = [
@@ -60,6 +60,7 @@ __all__ = [
     "FleetChange",
     "TenantArrival",
     "TenantDeparture",
+    "TenantRoster",
     "BuildStarted",
     "BuildCompleted",
     "BuildCancelled",
@@ -377,6 +378,42 @@ class FleetChange(SimulationEvent):
         return f"fleet->{self.n_instances}"
 
 
+class TenantRoster:
+    """A fleet's tenants in roster order, shared by its compiled arrivals.
+
+    One roster per fleet: every :class:`TenantArrival` the fleet
+    compiles holds the same object, so the hints cost O(tenants) in
+    total, however many tenants arrive.  A query's rank is its owner's
+    roster position; a query no roster tenant owns (an unscoped name,
+    or a tenant from elsewhere) ranks ``-1``, below everyone.
+    """
+
+    __slots__ = ("_ranks",)
+
+    def __init__(self, tenants: Sequence[str]) -> None:
+        self._ranks: Dict[str, int] = {
+            name: rank for rank, name in enumerate(tenants)
+        }
+
+    def __len__(self) -> int:
+        return len(self._ranks)
+
+    def __contains__(self, tenant: object) -> bool:
+        return tenant in self._ranks
+
+    def rank(self, tenant: str) -> int:
+        """The tenant's roster position."""
+        return self._ranks[tenant]
+
+    def rank_of(self, query_name: str) -> int:
+        """The roster position of the tenant owning ``query_name``."""
+        owner, _, rest = query_name.partition(TENANT_SEPARATOR)
+        return self._ranks.get(owner, -1) if rest else -1
+
+    def __repr__(self) -> str:
+        return f"TenantRoster({len(self._ranks)} tenants)"
+
+
 @dataclass(frozen=True)
 class TenantArrival(SimulationEvent):
     """A tenant joins the shared warehouse mid-lifecycle.
@@ -398,23 +435,26 @@ class TenantArrival(SimulationEvent):
         The arriving tenant's name.
     queries:
         The tenant's initial queries, already namespaced to fleet-wide
-        names (``acme/Q1``); at least one.
-    precedes:
-        Names of tenants that come *after* this one in the fleet's
-        roster order.  When given, the arriving queries are inserted
-        *before* the first workload query owned by any of them, so the
-        merged workload keeps one canonical order — roster order —
+        names (``acme/Q1``); at least one, each owned by ``tenant``
+        when a ``roster`` is given.
+    roster:
+        The fleet's shared :class:`TenantRoster`, the hint that places
+        the arrival.  The tenant's roster rank picks the splice point:
+        the queries go in *before* the first workload query whose
+        owner ranks later (:meth:`~repro.workload.workload.Workload.
+        spliced` bisects a running maximum of the owners' ranks), so
+        the merged workload keeps one canonical order — roster order —
         however tenants' arrival epochs interleave.  This is what
         makes a tenant's records invariant to *when* unrelated tenants
         arrive: workload order (and with it every order-sensitive
         float accumulation) never depends on the churn schedule.
-        Empty means append, the pre-elastic behavior for hand-built
+        ``None`` means append, the pre-elastic behavior for hand-built
         events.
     """
 
     tenant: str = ""
     queries: Tuple[AggregateQuery, ...] = ()
-    precedes: Tuple[str, ...] = ()
+    roster: Optional[TenantRoster] = None
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -424,34 +464,30 @@ class TenantArrival(SimulationEvent):
             raise SimulationError(
                 f"tenant {self.tenant!r} cannot arrive with no queries"
             )
+        if self.roster is not None and self.tenant not in self.roster:
+            raise SimulationError(
+                f"tenant {self.tenant!r} is not on the roster it "
+                "arrives with"
+            )
 
     def apply(self, state: WarehouseState) -> WarehouseState:
         """The state with the tenant's queries joined to the workload."""
+        workload = state.workload
         try:
-            workload = state.workload
-            position = len(workload)
-            if self.precedes:
-                laters = frozenset(self.precedes)
-                for index, query in enumerate(workload):
-                    owner, _, rest = query.name.partition("/")
-                    if rest and owner in laters:
-                        position = index
-                        break
-            existing = tuple(workload)
-            merged = Workload(
-                workload.schema,
-                (
-                    *existing[:position],
-                    *self.queries,
-                    *existing[position:],
-                ),
-            )
-            return state.with_workload(merged)
+            if self.roster is None:
+                merged = workload.with_queries(self.queries)
+            else:
+                merged = workload.spliced(
+                    self.queries,
+                    self.roster.rank(self.tenant),
+                    self.roster.rank_of,
+                )
         except SchemaError as error:
             raise SimulationError(
                 f"epoch {self.epoch}: tenant {self.tenant!r} cannot "
                 f"arrive: {error}"
             ) from error
+        return state.with_workload(merged)
 
     def describe(self) -> str:
         """``+tenant[name:Nq]`` with the arriving query count."""

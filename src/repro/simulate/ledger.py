@@ -57,11 +57,13 @@ the full per-tenant record matrix in memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import cached_property
+from operator import attrgetter
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from ..errors import SimulationError
-from ..money import Money, ZERO
+from ..money import MONEY_CONTEXT, Money, ZERO
 
 __all__ = [
     "EpochRecord",
@@ -734,6 +736,34 @@ class FleetLedger:
 # ---------------------------------------------------------------------------
 
 
+#: The billed components :class:`TenantTotals` folds, in
+#: :class:`TenantEpochRecord` field order.
+_TOTAL_COMPONENTS = (
+    "processing_cost",
+    "transfer_cost",
+    "maintenance_cost",
+    "storage_cost",
+    "build_cost",
+    "teardown_cost",
+    "migration_cost",
+    "cancelled_cost",
+    "onboarding_cost",
+    "offboarding_cost",
+)
+
+#: One record's component amounts as raw ``Decimal``\ s, in
+#: :data:`_TOTAL_COMPONENTS` order.
+_record_amounts = attrgetter(*(f"{name}.amount" for name in _TOTAL_COMPONENTS))
+
+
+def _component_total(index: int) -> property:
+    """Read-only Money view of one folded component sum."""
+    return property(
+        lambda self: Money(self._sums[index]),
+        doc=f"Lifetime {_TOTAL_COMPONENTS[index][:-5]} share.",
+    )
+
+
 class TenantTotals:
     """One tenant's lifetime totals, folded record-by-record.
 
@@ -744,21 +774,14 @@ class TenantTotals:
     shard outputs without materializing the full per-tenant matrix.
     Folding the same records in the same order as a
     :class:`TenantLedger` would hold produces totals exactly equal to
-    the ledger's (``Decimal`` addition in identical sequence).
+    the ledger's: each component is summed as a raw ``Decimal`` through
+    Money's own context (the additions Money would make, in identical
+    sequence) and read back as :class:`~repro.money.Money`.
     """
 
     __slots__ = (
         "tenant",
-        "processing_cost",
-        "transfer_cost",
-        "maintenance_cost",
-        "storage_cost",
-        "build_cost",
-        "teardown_cost",
-        "migration_cost",
-        "cancelled_cost",
-        "onboarding_cost",
-        "offboarding_cost",
+        "_sums",
         "processing_hours",
         "n_records",
         "first_epoch",
@@ -767,20 +790,22 @@ class TenantTotals:
 
     def __init__(self, tenant: str) -> None:
         self.tenant = tenant
-        self.processing_cost = ZERO
-        self.transfer_cost = ZERO
-        self.maintenance_cost = ZERO
-        self.storage_cost = ZERO
-        self.build_cost = ZERO
-        self.teardown_cost = ZERO
-        self.migration_cost = ZERO
-        self.cancelled_cost = ZERO
-        self.onboarding_cost = ZERO
-        self.offboarding_cost = ZERO
+        self._sums: List[Decimal] = [ZERO.amount] * len(_TOTAL_COMPONENTS)
         self.processing_hours = 0.0
         self.n_records = 0
         self.first_epoch: Optional[int] = None
         self.last_epoch: Optional[int] = None
+
+    processing_cost = _component_total(0)
+    transfer_cost = _component_total(1)
+    maintenance_cost = _component_total(2)
+    storage_cost = _component_total(3)
+    build_cost = _component_total(4)
+    teardown_cost = _component_total(5)
+    migration_cost = _component_total(6)
+    cancelled_cost = _component_total(7)
+    onboarding_cost = _component_total(8)
+    offboarding_cost = _component_total(9)
 
     def fold(self, record: TenantEpochRecord) -> None:
         """Accumulate one epoch record (must belong to this tenant,
@@ -795,16 +820,9 @@ class TenantTotals:
                 f"tenant {self.tenant!r}: epoch {record.epoch} folded "
                 f"after epoch {self.last_epoch}"
             )
-        self.processing_cost += record.processing_cost
-        self.transfer_cost += record.transfer_cost
-        self.maintenance_cost += record.maintenance_cost
-        self.storage_cost += record.storage_cost
-        self.build_cost += record.build_cost
-        self.teardown_cost += record.teardown_cost
-        self.migration_cost += record.migration_cost
-        self.cancelled_cost += record.cancelled_cost
-        self.onboarding_cost += record.onboarding_cost
-        self.offboarding_cost += record.offboarding_cost
+        self._sums = list(
+            map(MONEY_CONTEXT.add, self._sums, _record_amounts(record))
+        )
         self.processing_hours += record.processing_hours
         self.n_records += 1
         if self.first_epoch is None:

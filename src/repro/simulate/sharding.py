@@ -23,24 +23,32 @@ tenant the residual.  Every Decimal operation — each product, each
 addition, in the same order — is identical to the unsharded split,
 whether the products were computed in-process (``jobs=1``) or by a
 worker pool, so the books do not merely balance: they are the same
-bytes.
+bytes.  The products and the merge run those operations on raw
+``Decimal``\\ s through Money's own context
+(:data:`~repro.money.MONEY_CONTEXT`) and wrap each record field in
+:class:`~repro.money.Money` once, which is the same arithmetic without
+a Money object per intermediate sum.
 """
 
 from __future__ import annotations
 
+from decimal import Decimal
+from functools import reduce
+from itertools import chain, islice
 from multiprocessing import get_context
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
-from ..money import Money, ZERO
-from .attribution import AllocationEntry, SharedCostAttributor
+from ..money import MONEY_CONTEXT, Money, ZERO, to_decimal
+from .attribution import SharedCostAttributor
 from .ledger import EpochRecord, TenantEpochRecord
 
 __all__ = ["ShardedAttribution", "shard_bounds"]
 
 #: One shard's work order: for each plan entry, ``(amount, weights
-#: slice for the shard's tenant range, total)``.
-_ShardPayload = Tuple[Tuple[Money, Tuple[float, ...], float], ...]
+#: slice for the shard's tenant range, total)``, the amount as the raw
+#: ``Decimal`` of its Money.
+_ShardPayload = Tuple[Tuple[Decimal, Tuple[float, ...], float], ...]
 
 #: The record fields an :class:`AllocationEntry` may land on.
 _FIELDS = (
@@ -76,19 +84,22 @@ def shard_bounds(n_tenants: int, shards: int) -> Tuple[Tuple[int, int], ...]:
 
 def _shard_products(
     payload: _ShardPayload,
-) -> Tuple[Tuple[Money, ...], ...]:
+) -> Tuple[Tuple[Decimal, ...], ...]:
     """One shard's independent per-tenant products, entry by entry.
 
     Evaluates exactly the Money expression
     :func:`~repro.simulate.attribution.allocate_exactly` gives a
-    non-last tenant: ``amount * (weight / total)``, with the weight
+    non-last tenant, ``amount * (weight / total)``, as the same
+    ``Decimal`` multiplication Money performs (same context, same
+    float conversion) without wrapping each product.  The weight is
     already clipped and the zero-total fallback already applied by
     :meth:`~repro.simulate.attribution.SharedCostAttributor.component_plan`.
     Runs in worker processes (top-level so it pickles) and in-process
     for ``jobs=1`` — the same code path either way.
     """
+    multiply = MONEY_CONTEXT.multiply
     return tuple(
-        tuple(amount * (weight / total) for weight in weights)
+        tuple(multiply(amount, to_decimal(weight / total)) for weight in weights)
         for amount, weights, total in payload
     )
 
@@ -184,65 +195,65 @@ class ShardedAttribution:
         bounds = shard_bounds(n, self._shards)
         payloads = [
             tuple(
-                (entry.amount, entry.weights[start:stop], entry.total)
+                (entry.amount.amount, entry.weights[start:stop], entry.total)
                 for entry in entries
             )
             for start, stop in bounds
         ]
         shard_results = self._map(payloads)
 
-        # Merge: per entry, replay the sequential running sum in
-        # global tenant order; the globally-last tenant takes the
-        # exact residual — allocate_exactly's association, verbatim.
-        values: List[Dict[str, Money]] = [
-            {field: ZERO for field in _FIELDS} for _ in range(n)
-        ]
+        # Merge, one field column at a time on raw Decimals: per entry,
+        # add each tenant's product into its column and replay the
+        # sequential running sum in global tenant order; the
+        # globally-last tenant takes the exact residual —
+        # allocate_exactly's Money operations, verbatim, in its order.
+        add, subtract = MONEY_CONTEXT.add, MONEY_CONTEXT.subtract
+        zero = ZERO.amount
+        columns = {field: [zero] * n for field in _FIELDS}
         for entry_index, entry in enumerate(entries):
-            running = ZERO
-            position = 0
-            for shard_index in range(len(bounds)):
-                for share in shard_results[shard_index][entry_index]:
-                    if position == n - 1:
-                        break
-                    values[position][entry.field] += share
-                    running = running + share
-                    position += 1
-            values[n - 1][entry.field] += entry.amount - running
+            head = list(
+                islice(
+                    chain.from_iterable(
+                        products[entry_index] for products in shard_results
+                    ),
+                    n - 1,
+                )
+            )
+            column = columns[entry.field]
+            column[: n - 1] = map(add, column[: n - 1], head)
+            running = reduce(add, head, zero)
+            column[n - 1] = add(
+                column[n - 1], subtract(entry.amount.amount, running)
+            )
 
         arrivals = dict(record.arrivals)
-        missing = set(arrivals) - set(active)
+        active_set = set(active)
+        missing = set(arrivals) - active_set
         if missing:
             raise SimulationError(
                 f"epoch {record.epoch}: arrival charges for "
                 f"{sorted(missing)!r}, which are not in the active split"
             )
-        checks = {field: ZERO for field in _FIELDS}
-        produced = []
+        self._verify_epoch(
+            record,
+            {
+                field: Money(reduce(add, column, zero))
+                for field, column in columns.items()
+            },
+        )
         for index, name in enumerate(active):
-            fields = values[index]
-            for field in _FIELDS:
-                checks[field] += fields[field]
-            produced.append(
-                TenantEpochRecord(
-                    epoch=record.epoch,
-                    tenant=name,
-                    processing_cost=fields["processing_cost"],
-                    transfer_cost=fields["transfer_cost"],
-                    maintenance_cost=fields["maintenance_cost"],
-                    storage_cost=fields["storage_cost"],
-                    build_cost=fields["build_cost"],
-                    teardown_cost=fields["teardown_cost"],
-                    processing_hours=hours[name],
-                    migration_cost=fields["migration_cost"],
-                    cancelled_cost=fields["cancelled_cost"],
-                    onboarding_cost=arrivals.get(name, ZERO),
-                )
+            yield TenantEpochRecord(
+                epoch=record.epoch,
+                tenant=name,
+                processing_hours=hours[name],
+                onboarding_cost=arrivals.get(name, ZERO),
+                **{
+                    field: Money(column[index])
+                    for field, column in columns.items()
+                },
             )
-        self._verify_epoch(record, checks)
-        for share in produced:
-            yield share
         for tenant, amount in record.departures:
-            if tenant in arrivals or tenant in set(active):
+            if tenant in arrivals or tenant in active_set:
                 raise SimulationError(
                     f"epoch {record.epoch}: departure settlement for "
                     f"{tenant!r}, which is still in the active split"

@@ -71,6 +71,7 @@ from .events import (
     SimulationEvent,
     TenantArrival,
     TenantDeparture,
+    TenantRoster,
 )
 from .ledger import FleetLedger, FleetSummary, TenantLedger, TenantTotals
 from .policy import ReselectionPolicy
@@ -412,26 +413,25 @@ class TenantFleet:
         order is preserved.  Static fleets compile no churn events, so
         their event order is exactly the pre-elastic one.
 
-        Each compiled arrival carries the roster tail as its
-        ``precedes`` hint, so a late arrival's queries are spliced
-        into the merged workload at the tenant's *roster* position
-        rather than appended.  The workload order is therefore a pure
-        function of which tenants are present — never of when they
-        showed up — which is what keeps one tenant's books
-        byte-identical when an unrelated tenant's schedule moves.
+        Every compiled arrival carries the fleet's one shared
+        :class:`~repro.simulate.events.TenantRoster` as its hint, so a
+        late arrival's queries are spliced into the merged workload at
+        the tenant's *roster* position rather than appended.  The
+        workload order is therefore a pure function of which tenants
+        are present — never of when they showed up — which is what
+        keeps one tenant's books byte-identical when an unrelated
+        tenant's schedule moves.
         """
+        roster = TenantRoster(self.tenant_names)
         combined: List[SimulationEvent] = []
-        for index, tenant in enumerate(self._tenants):
+        for tenant in self._tenants:
             if tenant.arrival_epoch > 0:
                 combined.append(
                     TenantArrival(
                         epoch=tenant.arrival_epoch,
                         tenant=tenant.name,
                         queries=tuple(tenant.qualified_workload()),
-                        precedes=tuple(
-                            later.name
-                            for later in self._tenants[index + 1 :]
-                        ),
+                        roster=roster,
                     )
                 )
             combined.extend(tenant.qualified_events())

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+from dataclasses import replace
+
 import pytest
 
+import repro.workload.workload as workload_module
 from repro.errors import SchemaError
 from repro.schema import ALL, sales_schema
+from repro.simulate.events import TenantRoster
 from repro.workload import AggregateQuery, Workload, cross_workload, paper_sales_workload
 
 
@@ -116,6 +122,77 @@ class TestDriftHelpers:
             base.without(["Q1", "Q2", "Q3"])
         with pytest.raises(SchemaError):
             base.reweighted({"nope": 2.0})
+
+
+class TestDriftMatchesFlatReference:
+    """Random drift chains over many tiny blocks agree, query for query,
+    with a plain list (the spliced arrival placed by a linear scan for
+    the first query a later tenant owns) — and every intermediate
+    workload still reads as it did, however many blocks later drifts
+    shared and replaced."""
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_random_drift_chains(self, schema, seed, monkeypatch):
+        monkeypatch.setattr(workload_module, "_BLOCK", 2)
+        rng = random.Random(seed)
+        tenants = [f"t{i}" for i in range(8)]
+        roster = TenantRoster(tenants)
+        grains = [("year", ALL), ("month", "country"), (ALL, "region")]
+        counter = itertools.count()
+
+        def fresh(owner):
+            # ``None`` owns nothing: an unscoped name ranks below everyone.
+            name = f"{owner}/Q{next(counter)}" if owner else f"U{next(counter)}"
+            return AggregateQuery(name, rng.choice(grains), rng.choice([0.5, 2.0]))
+
+        reference = [
+            fresh(rng.choice([*tenants, None])) for _ in range(rng.randint(1, 9))
+        ]
+        workload = Workload(schema, reference)
+        history = [(workload, reference)]
+        for _ in range(60):
+            op = rng.choice(["add", "splice", "splice", "drop", "reweight", "prefix"])
+            if op == "add":
+                arriving = [fresh(rng.choice([*tenants, None])) for _ in range(3)]
+                workload = workload.with_queries(arriving)
+                reference = reference + arriving
+            elif op == "splice":
+                rank = rng.randrange(len(tenants))
+                arriving = [fresh(tenants[rank]) for _ in range(rng.randint(1, 3))]
+                workload = workload.spliced(arriving, rank, roster.rank_of)
+                later = set(tenants[rank + 1 :])
+                at = next(
+                    (
+                        i
+                        for i, q in enumerate(reference)
+                        if q.name.partition("/")[2]
+                        and q.name.partition("/")[0] in later
+                    ),
+                    len(reference),
+                )
+                reference = reference[:at] + arriving + reference[at:]
+            elif op == "drop" and len(reference) > 1:
+                gone = rng.sample(reference, rng.randint(1, len(reference) - 1))
+                names = {q.name for q in gone}
+                workload = workload.without(names)
+                reference = [q for q in reference if q.name not in names]
+            elif op == "reweight":
+                picked = rng.sample(reference, min(3, len(reference)))
+                weights = {q.name: rng.choice([0.25, 7.0]) for q in picked}
+                workload = workload.reweighted(weights)
+                reference = [
+                    replace(q, frequency=weights[q.name]) if q.name in weights else q
+                    for q in reference
+                ]
+            elif op == "prefix":
+                m = rng.randint(max(1, len(reference) - 2), len(reference))
+                workload = workload.prefix(m)
+                reference = reference[:m]
+            assert list(workload) == reference
+            history.append((workload, reference))
+        for version, expected in history:
+            assert tuple(version.queries) == tuple(expected)
+            assert len(version) == len(expected)
 
 
 class TestPaperWorkload:
