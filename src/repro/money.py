@@ -29,17 +29,19 @@ _Number = Union[int, str, float, Decimal]
 
 # Bill arithmetic must never round silently.  The default context's 28
 # significant digits are not enough once float-derived factors enter a
-# product (``str(float)`` carries up to 17 significant digits, and the
-# multi-tenant attributor multiplies full-precision amounts by such
-# ratios): products would be rounded, and per-tenant shares would sum
-# to the fleet bill only approximately.  Money therefore runs all its
-# arithmetic through its own 60-digit context — enough exact headroom
-# for every chain this library performs, identical in every thread,
-# and invisible to the host application's own ``decimal`` context.
+# product: ``str(float)`` carries up to 17 significant digits, and the
+# longest chain this library builds — an asynchronous fleet's
+# per-tenant share, cost-model amount x segment fraction x weight
+# ratio — reaches about 70.  A rounded product would leave per-tenant
+# shares summing to the fleet bill only approximately.  Money therefore
+# runs all its arithmetic through its own 120-digit context — exact
+# headroom for that chain, identical in every thread, and invisible to
+# the host application's own ``decimal`` context.  (Exact results do
+# not depend on the precision, so widening it changes no exact bytes.)
 # Hot loops may fold raw ``Decimal`` amounts through this same context
 # and wrap the result in Money once: the same operations on the same
 # operands in the same order give the same bytes.
-MONEY_CONTEXT = Context(prec=60)
+MONEY_CONTEXT = Context(prec=120)
 
 # One cent: the resolution every bill is quantized to on request.
 _CENT = Decimal("0.01")

@@ -44,20 +44,34 @@ Two attribution modes (:data:`ATTRIBUTION_MODES`):
   symmetric players is ``cost / k``, so every tenant using the view
   pays the same share regardless of intensity.
 
-Exactness: shares are computed in :class:`~repro.money.Money`
-(``Decimal``) arithmetic, and each component's last tenant receives
-``amount - sum(other shares)`` rather than its own rounded product, so
-per-tenant ledgers always sum to the fleet ledger — not just "to the
-cent" but to the last decimal digit.
+**One plan, one merge.**  :meth:`SharedCostAttributor.component_plan`
+is the only place the split rule is written: it turns an epoch into
+:class:`AllocationEntry` records (an amount, the record field it lands
+on, one weight per active tenant) — one billing period's operating
+entries for a plain epoch or for each segment, then the epoch-level
+one-offs.  Every tenant but the last owes the independent product
+``amount * (weight / total)`` (:func:`shard_products`), and
+:func:`merge_epoch` gives the last tenant the exact residual ``amount -
+sum(other shares)``, lands the churn charges and checks the books, so
+per-tenant ledgers sum to the fleet ledger to the last decimal digit.
+:meth:`SharedCostAttributor.attribute` computes the products
+in-process, :class:`~repro.simulate.sharding.ShardedAttribution`
+across tenant shards; both run the same ``Decimal`` operations in the
+same order, so they give the same bytes.  Per entry, the merge is
+:func:`allocate_exactly`, the reference split it is tested against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from decimal import Decimal
+from functools import reduce
+from itertools import chain, islice
 from typing import (
     Callable,
     Dict,
     FrozenSet,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -68,16 +82,21 @@ from typing import (
 from ..costmodel.storage import storage_cost
 from ..costmodel.total import CostBreakdown
 from ..errors import SimulationError
-from ..money import Money, ZERO
+from ..money import MONEY_CONTEXT, Money, ZERO, to_decimal
 from ..optimizer.problem import SelectionOutcome, SelectionProblem
-from .ledger import EpochRecord, TenantEpochRecord
+from .ledger import EpochRecord, TenantEpochRecord, check_books
 
 __all__ = [
     "ATTRIBUTION_MODES",
     "TENANT_SEPARATOR",
     "AllocationEntry",
+    "ShardPayload",
     "SharedCostAttributor",
     "allocate_exactly",
+    "merge_epoch",
+    "merge_shares",
+    "shard_payload",
+    "shard_products",
     "tenant_of_query",
 ]
 
@@ -87,6 +106,11 @@ ATTRIBUTION_MODES = ("proportional", "even")
 #: Separator between a tenant's name and its queries' names in the
 #: merged fleet workload ("acme/Q1" belongs to tenant "acme").
 TENANT_SEPARATOR = "/"
+
+#: The record fields a selection outcome's bill folds, in order.
+_OUTCOME_FIELDS = (
+    "processing_cost", "transfer_cost", "maintenance_cost", "storage_cost", "build_cost"
+)
 
 
 def tenant_of_query(query_name: str) -> Optional[str]:
@@ -106,6 +130,10 @@ def allocate_exactly(
     Decimal products.  Zero (or degenerate) total weight falls back to
     an even split — a charge must never vanish just because nobody's
     weight registered.
+
+    The reference form of one plan entry's split: the attribution
+    routes run it as :func:`shard_products` plus :func:`merge_shares`,
+    which a property test holds repr-equal to this function.
 
     >>> from repro.money import Money
     >>> shares = allocate_exactly(
@@ -132,24 +160,191 @@ def allocate_exactly(
 
 @dataclass(frozen=True)
 class AllocationEntry:
-    """One exact split, flattened for sharded execution.
+    """One exact split of an attribution plan.
 
-    The normalized form of one :func:`allocate_exactly` call: ``field``
-    names the :class:`~repro.simulate.ledger.TenantEpochRecord`
+    ``field`` names the :class:`~repro.simulate.ledger.TenantEpochRecord`
     component the shares land on, ``weights`` aligns with the active
     tenant order, and the zero-total even fallback is *already
-    applied* (``total`` is the exact divisor the sequential split
-    uses).  A worker can therefore compute any tenant's product share
-    ``amount * (weights[i] / total)`` independently — the same Money
-    expression :func:`allocate_exactly` evaluates — and the merge
-    reassembles the sequential running sum so the globally-last tenant
-    gets the exact residual, byte-identical for any shard count.
+    applied* (``total`` is the exact divisor :func:`allocate_exactly`
+    uses).  Any tenant's product ``amount * (weights[i] / total)`` can
+    therefore be computed independently, in any shard, and
+    :func:`merge_shares` reassembles the sequential running sum so the
+    globally-last tenant gets the exact residual.
     """
 
     field: str
     amount: Money
     weights: Tuple[float, ...]
     total: float
+
+    @classmethod
+    def of(
+        cls,
+        field: str,
+        amount: Money,
+        weights: Mapping[str, float],
+        order: Sequence[str],
+    ) -> "AllocationEntry":
+        """Normalize one split the way :func:`allocate_exactly` reads
+        its weights: missing and negative weights count as zero, and a
+        zero total falls back to an even split."""
+        clipped = tuple(max(0.0, weights.get(name, 0.0)) for name in order)
+        total = sum(clipped)
+        if total <= 0.0:
+            clipped = (1.0,) * len(order)
+            total = float(len(order))
+        return cls(field=field, amount=amount, weights=clipped, total=total)
+
+
+#: One shard's work order: for each plan entry, ``(amount, weights
+#: slice for the shard's tenant range, total)``, the amount as the raw
+#: ``Decimal`` of its Money — compact and picklable for workers.
+ShardPayload = Tuple[Tuple[Decimal, Tuple[float, ...], float], ...]
+
+
+def shard_payload(
+    entries: Sequence[AllocationEntry], start: int, stop: int
+) -> ShardPayload:
+    """The work order for tenants ``[start, stop)`` of every entry."""
+    return tuple(
+        (entry.amount.amount, entry.weights[start:stop], entry.total)
+        for entry in entries
+    )
+
+
+def shard_products(payload: ShardPayload) -> Tuple[Tuple[Decimal, ...], ...]:
+    """One shard's independent per-tenant products, entry by entry.
+
+    Evaluates exactly the Money expression :func:`allocate_exactly`
+    gives a non-last tenant, ``amount * (weight / total)``, as the same
+    ``Decimal`` multiplication Money performs (same context, same float
+    conversion) without wrapping each product.  Runs in worker
+    processes (top-level so it pickles) and in-process — the same code
+    either way.
+    """
+    multiply = MONEY_CONTEXT.multiply
+    return tuple(
+        tuple(multiply(amount, to_decimal(weight / total)) for weight in weights)
+        for amount, weights, total in payload
+    )
+
+
+def _in_process(
+    entries: Sequence[AllocationEntry], n: int
+) -> Tuple[Tuple[Tuple[Decimal, ...], ...], ...]:
+    """Every product a plan needs, as one in-process shard (the last
+    tenant takes a residual, so its products are never computed)."""
+    return (shard_products(shard_payload(entries, 0, n - 1)),)
+
+
+def merge_shares(
+    entries: Sequence[AllocationEntry],
+    n: int,
+    products: Sequence[Tuple[Tuple[Decimal, ...], ...]],
+) -> Dict[str, List[Decimal]]:
+    """The exact merge: every entry's ``n`` shares, summed per field.
+
+    ``products`` holds the shards' :func:`shard_products` in tenant
+    order.  Per entry, the first ``n - 1`` products read in global
+    tenant order are the non-last tenants' shares, and the last tenant
+    takes ``amount - running``, ``running`` being their sequential sum
+    from zero — :func:`allocate_exactly`'s Money operations, verbatim
+    and in its order, on raw ``Decimal``\\ s through Money's context.
+    A field's first entry sets its column; later entries add into it
+    tenant by tenant.  Returns field -> per-tenant shares.
+    """
+    add, subtract = MONEY_CONTEXT.add, MONEY_CONTEXT.subtract
+    zero = ZERO.amount
+    columns: Dict[str, List[Decimal]] = {}
+    for index, entry in enumerate(entries):
+        shares = list(
+            islice(
+                chain.from_iterable(shard[index] for shard in products),
+                n - 1,
+            )
+        )
+        shares.append(subtract(entry.amount.amount, reduce(add, shares, zero)))
+        column = columns.get(entry.field)
+        columns[entry.field] = (
+            shares if column is None else list(map(add, column, shares))
+        )
+    return columns
+
+
+def merge_epoch(
+    record: EpochRecord,
+    active: Sequence[str],
+    entries: Sequence[AllocationEntry],
+    hours: Mapping[str, float],
+    products: Sequence[Tuple[Tuple[Decimal, ...], ...]],
+) -> Iterator[TenantEpochRecord]:
+    """One epoch's per-tenant records, merged from shard products.
+
+    Yields the active split in tenant order, then one settlement-only
+    record per departure.  Churn charges are direct: an arrival's
+    onboarding lands on the arriving tenant's record, a departure's
+    offboarding on a record of its own.  Before anything is yielded,
+    every component's shares are checked to sum exactly to the fleet
+    record — the per-epoch half of the books-balance invariant, which
+    streaming callers cannot re-check later.
+    """
+    arrivals = dict(record.arrivals)
+    active_set = set(active)
+    missing = set(arrivals) - active_set
+    if missing:
+        raise SimulationError(
+            f"epoch {record.epoch}: arrival charges for "
+            f"{sorted(missing)!r}, which are not in the active split"
+        )
+    for tenant, _ in record.departures:
+        if tenant in active_set:
+            raise SimulationError(
+                f"epoch {record.epoch}: departure settlement for "
+                f"{tenant!r}, which is still in the active split"
+            )
+    columns = merge_shares(entries, len(active), products)
+    add, zero = MONEY_CONTEXT.add, ZERO.amount
+    sums = {
+        field: Money(reduce(add, column, zero))
+        for field, column in columns.items()
+    }
+    operating = (
+        sums["processing_cost"]
+        + sums["transfer_cost"]
+        + sums["maintenance_cost"]
+        + sums["storage_cost"]
+    )
+    check_books(
+        f"epoch {record.epoch}: sharded {{}} shares",
+        (
+            ("operating", record.operating_cost, operating),
+            ("build", record.build_cost, sums["build_cost"]),
+            ("teardown", record.teardown_cost, sums["teardown_cost"]),
+            ("migration", record.migration_cost, sums["migration_cost"]),
+            ("cancelled", record.cancelled_cost, sums["cancelled_cost"]),
+        ),
+    )
+    for index, name in enumerate(active):
+        yield TenantEpochRecord(
+            epoch=record.epoch,
+            tenant=name,
+            processing_hours=hours[name],
+            onboarding_cost=arrivals.get(name, ZERO),
+            **{field: Money(column[index]) for field, column in columns.items()},
+        )
+    for tenant, amount in record.departures:
+        yield TenantEpochRecord(
+            epoch=record.epoch,
+            tenant=tenant,
+            processing_cost=ZERO,
+            transfer_cost=ZERO,
+            maintenance_cost=ZERO,
+            storage_cost=ZERO,
+            build_cost=ZERO,
+            teardown_cost=ZERO,
+            processing_hours=0.0,
+            offboarding_cost=amount,
+        )
 
 
 class SharedCostAttributor:
@@ -323,100 +518,201 @@ class SharedCostAttributor:
             return {name: 1.0 for name in self._active(tenants)}
         return processing
 
-    # -- the splits -----------------------------------------------------
+    # -- the plan -------------------------------------------------------
 
-    def _component_shares(
+    def _operating_entries(
         self,
         problem: SelectionProblem,
         subset: FrozenSet[str],
-        built: FrozenSet[str],
         breakdown: CostBreakdown,
-        teardown_cost: Money,
-        migration_cost: Money = ZERO,
-        cancelled_cost: Money = ZERO,
-        tenants: Optional[Sequence[str]] = None,
-    ) -> Tuple[Dict[str, Dict[str, Money]], Dict[str, float]]:
-        """Split every component of one epoch's breakdown.
+        base_storage: Money,
+        fraction: float,
+        active: Sequence[str],
+    ) -> Tuple[Tuple[AllocationEntry, ...], Dict[str, float], Dict]:
+        """One billing period's operating entries, scaled by ``fraction``.
 
-        Returns ``(shares, hours)``: ``shares`` maps component name
-        (``processing``, ``transfer``, ``maintenance``, ``storage``,
-        ``build``, ``teardown``, ``migration``, ``cancelled``) to per-tenant shares
-        summing exactly to the fleet amount; ``hours`` is each
-        tenant's own frequency-weighted processing hours (the
-        processing weights, reused so the hours reported on a
-        :class:`~repro.simulate.ledger.TenantEpochRecord` can never
-        drift from the weights its processing cost was split by).
+        Returns ``(entries, processing, users)``; the period's
+        processing weights and per-view users serve the epoch-level
+        entries and the tenants' processing hours.  Storage is two
+        entries, the base share and then the view share.
         """
-        active = self._active(tenants)
         inputs = problem.inputs
-        plan = inputs.plan_for(subset)
         processing, egress, users = self._direct_weights(
             problem, subset, active
         )
         infrastructure = self._infrastructure_weights(processing, active)
         ordered = sorted(subset)
         cycles = inputs.deployment.maintenance_cycles
-
         maintenance_amounts = {
             name: inputs.view_stats[name].maintenance_hours_per_cycle * cycles
             for name in ordered
         }
-        build_amounts = {
-            name: hours
-            for name, hours in zip(ordered, plan.materialization_hours)
-            if name in built and hours > 0.0
-        }
         size_amounts = {
             name: inputs.view_stats[name].size_gb for name in ordered
         }
-
-        base_storage = storage_cost(
-            inputs.deployment.provider.storage, plan.base_timeline
-        )
-        view_storage = breakdown.storage - base_storage
-
-        storage_shares = allocate_exactly(
-            base_storage, infrastructure, active
-        )
-        view_storage_shares = allocate_exactly(
-            view_storage,
-            self._view_weights(size_amounts, users, infrastructure, active),
-            active,
-        )
-        shares = {
-            "processing": allocate_exactly(
-                breakdown.computing.processing_cost, processing, active
-            ),
-            "transfer": allocate_exactly(breakdown.transfer, egress, active),
-            "maintenance": allocate_exactly(
+        splits = (
+            ("processing_cost", breakdown.computing.processing_cost, processing),
+            ("transfer_cost", breakdown.transfer, egress),
+            (
+                "maintenance_cost",
                 breakdown.computing.maintenance_cost,
                 self._view_weights(
                     maintenance_amounts, users, infrastructure, active
                 ),
+            ),
+            ("storage_cost", base_storage, infrastructure),
+            (
+                "storage_cost",
+                breakdown.storage - base_storage,
+                self._view_weights(size_amounts, users, infrastructure, active),
+            ),
+        )
+        entries = tuple(
+            AllocationEntry.of(
+                field,
+                amount if fraction == 1.0 else amount * fraction,
+                weights,
                 active,
+            )
+            for field, amount, weights in splits
+        )
+        return entries, processing, users
+
+    def _epoch_entries(
+        self,
+        charges: Tuple[Money, Money, Money, Money],
+        build_amounts: Mapping[str, float],
+        users: Mapping[str, Mapping[str, float]],
+        infrastructure: Mapping[str, float],
+        active: Sequence[str],
+    ) -> Tuple[AllocationEntry, ...]:
+        """The epoch-level entries for ``charges`` = ``(build, teardown,
+        migration, cancelled)``: builds split by the built views' users
+        (``build_amounts`` weights each view), the rest by the
+        infrastructure rule."""
+        build, teardown, migration, cancelled = charges
+        splits = (
+            (
+                "build_cost",
+                build,
+                self._view_weights(build_amounts, users, infrastructure, active),
             ),
-            "storage": {
-                name: storage_shares[name] + view_storage_shares[name]
-                for name in active
-            },
-            "build": allocate_exactly(
-                breakdown.computing.materialization_cost,
-                self._view_weights(
-                    build_amounts, users, infrastructure, active
-                ),
-                active,
-            ),
-            "teardown": allocate_exactly(
-                teardown_cost, infrastructure, active
-            ),
-            "migration": allocate_exactly(
-                migration_cost, infrastructure, active
-            ),
-            "cancelled": allocate_exactly(
-                cancelled_cost, infrastructure, active
-            ),
+            ("teardown_cost", teardown, infrastructure),
+            ("migration_cost", migration, infrastructure),
+            ("cancelled_cost", cancelled, infrastructure),
+        )
+        return tuple(
+            AllocationEntry.of(field, amount, weights, active)
+            for field, amount, weights in splits
+        )
+
+    def _period_plan(
+        self,
+        problem: SelectionProblem,
+        subset: FrozenSet[str],
+        built: FrozenSet[str],
+        breakdown: CostBreakdown,
+        charges: Tuple[Money, Money, Money],
+        active: Sequence[str],
+    ) -> Tuple[Tuple[AllocationEntry, ...], Dict[str, float]]:
+        """A plain billing period's plan: ``breakdown`` split once.
+
+        ``charges`` is ``(teardown, migration, cancelled)``; the build
+        entry bills ``breakdown``'s materialization, weighted by the
+        views in ``built`` as this period's plan prices them.
+        """
+        inputs = problem.inputs
+        plan = inputs.plan_for(subset)
+        base_storage = storage_cost(
+            inputs.deployment.provider.storage, plan.base_timeline
+        )
+        entries, processing, users = self._operating_entries(
+            problem, subset, breakdown, base_storage, 1.0, active
+        )
+        build_amounts = {
+            name: hours
+            for name, hours in zip(sorted(subset), plan.materialization_hours)
+            if name in built and hours > 0.0
         }
-        return shares, processing
+        entries += self._epoch_entries(
+            (breakdown.computing.materialization_cost, *charges),
+            build_amounts,
+            users,
+            self._infrastructure_weights(processing, active),
+            active,
+        )
+        return entries, processing
+
+    def component_plan(
+        self,
+        problem: SelectionProblem,
+        record: EpochRecord,
+        breakdown: CostBreakdown,
+        tenants: Optional[Sequence[str]] = None,
+    ) -> Tuple[Tuple[AllocationEntry, ...], Dict[str, float]]:
+        """One epoch's splits: the attribution plan.
+
+        Returns ``(entries, hours)``: every split of the epoch as an
+        :class:`AllocationEntry`, in a fixed order, plus each active
+        tenant's processing hours (the processing weights themselves,
+        so the hours on a :class:`~repro.simulate.ledger.
+        TenantEpochRecord` can never drift from the weights its
+        processing cost was split by).
+
+        A plain epoch splits ``breakdown`` — the epoch breakdown the
+        record was accounted from — once.  A segmented (asynchronous)
+        epoch re-prices each segment's holdings through the problem's
+        evaluation cache instead and emits that segment's operating
+        entries scaled by its period fraction; its epoch-level
+        one-offs are split once, builds by the landed views' users as
+        of the epoch-end holdings and the rest by the infrastructure
+        rule over time-weighted processing hours.
+        """
+        active = self._active(tenants)
+        charges = (record.teardown_cost, record.migration_cost, record.cancelled_cost)
+        if not record.segments:
+            return self._period_plan(
+                problem,
+                frozenset(record.subset),
+                frozenset(record.views_built),
+                breakdown,
+                charges,
+                active,
+            )
+        inputs = problem.inputs
+        base_storage = storage_cost(
+            inputs.deployment.provider.storage, inputs.base_timeline
+        )
+        entries: Tuple[AllocationEntry, ...] = ()
+        hours = {name: 0.0 for name in active}
+        end_users: Mapping[str, Mapping[str, float]] = {}
+        for segment in record.segments:
+            subset = frozenset(segment.subset)
+            operating, processing, end_users = self._operating_entries(
+                problem,
+                subset,
+                problem.evaluate(subset).breakdown,
+                base_storage,
+                segment.fraction,
+                active,
+            )
+            entries += operating
+            for name in active:
+                hours[name] += processing[name] * segment.fraction
+        build_amounts = {
+            name: inputs.view_stats[name].materialization_hours
+            for name in record.views_built
+        }
+        entries += self._epoch_entries(
+            (record.build_cost, *charges),
+            build_amounts,
+            end_users,
+            self._infrastructure_weights(hours, active),
+            active,
+        )
+        return entries, hours
+
+    # -- the in-process route --------------------------------------------
 
     def attribute(
         self,
@@ -431,9 +727,8 @@ class SharedCostAttributor:
         accounted from (materialization narrowed to the views built
         this epoch) — the simulator passes it to its observer.
         Records carrying segments (asynchronous epochs billed on
-        mid-epoch holdings) take the segment-wise path instead, which
-        re-prices each segment's holdings through the problem's
-        evaluation cache and ignores ``breakdown``.
+        mid-epoch holdings) are split segment by segment instead (see
+        :meth:`component_plan`).
 
         ``tenants`` restricts the split to an elastic fleet's active
         set for the epoch.  The record's churn charges are direct, not
@@ -441,214 +736,23 @@ class SharedCostAttributor:
         tenant's record, and each departure yields a settlement-only
         record (all shares zero, ``offboarding_cost`` set) for a
         tenant no longer in the active set.
-        """
-        records = self._split_epoch(problem, record, breakdown, tenants)
-        return self._apply_churn(record, records)
 
-    def _split_epoch(
-        self,
-        problem: SelectionProblem,
-        record: EpochRecord,
-        breakdown: CostBreakdown,
-        tenants: Optional[Sequence[str]] = None,
-    ) -> Dict[str, TenantEpochRecord]:
-        """The shared-charge split, before churn charges land."""
-        if record.segments:
-            return self._attribute_segments(problem, record, tenants)
+        The plan's products are computed in-process and merged by
+        :func:`merge_epoch`, the sharded route's merge: same bytes.
+        """
+        entries, hours = self.component_plan(
+            problem, record, breakdown, tenants
+        )
         active = self._active(tenants)
-        subset = frozenset(record.subset)
-        built = frozenset(record.views_built)
-        shares, hours = self._component_shares(
-            problem, subset, built, breakdown, record.teardown_cost,
-            record.migration_cost, record.cancelled_cost, active,
-        )
         return {
-            name: TenantEpochRecord(
-                epoch=record.epoch,
-                tenant=name,
-                processing_cost=shares["processing"][name],
-                transfer_cost=shares["transfer"][name],
-                maintenance_cost=shares["maintenance"][name],
-                storage_cost=shares["storage"][name],
-                build_cost=shares["build"][name],
-                teardown_cost=shares["teardown"][name],
-                processing_hours=hours[name],
-                migration_cost=shares["migration"][name],
-                cancelled_cost=shares["cancelled"][name],
+            share.tenant: share
+            for share in merge_epoch(
+                record,
+                active,
+                entries,
+                hours,
+                _in_process(entries, len(active)),
             )
-            for name in active
-        }
-
-    def _apply_churn(
-        self,
-        record: EpochRecord,
-        records: Dict[str, TenantEpochRecord],
-    ) -> Dict[str, TenantEpochRecord]:
-        """Land the epoch's direct churn charges on tenant records."""
-        for tenant, amount in record.arrivals:
-            if tenant not in records:
-                raise SimulationError(
-                    f"epoch {record.epoch}: arrival charge for "
-                    f"{tenant!r}, which is not in the active split"
-                )
-            records[tenant] = replace(
-                records[tenant], onboarding_cost=amount
-            )
-        for tenant, amount in record.departures:
-            if tenant in records:
-                raise SimulationError(
-                    f"epoch {record.epoch}: departure settlement for "
-                    f"{tenant!r}, which is still in the active split"
-                )
-            records[tenant] = TenantEpochRecord(
-                epoch=record.epoch,
-                tenant=tenant,
-                processing_cost=ZERO,
-                transfer_cost=ZERO,
-                maintenance_cost=ZERO,
-                storage_cost=ZERO,
-                build_cost=ZERO,
-                teardown_cost=ZERO,
-                processing_hours=0.0,
-                offboarding_cost=amount,
-            )
-        return records
-
-    def _attribute_segments(
-        self,
-        problem: SelectionProblem,
-        record: EpochRecord,
-        active_tenants: Optional[Sequence[str]] = None,
-    ) -> Dict[str, TenantEpochRecord]:
-        """Attribute one asynchronous epoch, segment by segment.
-
-        Each segment's full-period components are scaled by its period
-        fraction and split by the tenants using the views live in
-        *that* segment; per-tenant shares accumulate across segments.
-        Because every per-segment split is exact
-        (:func:`allocate_exactly`) and ``Money`` products distribute
-        exactly at this precision, the accumulated shares sum to the
-        record's prorated fleet charges to the last digit.
-
-        Epoch-level one-offs — builds landing this epoch, teardown
-        egress, migration transfer, cancelled-build sunk compute — are
-        not prorated: builds are split by the landed views' users as
-        of the epoch's end holdings, the rest by the infrastructure
-        rule over time-weighted processing hours.
-        """
-        inputs = problem.inputs
-        tenants = self._active(active_tenants)
-        operating_components = (
-            "processing", "transfer", "maintenance", "storage",
-        )
-        totals: Dict[str, Dict[str, Money]] = {
-            component: {name: ZERO for name in tenants}
-            for component in operating_components
-        }
-        hours = {name: 0.0 for name in tenants}
-        cycles = inputs.deployment.maintenance_cycles
-        base_storage_full = storage_cost(
-            inputs.deployment.provider.storage, inputs.base_timeline
-        )
-        end_users: Dict[str, Mapping[str, float]] = {}
-        for segment in record.segments:
-            subset = frozenset(segment.subset)
-            bd = problem.evaluate(subset).breakdown
-            processing, egress, users = self._direct_weights(
-                problem, subset, tenants
-            )
-            infrastructure = self._infrastructure_weights(
-                processing, tenants
-            )
-            end_users = users
-            fraction = segment.fraction
-
-            def scaled(amount: Money) -> Money:
-                return amount if fraction == 1.0 else amount * fraction
-
-            ordered = sorted(subset)
-            maintenance_amounts = {
-                name: inputs.view_stats[name].maintenance_hours_per_cycle
-                * cycles
-                for name in ordered
-            }
-            size_amounts = {
-                name: inputs.view_stats[name].size_gb for name in ordered
-            }
-            base_shares = allocate_exactly(
-                scaled(base_storage_full), infrastructure, tenants
-            )
-            view_storage_shares = allocate_exactly(
-                scaled(bd.storage - base_storage_full),
-                self._view_weights(
-                    size_amounts, users, infrastructure, tenants
-                ),
-                tenants,
-            )
-            segment_shares = {
-                "processing": allocate_exactly(
-                    scaled(bd.computing.processing_cost), processing, tenants
-                ),
-                "transfer": allocate_exactly(
-                    scaled(bd.transfer), egress, tenants
-                ),
-                "maintenance": allocate_exactly(
-                    scaled(bd.computing.maintenance_cost),
-                    self._view_weights(
-                        maintenance_amounts, users, infrastructure, tenants
-                    ),
-                    tenants,
-                ),
-                "storage": {
-                    name: base_shares[name] + view_storage_shares[name]
-                    for name in tenants
-                },
-            }
-            for component in operating_components:
-                for name in tenants:
-                    totals[component][name] = (
-                        totals[component][name] + segment_shares[component][name]
-                    )
-            for name in tenants:
-                hours[name] += processing[name] * fraction
-        # Epoch-level one-offs, split once over the whole epoch; the
-        # infrastructure rule runs on time-weighted processing hours.
-        epoch_infrastructure = self._infrastructure_weights(hours, tenants)
-        build_amounts = {
-            name: inputs.view_stats[name].materialization_hours
-            for name in record.views_built
-        }
-        build_shares = allocate_exactly(
-            record.build_cost,
-            self._view_weights(
-                build_amounts, end_users, epoch_infrastructure, tenants
-            ),
-            tenants,
-        )
-        teardown_shares = allocate_exactly(
-            record.teardown_cost, epoch_infrastructure, tenants
-        )
-        migration_shares = allocate_exactly(
-            record.migration_cost, epoch_infrastructure, tenants
-        )
-        cancelled_shares = allocate_exactly(
-            record.cancelled_cost, epoch_infrastructure, tenants
-        )
-        return {
-            name: TenantEpochRecord(
-                epoch=record.epoch,
-                tenant=name,
-                processing_cost=totals["processing"][name],
-                transfer_cost=totals["transfer"][name],
-                maintenance_cost=totals["maintenance"][name],
-                storage_cost=totals["storage"][name],
-                build_cost=build_shares[name],
-                teardown_cost=teardown_shares[name],
-                processing_hours=hours[name],
-                migration_cost=migration_shares[name],
-                cancelled_cost=cancelled_shares[name],
-            )
-            for name in tenants
         }
 
     def outcome_shares(
@@ -667,24 +771,24 @@ class SharedCostAttributor:
         constrains.
         """
         active = self._active(tenants)
-        shares, _ = self._component_shares(
+        entries, _ = self._period_plan(
             problem,
             outcome.subset,
             outcome.subset,
             outcome.breakdown,
-            ZERO,
-            tenants=active,
+            (ZERO, ZERO, ZERO),
+            active,
         )
-        totals: Dict[str, Money] = {}
-        for name in active:
-            totals[name] = (
-                shares["processing"][name]
-                + shares["transfer"][name]
-                + shares["maintenance"][name]
-                + shares["storage"][name]
-                + shares["build"][name]
+        columns = merge_shares(
+            entries, len(active), _in_process(entries, len(active))
+        )
+        add = MONEY_CONTEXT.add
+        return {
+            name: Money(
+                reduce(add, (columns[field][index] for field in _OUTCOME_FIELDS))
             )
-        return totals
+            for index, name in enumerate(active)
+        }
 
     def outcome_hours(
         self,
@@ -714,224 +818,3 @@ class SharedCostAttributor:
             self._owner(query.name) for query in problem.inputs.workload
         }
         return tuple(name for name in self._tenants if name in present)
-
-    # -- sharded execution ---------------------------------------------
-
-    @staticmethod
-    def _plan_entry(
-        field: str,
-        amount: Money,
-        weights: Mapping[str, float],
-        order: Sequence[str],
-    ) -> AllocationEntry:
-        """Normalize one split into an :class:`AllocationEntry`.
-
-        Mirrors :func:`allocate_exactly`'s weight handling exactly:
-        clipping, total, and even fallback are applied here so workers
-        evaluate the identical ``amount * (weight / total)`` products.
-        """
-        clipped = tuple(
-            max(0.0, weights.get(name, 0.0)) for name in order
-        )
-        total = sum(clipped)
-        if total <= 0.0:
-            clipped = tuple(1.0 for _ in order)
-            total = float(len(order))
-        return AllocationEntry(
-            field=field, amount=amount, weights=clipped, total=total
-        )
-
-    def component_plan(
-        self,
-        problem: SelectionProblem,
-        record: EpochRecord,
-        breakdown: CostBreakdown,
-        tenants: Optional[Sequence[str]] = None,
-    ) -> Tuple[Tuple[AllocationEntry, ...], Dict[str, float]]:
-        """One epoch's splits, flattened for sharded execution.
-
-        Returns ``(entries, hours)``: the exact
-        :func:`allocate_exactly` calls :meth:`attribute` would make,
-        as :class:`AllocationEntry` records in a fixed order (storage
-        contributes two entries — base then view share — both landing
-        on ``storage_cost``), plus each active tenant's processing
-        hours.  :class:`~repro.simulate.sharding.ShardedAttribution`
-        evaluates the entries' per-tenant products across worker
-        shards and reassembles the sequential residual, reproducing
-        :meth:`attribute`'s records byte for byte.
-        """
-        active = self._active(tenants)
-        inputs = problem.inputs
-        entries: List[AllocationEntry] = []
-        if record.segments:
-            hours = {name: 0.0 for name in active}
-            cycles = inputs.deployment.maintenance_cycles
-            base_storage_full = storage_cost(
-                inputs.deployment.provider.storage, inputs.base_timeline
-            )
-            end_users: Mapping[str, Mapping[str, float]] = {}
-            for segment in record.segments:
-                subset = frozenset(segment.subset)
-                bd = problem.evaluate(subset).breakdown
-                processing, egress, users = self._direct_weights(
-                    problem, subset, active
-                )
-                infrastructure = self._infrastructure_weights(
-                    processing, active
-                )
-                end_users = users
-                fraction = segment.fraction
-
-                def scaled(amount: Money) -> Money:
-                    return amount if fraction == 1.0 else amount * fraction
-
-                ordered = sorted(subset)
-                maintenance_amounts = {
-                    name: inputs.view_stats[name].maintenance_hours_per_cycle
-                    * cycles
-                    for name in ordered
-                }
-                size_amounts = {
-                    name: inputs.view_stats[name].size_gb for name in ordered
-                }
-                entries += [
-                    self._plan_entry(
-                        "processing_cost",
-                        scaled(bd.computing.processing_cost),
-                        processing, active,
-                    ),
-                    self._plan_entry(
-                        "transfer_cost", scaled(bd.transfer), egress, active
-                    ),
-                    self._plan_entry(
-                        "maintenance_cost",
-                        scaled(bd.computing.maintenance_cost),
-                        self._view_weights(
-                            maintenance_amounts, users, infrastructure,
-                            active,
-                        ),
-                        active,
-                    ),
-                    self._plan_entry(
-                        "storage_cost",
-                        scaled(base_storage_full),
-                        infrastructure, active,
-                    ),
-                    self._plan_entry(
-                        "storage_cost",
-                        scaled(bd.storage - base_storage_full),
-                        self._view_weights(
-                            size_amounts, users, infrastructure, active
-                        ),
-                        active,
-                    ),
-                ]
-                for name in active:
-                    hours[name] += processing[name] * fraction
-            epoch_infrastructure = self._infrastructure_weights(
-                hours, active
-            )
-            build_amounts = {
-                name: inputs.view_stats[name].materialization_hours
-                for name in record.views_built
-            }
-            entries += [
-                self._plan_entry(
-                    "build_cost",
-                    record.build_cost,
-                    self._view_weights(
-                        build_amounts, end_users, epoch_infrastructure,
-                        active,
-                    ),
-                    active,
-                ),
-                self._plan_entry(
-                    "teardown_cost", record.teardown_cost,
-                    epoch_infrastructure, active,
-                ),
-                self._plan_entry(
-                    "migration_cost", record.migration_cost,
-                    epoch_infrastructure, active,
-                ),
-                self._plan_entry(
-                    "cancelled_cost", record.cancelled_cost,
-                    epoch_infrastructure, active,
-                ),
-            ]
-            return tuple(entries), hours
-
-        subset = frozenset(record.subset)
-        built = frozenset(record.views_built)
-        plan = inputs.plan_for(subset)
-        processing, egress, users = self._direct_weights(
-            problem, subset, active
-        )
-        infrastructure = self._infrastructure_weights(processing, active)
-        ordered = sorted(subset)
-        cycles = inputs.deployment.maintenance_cycles
-        maintenance_amounts = {
-            name: inputs.view_stats[name].maintenance_hours_per_cycle * cycles
-            for name in ordered
-        }
-        build_amounts = {
-            name: hours
-            for name, hours in zip(ordered, plan.materialization_hours)
-            if name in built and hours > 0.0
-        }
-        size_amounts = {
-            name: inputs.view_stats[name].size_gb for name in ordered
-        }
-        base_storage = storage_cost(
-            inputs.deployment.provider.storage, plan.base_timeline
-        )
-        view_storage = breakdown.storage - base_storage
-        entries += [
-            self._plan_entry(
-                "processing_cost",
-                breakdown.computing.processing_cost,
-                processing, active,
-            ),
-            self._plan_entry(
-                "transfer_cost", breakdown.transfer, egress, active
-            ),
-            self._plan_entry(
-                "maintenance_cost",
-                breakdown.computing.maintenance_cost,
-                self._view_weights(
-                    maintenance_amounts, users, infrastructure, active
-                ),
-                active,
-            ),
-            self._plan_entry(
-                "storage_cost", base_storage, infrastructure, active
-            ),
-            self._plan_entry(
-                "storage_cost",
-                view_storage,
-                self._view_weights(
-                    size_amounts, users, infrastructure, active
-                ),
-                active,
-            ),
-            self._plan_entry(
-                "build_cost",
-                breakdown.computing.materialization_cost,
-                self._view_weights(
-                    build_amounts, users, infrastructure, active
-                ),
-                active,
-            ),
-            self._plan_entry(
-                "teardown_cost", record.teardown_cost,
-                infrastructure, active,
-            ),
-            self._plan_entry(
-                "migration_cost", record.migration_cost,
-                infrastructure, active,
-            ),
-            self._plan_entry(
-                "cancelled_cost", record.cancelled_cost,
-                infrastructure, active,
-            ),
-        ]
-        return tuple(entries), processing

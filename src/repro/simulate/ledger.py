@@ -74,6 +74,7 @@ __all__ = [
     "TenantEpochRecord",
     "TenantLedger",
     "TenantTotals",
+    "check_books",
 ]
 
 
@@ -417,6 +418,32 @@ class SimulationLedger:
 # ---------------------------------------------------------------------------
 
 
+#: The fleet-level bill components the books checks compare, each read
+#: as ``<name>_cost`` on a record (``total_<name>_cost`` on a ledger).
+_BOOKED_COMPONENTS = (
+    "operating", "build", "teardown", "migration", "cancelled", "onboarding", "offboarding",
+)
+
+
+def check_books(where: str, checks) -> None:
+    """Raise on the first component whose tenant sum misses the fleet.
+
+    ``checks`` holds ``(component, fleet_amount, tenant_sum)`` triples,
+    compared exactly; ``where`` is the message prefix, with ``{}``
+    standing for the component name.  The message prints both sides to
+    the cent and then exactly, with their difference, because a
+    last-digit miss rounds to two equal-looking cent amounts.
+    """
+    for component, fleet_amount, tenant_sum in checks:
+        if fleet_amount != tenant_sum:
+            raise SimulationError(
+                f"{where.format(component)} sum to {tenant_sum}, fleet "
+                f"charged {fleet_amount} (exact: {tenant_sum.amount} vs "
+                f"{fleet_amount.amount}, difference "
+                f"{(tenant_sum - fleet_amount).amount})"
+            )
+
+
 @dataclass(frozen=True)
 class TenantEpochRecord:
     """One tenant's attributed share of one epoch's fleet charges.
@@ -693,28 +720,11 @@ class FleetLedger:
                 by_epoch.setdefault(share.epoch, []).append(share)
         for record in self._fleet.records:
             shares = by_epoch.get(record.epoch, [])
-            checks = (
-                ("operating", record.operating_cost,
-                 sum((s.operating_cost for s in shares), ZERO)),
-                ("build", record.build_cost,
-                 sum((s.build_cost for s in shares), ZERO)),
-                ("teardown", record.teardown_cost,
-                 sum((s.teardown_cost for s in shares), ZERO)),
-                ("migration", record.migration_cost,
-                 sum((s.migration_cost for s in shares), ZERO)),
-                ("cancelled", record.cancelled_cost,
-                 sum((s.cancelled_cost for s in shares), ZERO)),
-                ("onboarding", record.onboarding_cost,
-                 sum((s.onboarding_cost for s in shares), ZERO)),
-                ("offboarding", record.offboarding_cost,
-                 sum((s.offboarding_cost for s in shares), ZERO)),
-            )
-            for component, fleet_amount, tenant_sum in checks:
-                if fleet_amount != tenant_sum:
-                    raise SimulationError(
-                        f"epoch {record.epoch}: tenant {component} shares "
-                        f"sum to {tenant_sum}, fleet charged {fleet_amount}"
-                    )
+            check_books(f"epoch {record.epoch}: tenant {{}} shares", (
+                (name, getattr(record, f"{name}_cost"),
+                 sum((getattr(s, f"{name}_cost") for s in shares), ZERO))
+                for name in _BOOKED_COMPONENTS
+            ))
 
     def summary(self) -> str:
         """The fleet comparison line plus one line per tenant."""
@@ -972,28 +982,11 @@ class FleetSummary:
         """Assert the books balance: per-component tenant totals sum
         exactly to the fleet ledger's lifetime totals."""
         totals = list(self._tenants.values())
-        checks = (
-            ("operating", self._fleet.total_operating_cost,
-             sum((t.operating_cost for t in totals), ZERO)),
-            ("build", self._fleet.total_build_cost,
-             sum((t.build_cost for t in totals), ZERO)),
-            ("teardown", self._fleet.total_teardown_cost,
-             sum((t.teardown_cost for t in totals), ZERO)),
-            ("migration", self._fleet.total_migration_cost,
-             sum((t.migration_cost for t in totals), ZERO)),
-            ("cancelled", self._fleet.total_cancelled_cost,
-             sum((t.cancelled_cost for t in totals), ZERO)),
-            ("onboarding", self._fleet.total_onboarding_cost,
-             sum((t.onboarding_cost for t in totals), ZERO)),
-            ("offboarding", self._fleet.total_offboarding_cost,
-             sum((t.offboarding_cost for t in totals), ZERO)),
-        )
-        for component, fleet_amount, tenant_sum in checks:
-            if fleet_amount != tenant_sum:
-                raise SimulationError(
-                    f"lifetime {component}: tenant totals sum to "
-                    f"{tenant_sum}, fleet charged {fleet_amount}"
-                )
+        check_books("lifetime {}: tenant totals", (
+            (name, getattr(self._fleet, f"total_{name}_cost"),
+             sum((getattr(t, f"{name}_cost") for t in totals), ZERO))
+            for name in _BOOKED_COMPONENTS
+        ))
 
     def summary(self) -> str:
         """The fleet comparison line plus a tenant-population line."""

@@ -1,66 +1,42 @@
-"""Sharded attribution: population-scale tenant splits, exactly.
+"""Sharded attribution: the same split, its products across processes.
 
-At 10⁴–10⁵ tenants, splitting every epoch's bill is the dominant
-cost of a fleet run, and holding every tenant's every epoch record is
-the dominant memory.  This module shards the per-tenant product work
-of one epoch's :class:`~repro.simulate.attribution.AllocationEntry`
-plan across worker processes and streams the merged
-:class:`~repro.simulate.ledger.TenantEpochRecord`\\ s back, so the
-caller can fold them into
+:class:`ShardedAttribution` is the multi-shard route of the one
+attribution path in :mod:`repro.simulate.attribution`: it partitions
+the per-tenant products of an epoch's
+:meth:`~repro.simulate.attribution.SharedCostAttributor.component_plan`
+into contiguous tenant ranges (optionally across worker processes)
+and streams the :func:`~repro.simulate.attribution.merge_epoch`
+records back, so a population-scale caller can fold them into
 :class:`~repro.simulate.ledger.TenantTotals` without materializing
 the tenant x epoch matrix.
 
-**Why the results are byte-identical for any shard count.**
-:func:`~repro.simulate.attribution.allocate_exactly` gives every
-tenant but the last the product ``amount * (weight / total)`` — a
-*per-tenant independent* expression — and hands the last tenant the
-residual ``amount - running`` where ``running`` is the sequential sum
-of the earlier products.  Shards therefore compute only the
-independent products for their contiguous tenant range; the merge
-replays the sequential running sum in global tenant order (shard 0's
-tenants first, then shard 1's, ...) and assigns the global-last
-tenant the residual.  Every Decimal operation — each product, each
-addition, in the same order — is identical to the unsharded split,
-whether the products were computed in-process (``jobs=1``) or by a
-worker pool, so the books do not merely balance: they are the same
-bytes.  The products and the merge run those operations on raw
-``Decimal``\\ s through Money's own context
-(:data:`~repro.money.MONEY_CONTEXT`) and wrap each record field in
-:class:`~repro.money.Money` once, which is the same arithmetic without
-a Money object per intermediate sum.
+**Why the results are byte-identical for any shard count.**  A
+non-last tenant's share is an independent product, so a shard
+computes only its own range's products; the merge reads them back in
+global tenant order (shard 0's tenants first, then shard 1's, ...),
+replays the running sum and gives the globally-last tenant the
+residual: the same ``Decimal`` operations, in the same order, as
+:meth:`~repro.simulate.attribution.SharedCostAttributor.attribute`
+performs in-process.  Whether the products come from the parent
+(``jobs=1``) or a worker pool, the books are the same bytes.
 """
 
 from __future__ import annotations
 
-from decimal import Decimal
-from functools import reduce
-from itertools import chain, islice
 from multiprocessing import get_context
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
-from ..money import MONEY_CONTEXT, Money, ZERO, to_decimal
-from .attribution import SharedCostAttributor
+from .attribution import (
+    ShardPayload,
+    SharedCostAttributor,
+    merge_epoch,
+    shard_payload,
+    shard_products,
+)
 from .ledger import EpochRecord, TenantEpochRecord
 
 __all__ = ["ShardedAttribution", "shard_bounds"]
-
-#: One shard's work order: for each plan entry, ``(amount, weights
-#: slice for the shard's tenant range, total)``, the amount as the raw
-#: ``Decimal`` of its Money.
-_ShardPayload = Tuple[Tuple[Decimal, Tuple[float, ...], float], ...]
-
-#: The record fields an :class:`AllocationEntry` may land on.
-_FIELDS = (
-    "processing_cost",
-    "transfer_cost",
-    "maintenance_cost",
-    "storage_cost",
-    "build_cost",
-    "teardown_cost",
-    "migration_cost",
-    "cancelled_cost",
-)
 
 
 def shard_bounds(n_tenants: int, shards: int) -> Tuple[Tuple[int, int], ...]:
@@ -80,28 +56,6 @@ def shard_bounds(n_tenants: int, shards: int) -> Tuple[Tuple[int, int], ...]:
         bounds.append((start, stop))
         start = stop
     return tuple(bounds)
-
-
-def _shard_products(
-    payload: _ShardPayload,
-) -> Tuple[Tuple[Decimal, ...], ...]:
-    """One shard's independent per-tenant products, entry by entry.
-
-    Evaluates exactly the Money expression
-    :func:`~repro.simulate.attribution.allocate_exactly` gives a
-    non-last tenant, ``amount * (weight / total)``, as the same
-    ``Decimal`` multiplication Money performs (same context, same
-    float conversion) without wrapping each product.  The weight is
-    already clipped and the zero-total fallback already applied by
-    :meth:`~repro.simulate.attribution.SharedCostAttributor.component_plan`.
-    Runs in worker processes (top-level so it pickles) and in-process
-    for ``jobs=1`` — the same code path either way.
-    """
-    multiply = MONEY_CONTEXT.multiply
-    return tuple(
-        tuple(multiply(amount, to_decimal(weight / total)) for weight in weights)
-        for amount, weights, total in payload
-    )
 
 
 class ShardedAttribution:
@@ -148,17 +102,17 @@ class ShardedAttribution:
         """The configured worker-process count."""
         return self._jobs
 
-    def _map(self, payloads: Sequence[_ShardPayload]):
+    def _map(self, payloads: Sequence[ShardPayload]):
         """Evaluate shard payloads, in-process or across the pool."""
         if self._jobs == 1:
-            return [_shard_products(payload) for payload in payloads]
+            return [shard_products(payload) for payload in payloads]
         if self._pool is None:
             try:
                 context = get_context("fork")
             except ValueError:  # pragma: no cover - non-POSIX fallback
                 context = get_context("spawn")
             self._pool = context.Pool(processes=self._jobs)
-        return self._pool.map(_shard_products, payloads)
+        return self._pool.map(shard_products, payloads)
 
     def close(self) -> None:
         """Shut the worker pool down (idempotent; no-op for jobs=1)."""
@@ -177,11 +131,11 @@ class ShardedAttribution:
         """One epoch's per-tenant records, merged from shard products.
 
         Yields the epoch's records in tenant order (active split
-        first, then departure settlements), after verifying that every
-        component's shares sum exactly to the fleet record — the
-        per-epoch half of the sum-to-fleet-ledger invariant, checked
-        here because streaming callers never hold a full
-        :class:`~repro.simulate.ledger.FleetLedger` to re-check.
+        first, then departure settlements) after
+        :func:`~repro.simulate.attribution.merge_epoch` has checked
+        that every component's shares sum exactly to the fleet record.
+        The globally-last tenant takes a residual, so its product is
+        never computed.
         """
         entries, hours = self._attributor.component_plan(
             problem, record, breakdown, tenants
@@ -191,107 +145,11 @@ class ShardedAttribution:
             if tenants is not None
             else self._attributor.tenants
         )
-        n = len(active)
-        bounds = shard_bounds(n, self._shards)
+        last = len(active) - 1
         payloads = [
-            tuple(
-                (entry.amount.amount, entry.weights[start:stop], entry.total)
-                for entry in entries
-            )
-            for start, stop in bounds
+            shard_payload(entries, start, min(stop, last))
+            for start, stop in shard_bounds(len(active), self._shards)
         ]
-        shard_results = self._map(payloads)
-
-        # Merge, one field column at a time on raw Decimals: per entry,
-        # add each tenant's product into its column and replay the
-        # sequential running sum in global tenant order; the
-        # globally-last tenant takes the exact residual —
-        # allocate_exactly's Money operations, verbatim, in its order.
-        add, subtract = MONEY_CONTEXT.add, MONEY_CONTEXT.subtract
-        zero = ZERO.amount
-        columns = {field: [zero] * n for field in _FIELDS}
-        for entry_index, entry in enumerate(entries):
-            head = list(
-                islice(
-                    chain.from_iterable(
-                        products[entry_index] for products in shard_results
-                    ),
-                    n - 1,
-                )
-            )
-            column = columns[entry.field]
-            column[: n - 1] = map(add, column[: n - 1], head)
-            running = reduce(add, head, zero)
-            column[n - 1] = add(
-                column[n - 1], subtract(entry.amount.amount, running)
-            )
-
-        arrivals = dict(record.arrivals)
-        active_set = set(active)
-        missing = set(arrivals) - active_set
-        if missing:
-            raise SimulationError(
-                f"epoch {record.epoch}: arrival charges for "
-                f"{sorted(missing)!r}, which are not in the active split"
-            )
-        self._verify_epoch(
-            record,
-            {
-                field: Money(reduce(add, column, zero))
-                for field, column in columns.items()
-            },
+        yield from merge_epoch(
+            record, active, entries, hours, self._map(payloads)
         )
-        for index, name in enumerate(active):
-            yield TenantEpochRecord(
-                epoch=record.epoch,
-                tenant=name,
-                processing_hours=hours[name],
-                onboarding_cost=arrivals.get(name, ZERO),
-                **{
-                    field: Money(column[index])
-                    for field, column in columns.items()
-                },
-            )
-        for tenant, amount in record.departures:
-            if tenant in arrivals or tenant in active_set:
-                raise SimulationError(
-                    f"epoch {record.epoch}: departure settlement for "
-                    f"{tenant!r}, which is still in the active split"
-                )
-            yield TenantEpochRecord(
-                epoch=record.epoch,
-                tenant=tenant,
-                processing_cost=ZERO,
-                transfer_cost=ZERO,
-                maintenance_cost=ZERO,
-                storage_cost=ZERO,
-                build_cost=ZERO,
-                teardown_cost=ZERO,
-                processing_hours=0.0,
-                offboarding_cost=amount,
-            )
-
-    @staticmethod
-    def _verify_epoch(
-        record: EpochRecord, checks: Dict[str, Money]
-    ) -> None:
-        """The per-epoch books-balance check, against the fleet record."""
-        operating = (
-            checks["processing_cost"]
-            + checks["transfer_cost"]
-            + checks["maintenance_cost"]
-            + checks["storage_cost"]
-        )
-        expected = (
-            ("operating", record.operating_cost, operating),
-            ("build", record.build_cost, checks["build_cost"]),
-            ("teardown", record.teardown_cost, checks["teardown_cost"]),
-            ("migration", record.migration_cost, checks["migration_cost"]),
-            ("cancelled", record.cancelled_cost, checks["cancelled_cost"]),
-        )
-        for component, fleet_amount, tenant_sum in expected:
-            if fleet_amount != tenant_sum:
-                raise SimulationError(
-                    f"epoch {record.epoch}: sharded {component} shares "
-                    f"sum to {tenant_sum}, fleet charged {fleet_amount}"
-                )

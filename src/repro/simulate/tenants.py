@@ -34,19 +34,20 @@ epoch itself carries only the tenant's settlement record.  Tenant
 ledgers become ragged (records only for present epochs) and the
 sum-to-fleet invariant holds per epoch over the tenants present.
 
-**Population scale.**  :meth:`MultiTenantSimulator.run_sharded`
-attributes each epoch across worker-process shards
-(:mod:`repro.simulate.sharding`) and folds the per-tenant record
-stream into :class:`~repro.simulate.ledger.TenantTotals` — O(tenants)
-memory instead of O(tenants x epochs) — producing a
-:class:`~repro.simulate.ledger.FleetSummary` whose totals are
-byte-identical for any shard count.
+**One observer, two routes.**  :meth:`MultiTenantSimulator.run`
+computes each epoch's split in-process and keeps every record in a
+:class:`~repro.simulate.ledger.TenantLedger`;
+:meth:`MultiTenantSimulator.run_sharded`, the population-scale route,
+computes it across tenant shards (:mod:`repro.simulate.sharding`) and
+folds the records into :class:`~repro.simulate.ledger.TenantTotals` —
+O(tenants) memory instead of O(tenants x epochs).  Both share one
+observer, plan and merge, so their totals are the same bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..costmodel.params import DeploymentSpec
 from ..cube.views import CandidateView
@@ -73,7 +74,9 @@ from .events import (
     TenantDeparture,
     TenantRoster,
 )
-from .ledger import FleetLedger, FleetSummary, TenantLedger, TenantTotals
+from .ledger import (
+    FleetLedger, FleetSummary, SimulationLedger, TenantLedger, TenantTotals,
+)
 from .policy import ReselectionPolicy
 from .problems import EpochProblemBuilder
 from .simulator import (
@@ -537,24 +540,23 @@ class MultiTenantSimulator:
 
     # -- runs -----------------------------------------------------------
 
-    def run(
+    def _observe(
         self,
         policy: ReselectionPolicy,
-        observer: Optional[EpochObserver] = None,
-    ) -> FleetLedger:
-        """Simulate the fleet under ``policy``; books verified on return.
+        route: Callable[..., Iterable],
+        sink: Callable,
+        observer: Optional[EpochObserver],
+    ) -> SimulationLedger:
+        """The one attribution observer behind :meth:`run` and
+        :meth:`run_sharded`; returns the fleet's own ledger.
 
-        ``observer`` (the standard
-        :class:`~repro.simulate.simulator.EpochObserver` contract) is
-        composed *after* the attribution observer via
-        :func:`~repro.simulate.simulator.compose_observers`, so
-        telemetry or logging observers see each epoch without wrapping
-        the attribution machinery by hand.
+        ``route(problem, record, breakdown, tenants)`` yields an
+        epoch's tenant records in global tenant order (``tenants`` is
+        the active set of an elastic fleet, else ``None``).  Each
+        record goes to ``sink`` and, in that order and in this process,
+        to the explain fold, so the explain stream does not depend on
+        the route.
         """
-        ledgers = {
-            name: TenantLedger(name, policy.describe())
-            for name in self._fleet.tenant_names
-        }
         elastic = self._fleet.is_elastic
         telemetry = current_telemetry()
         explain = current_explain()
@@ -568,18 +570,44 @@ class MultiTenantSimulator:
                 if elastic
                 else None
             )
-            for name, share in self._attributor.attribute(
-                problem, record, breakdown, tenants=active
-            ).items():
-                ledgers[name].append(share)
+            for share in route(problem, record, breakdown, active):
+                sink(share)
                 if fold is not None:
                     explain.emit(fold.feed(share))
             if telemetry.enabled and (record.arrivals or record.departures):
                 telemetry.inc("fleet.arrivals", len(record.arrivals))
                 telemetry.inc("fleet.departures", len(record.departures))
 
-        fleet_ledger = self._simulator.run(
+        return self._simulator.run(
             policy, observer=compose_observers(attribute, observer)
+        )
+
+    def run(
+        self,
+        policy: ReselectionPolicy,
+        observer: Optional[EpochObserver] = None,
+    ) -> FleetLedger:
+        """Simulate the fleet under ``policy``; books verified on return.
+
+        The in-process route: every epoch's records come from
+        :meth:`~repro.simulate.attribution.SharedCostAttributor.attribute`
+        and are kept, one :class:`~repro.simulate.ledger.TenantLedger`
+        per tenant.  ``observer`` (the standard
+        :class:`~repro.simulate.simulator.EpochObserver` contract) is
+        composed *after* attribution via
+        :func:`~repro.simulate.simulator.compose_observers`, so
+        telemetry or logging observers see each epoch without wrapping
+        the attribution machinery by hand.
+        """
+        ledgers = {
+            name: TenantLedger(name, policy.describe())
+            for name in self._fleet.tenant_names
+        }
+        fleet_ledger = self._observe(
+            policy,
+            lambda *epoch: self._attributor.attribute(*epoch).values(),
+            lambda share: ledgers[share.tenant].append(share),
+            observer,
         )
         result = FleetLedger(fleet_ledger, ledgers)
         result.verify_attribution()
@@ -594,51 +622,26 @@ class MultiTenantSimulator:
     ) -> FleetSummary:
         """Simulate the fleet with sharded, streaming attribution.
 
-        The population-scale counterpart of :meth:`run`: each epoch's
-        attribution is partitioned into ``shards`` contiguous tenant
-        ranges (evaluated across ``jobs`` worker processes when
-        ``jobs > 1``), and the per-tenant record stream is folded into
-        :class:`~repro.simulate.ledger.TenantTotals` — the full
-        per-tenant record matrix is never materialized.  Results are
-        byte-identical for any ``shards`` / ``jobs`` combination and
-        equal, total for total, to what :meth:`run`'s ledgers would
-        fold to (asserted by the books-balance verification on both
-        paths).
+        The population-scale route of :meth:`run`'s observer: each
+        epoch's products are partitioned into ``shards`` contiguous
+        tenant ranges (evaluated across ``jobs`` worker processes when
+        ``jobs > 1``), and the record stream is folded into
+        :class:`~repro.simulate.ledger.TenantTotals` — the tenant x
+        epoch record matrix is never materialized.  Both routes share
+        one plan and one merge, so the totals are byte-identical for
+        any ``shards`` / ``jobs`` and equal to :meth:`run`'s ledgers
+        folded record by record.
         """
         from .sharding import ShardedAttribution
 
-        roster = self._fleet.tenant_names
-        totals = {name: TenantTotals(name) for name in roster}
-        elastic = self._fleet.is_elastic
-        telemetry = current_telemetry()
-        explain = current_explain()
-        # The shard merge yields shares in global tenant order in the
-        # *parent* process, so feeding the fold here keeps the explain
-        # stream byte-identical for any shards/jobs combination.
-        fold = (
-            TenantDeltaFold(policy.describe()) if explain.enabled else None
-        )
+        totals = {name: TenantTotals(name) for name in self._fleet.tenant_names}
         sharded = ShardedAttribution(self._attributor, shards=shards, jobs=jobs)
-
-        def attribute(record, problem, breakdown) -> None:
-            active = (
-                self._fleet.active_tenants(record.epoch)
-                if elastic
-                else roster
-            )
-            for share in sharded.attribute_streaming(
-                problem, record, breakdown, active
-            ):
-                totals[share.tenant].fold(share)
-                if fold is not None:
-                    explain.emit(fold.feed(share))
-            if telemetry.enabled and (record.arrivals or record.departures):
-                telemetry.inc("fleet.arrivals", len(record.arrivals))
-                telemetry.inc("fleet.departures", len(record.departures))
-
         try:
-            fleet_ledger = self._simulator.run(
-                policy, observer=compose_observers(attribute, observer)
+            fleet_ledger = self._observe(
+                policy,
+                sharded.attribute_streaming,
+                lambda share: totals[share.tenant].fold(share),
+                observer,
             )
         finally:
             sharded.close()

@@ -280,8 +280,13 @@ class RandomFleet:
         self,
         tenants: Optional[Tuple["Tenant", ...]] = None,
         cache=None,
+        builds=None,
     ) -> "MultiTenantSimulator":
-        """A simulator over these tenants (or a modified population)."""
+        """A simulator over these tenants (or a modified population).
+
+        ``builds`` (a ``BuildConfig``) makes the shared warehouse's
+        builds asynchronous; it changes nothing about the drawn fleet.
+        """
         from repro.simulate.clock import SimulationClock
         from repro.simulate.presets import sales_deployment
         from repro.simulate.tenants import MultiTenantSimulator, TenantFleet
@@ -296,6 +301,7 @@ class RandomFleet:
             clock=SimulationClock(self.n_epochs),
             attribution=self.attribution,
             cache=cache,
+            builds=builds,
         )
 
 

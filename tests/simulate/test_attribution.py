@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from decimal import Decimal
+
 import pytest
 
 from repro.errors import SimulationError
@@ -11,6 +14,13 @@ from repro.simulate import (
     allocate_exactly,
     tenant_of_query,
 )
+from repro.simulate.attribution import (
+    AllocationEntry,
+    merge_shares,
+    shard_payload,
+    shard_products,
+)
+from repro.simulate.sharding import shard_bounds
 
 
 class TestAllocateExactly:
@@ -53,6 +63,57 @@ class TestAllocateExactly:
     def test_empty_order_rejected(self):
         with pytest.raises(SimulationError, match="zero tenants"):
             allocate_exactly(Money("1.00"), {}, [])
+
+
+def _draw_weights(rng, order):
+    """Weights covering every normalization case: positive, zero,
+    negative (clipped), missing (zero), or all zero (even fallback)."""
+    case = rng.choice(("mixed", "mixed", "all-zero", "all-negative", "sparse"))
+    if case == "all-zero":
+        return {name: 0.0 for name in order}
+    if case == "all-negative":
+        return {name: -rng.random() for name in order}
+    if case == "sparse":
+        return {name: rng.random() for name in order if rng.random() < 0.3}
+    return {
+        name: rng.choice((0.0, -rng.random(), rng.random() * 10 ** rng.randint(-6, 6)))
+        for name in order
+    }
+
+
+class TestMergeMatchesReference:
+    """No route calls ``allocate_exactly`` any more; the merge must stay
+    repr-equal to it, whatever the shard split."""
+
+    def test_single_entry_merge_is_allocate_exactly(self):
+        rng = random.Random(20121)
+        for draw in range(200):
+            n = rng.randint(1, 7)
+            order = [f"t{i}" for i in range(n)]
+            coefficient = rng.randint(0, 10 ** rng.randint(1, 30))
+            amount = Money(
+                Decimal(rng.choice((1, 1, 1, -1)) * coefficient).scaleb(
+                    rng.randint(-40, 4)
+                )
+            )
+            weights = _draw_weights(rng, order)
+            expected = [
+                repr(share)
+                for share in allocate_exactly(amount, weights, order).values()
+            ]
+            entry = AllocationEntry.of("build_cost", amount, weights, order)
+            for shards in range(1, n + 3):
+                # As the routes do: the last tenant takes the residual,
+                # so no shard computes its product.
+                products = [
+                    shard_products(shard_payload((entry,), start, min(stop, n - 1)))
+                    for start, stop in shard_bounds(n, shards)
+                ]
+                merged = merge_shares((entry,), n, products)["build_cost"]
+                assert [repr(Money(share)) for share in merged] == expected, (
+                    f"draw {draw}: {n} tenants on {shards} shards, "
+                    f"amount {amount!r}, weights {weights!r}"
+                )
 
 
 class TestTenantOfQuery:

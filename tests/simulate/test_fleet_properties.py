@@ -13,7 +13,8 @@ are the elastic-fleet contract:
   action at a distance.
 * **Sharded byte-identity** — streaming sharded attribution renders
   byte-identical CSVs for any shard count or worker count, and folds
-  to exactly the totals the in-memory path produces.
+  to exactly the totals the in-memory path produces — for synchronous
+  fleets and for asynchronous ones billing segmented epochs.
 * **Population scale** — a 10⁴-tenant elastic lifecycle completes with
   streaming ledger merges and balanced books (the acceptance run).
 """
@@ -26,7 +27,7 @@ import pytest
 
 from repro.money import ZERO
 from repro.optimizer.problem import SubsetEvaluationCache
-from repro.simulate import NeverReselect, make_policy
+from repro.simulate import BuildConfig, NeverReselect, make_policy
 from repro.simulate.ledger import TenantTotals
 from repro.simulate.presets import population_fleet_simulator
 
@@ -34,12 +35,39 @@ BALANCE_SEEDS = range(100)
 CAUSALITY_SEEDS = range(32)
 SHARD_SEEDS = range(16)
 
+#: Builds slow enough (half a compute-hour per wall-clock month) that
+#: views land mid-epoch, so async fleets bill segmented epochs.
+SLOW_BUILDS = BuildConfig(slots=1, hours_per_month=0.5)
+
 
 @pytest.fixture(scope="module")
 def shared_cache():
     """One evaluation cache across every generated fleet: seeds share
     the dataset, so subset pricing amortizes across the whole suite."""
     return SubsetEvaluationCache()
+
+
+@pytest.fixture(scope="module")
+def async_runs(random_fleet_factory, shared_cache):
+    """Per seed: the in-memory ledger and the 1/2/8-shard summaries of
+    a reselecting fleet under slow (asynchronous) builds."""
+    policy = make_policy("periodic")
+    runs, segmented = [], 0
+    for seed in SHARD_SEEDS:
+        simulator = random_fleet_factory(seed).simulator(
+            cache=shared_cache, builds=SLOW_BUILDS
+        )
+        ledger = simulator.run(policy)
+        segmented += sum(1 for r in ledger.fleet.records if r.segments)
+        summaries = {
+            shards: simulator.run_sharded(policy, shards=shards)
+            for shards in (1, 2, 8)
+        }
+        runs.append((seed, ledger, summaries))
+    # The async cases must exercise segmented epochs, not silently
+    # turn synchronous.
+    assert segmented > 0, "no async fleet billed a segmented epoch"
+    return runs
 
 
 def _by_epoch(ledger):
@@ -212,6 +240,36 @@ class TestShardedByteIdentity:
                     f"seed {seed}: tenant {name!r} streamed totals "
                     f"disagree with the in-memory ledger"
                 )
+
+    def test_async_books_balance(self, async_runs):
+        """Segment-by-segment attribution balances exactly on both
+        routes (each re-checks its books on return)."""
+        for seed, ledger, summaries in async_runs:
+            ledger.verify_attribution()
+            tenant_total = sum(
+                (t.total_cost for t in ledger.tenants.values()), ZERO
+            )
+            assert tenant_total == ledger.fleet.total_cost, f"seed {seed}"
+            for summary in summaries.values():
+                summary.verify_totals()
+
+    def test_async_streaming_folds_to_in_memory_totals(self, async_runs):
+        for seed, ledger, summaries in async_runs:
+            for name, tenant_ledger in ledger.tenants.items():
+                folded = TenantTotals(name)
+                for record in tenant_ledger.records:
+                    folded.fold(record)
+                assert folded.row() == summaries[2].tenant(name).row(), (
+                    f"seed {seed}: async tenant {name!r} streamed totals "
+                    f"disagree with the in-memory ledger"
+                )
+
+    def test_async_csv_identical_across_shard_counts(self, async_runs):
+        for seed, _, summaries in async_runs:
+            csvs = {shards: s.to_csv() for shards, s in summaries.items()}
+            assert csvs[1] == csvs[2] == csvs[8], (
+                f"seed {seed}: async ledger CSV depends on the shard count"
+            )
 
     def test_worker_processes_identical(
         self, random_fleet_factory, shared_cache

@@ -120,6 +120,28 @@ class TestMultiTenant:
         fleet = serial.metric("regret(>0.05)", "total_cost")
         assert t1.mean + t2.mean == pytest.approx(fleet.mean)
 
+    @pytest.mark.parametrize(
+        "churn, trials", [(0.0, range(8)), (0.4, range(4))]
+    )
+    def test_async_fleet_books_balance(self, churn, trials):
+        """Async fleets split each segment's prorated amounts by float
+        weight ratios — an ~70-digit product chain.  Were those
+        products rounded, the regrouped tenant shares would miss the
+        fleet bill in the last digit; every trial must balance exactly
+        (run_trial raises if the books do not)."""
+        config = MonteCarloConfig(
+            n_trials=8,
+            n_epochs=12,
+            n_rows=5_000,
+            n_tenants=3,
+            build_slots=2,
+            seed=7,
+            tenant_churn=churn,
+        )
+        for trial in trials:
+            outcomes = run_trial(config, trial)
+            assert outcomes, f"trial {trial} produced no outcomes"
+
 
 class TestConfigValidation:
     def test_policy_spec_rejects_unknown_names(self):

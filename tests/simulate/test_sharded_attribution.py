@@ -3,22 +3,31 @@
 The generative suite (``test_fleet_properties.py``) proves sharded
 runs byte-identical across shard counts on random fleets; this file
 pins the machinery itself — ``shard_bounds`` partitioning, idle
-shards, the validation that refuses malformed active splits — with
-small deterministic cases.
+shards, the validation that refuses malformed active splits, the
+exact amounts an unbalanced book reports — with small deterministic
+cases.
 """
 
 from __future__ import annotations
 
+import re
+from dataclasses import replace
+from decimal import Decimal
+
 import pytest
 
 from repro.errors import SimulationError
+from repro.money import MONEY_CONTEXT, Money
 from repro.simulate import (
+    FleetLedger,
     MultiTenantSimulator,
     NeverReselect,
     SimulationClock,
     Tenant,
     TenantFleet,
+    TenantLedger,
 )
+from repro.simulate.ledger import FleetSummary, TenantTotals
 from repro.simulate.presets import sales_deployment
 from repro.simulate.sharding import ShardedAttribution, shard_bounds
 from repro.workload import paper_sales_workload
@@ -156,3 +165,83 @@ class TestShardedStreaming:
         sharded = ShardedAttribution(elastic_sim.attributor, shards=2)
         sharded.close()
         sharded.close()
+
+
+#: A last-digit miss: invisible once both sides round to cents.
+SLIVER = Money("1E-50")
+
+_EXACT = re.compile(r"\(exact: (\S+) vs (\S+), difference (\S+)\)$")
+
+
+def _assert_exact_report(error, prefix, fleet_amount):
+    """The message keeps its cent-rounded prefix, then reports both
+    exact amounts and their difference — here one ``SLIVER`` over."""
+    message = str(error.value)
+    cents = fleet_amount.quantized().amount
+    assert message.startswith(
+        f"{prefix} sum to ${cents}, fleet charged ${cents} (exact: "
+    ), message
+    tenant_sum, fleet, difference = map(Decimal, _EXACT.search(message).groups())
+    assert fleet == fleet_amount.amount
+    assert difference == SLIVER.amount
+    assert tenant_sum == MONEY_CONTEXT.add(fleet, difference)
+
+
+class TestUnbalancedBooksReportExactAmounts:
+    def test_per_epoch_merge_check(self, elastic_sim, captured_epochs):
+        """Both routes' merge check names the epoch and the exact miss."""
+        record, problem, breakdown = captured_epochs[0]
+        short = replace(record, operating_cost=record.operating_cost - SLIVER)
+        prefix = "epoch 0: sharded operating shares"
+        with pytest.raises(SimulationError) as error:
+            elastic_sim.attributor.attribute(
+                problem, short, breakdown, tenants=("a", "c")
+            )
+        _assert_exact_report(error, prefix, short.operating_cost)
+        sharded = ShardedAttribution(elastic_sim.attributor, shards=2)
+        with pytest.raises(SimulationError) as error:
+            list(
+                sharded.attribute_streaming(
+                    problem, short, breakdown, tenants=("a", "c")
+                )
+            )
+        _assert_exact_report(error, prefix, short.operating_cost)
+
+    def test_verify_attribution(self, elastic_sim):
+        ledger = elastic_sim.run(NeverReselect())
+        doctored = {}
+        for name, tenant_ledger in ledger.tenants.items():
+            copy = TenantLedger(name, tenant_ledger.policy_name)
+            for record in tenant_ledger.records:
+                if name == "a" and record.epoch == 1:
+                    record = replace(
+                        record, storage_cost=record.storage_cost + SLIVER
+                    )
+                copy.append(record)
+            doctored[name] = copy
+        with pytest.raises(SimulationError) as error:
+            FleetLedger(ledger.fleet, doctored).verify_attribution()
+        _assert_exact_report(
+            error,
+            "epoch 1: tenant operating shares",
+            ledger.fleet.records[1].operating_cost,
+        )
+
+    def test_verify_totals(self, elastic_sim):
+        ledger = elastic_sim.run(NeverReselect())
+        totals = {}
+        for name, tenant_ledger in ledger.tenants.items():
+            totals[name] = TenantTotals(name)
+            for record in tenant_ledger.records:
+                if name == "a" and record.epoch == 1:
+                    record = replace(
+                        record, build_cost=record.build_cost + SLIVER
+                    )
+                totals[name].fold(record)
+        with pytest.raises(SimulationError) as error:
+            FleetSummary(ledger.fleet, totals).verify_totals()
+        _assert_exact_report(
+            error,
+            "lifetime build: tenant totals",
+            ledger.fleet.total_build_cost,
+        )
