@@ -42,8 +42,9 @@ switch cost for ``--migration-hold`` consecutive epochs.
 builds (:mod:`repro.simulate.builds`): decided views enter a build
 queue, land only after their materialization hours have elapsed on
 the wall clock, and are billed by partial-period proration from the
-landing instant; ``--sync`` names today's default instant-build
-regime explicitly.
+landing instant; ``--sync`` names the default explicitly: the same
+epoch loop with instant builds, each landing at its own epoch's
+start.
 
 ``--generator NAME`` swaps the hand-written drift for sampled drift
 (:mod:`repro.simulate.stochastic`), and ``--trials N`` evaluates the
@@ -476,9 +477,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--sync",
         action="store_true",
         help=(
-            "force the classic synchronous regime (views live the "
-            "instant they are decided) — the default; contradicts the "
-            "other build flags"
+            "force instant builds (every decided view lands at its own "
+            "epoch's start, so views live the instant they are "
+            "decided) — the default; contradicts the other build flags"
         ),
     )
 

@@ -46,8 +46,9 @@ model's ``materialization_hours``, so a rebuild decided in epoch *k*
 lands **mid-epoch** — queries are answered from the previous holdings
 until the view lands, epochs split into prorated
 :class:`EpochSegment`\\ s at the landing instants, an abandoned build
-bills only its sunk compute, and zero-latency builds (or the CLI's
-``--sync``) reproduce the synchronous ledgers byte-identically.
+bills only its sunk compute.  Synchronous runs (the CLI's ``--sync``,
+the default) are the instant-build case of the same epoch loop, so
+zero-latency builds reproduce their ledgers byte-identically.
 
 Stochastic drift and Monte Carlo evaluation close the loop (see
 :mod:`repro.simulate.stochastic` and

@@ -20,9 +20,9 @@ conservation invariant the tests and docs exercise.
 Wall-clock conversion: a job of ``hours`` compute-hours occupies one
 slot for ``hours / hours_per_month`` months (the default is
 :data:`repro.units.HOURS_PER_MONTH`).  ``hours_per_month = inf``
-makes every build instantaneous — the configuration under which the
-async simulator must reproduce the synchronous ledgers byte for byte,
-the invariant the parity tests enforce.
+makes every build instantaneous — the configuration a synchronous
+simulator runs, so any instant queue reproduces the synchronous
+ledgers byte for byte, the invariant the parity tests enforce.
 
 Everything here is deterministic: jobs are sequenced at submission,
 ties (equal finish times, equal durations) break by submission order,
@@ -227,7 +227,9 @@ class BuildQueue:
         SimulationError
             If a build for the same view is already in flight.
         """
-        if job.view in self.pending_views():
+        if any(queued.view == job.view for _, queued in self._queued) or any(
+            run.job.view == job.view for run in self._running
+        ):
             raise SimulationError(
                 f"a build for view {job.view!r} is already in flight"
             )
@@ -372,9 +374,9 @@ class BuildConfig:
     discipline:
         One of :data:`BUILD_DISCIPLINES` (``--build-discipline``).
     hours_per_month:
-        Wall-clock conversion; ``inf`` gives instant builds, under
-        which the async simulator reproduces the synchronous ledgers
-        byte-identically (the parity invariant).
+        Wall-clock conversion; ``inf`` gives instant builds — the
+        synchronous regime, whose ledgers any instant configuration
+        reproduces byte-identically (the parity invariant).
     """
 
     slots: int = 1

@@ -93,7 +93,7 @@ class EpochContext:
     post-event warehouse state (its :meth:`~repro.simulate.state.
     WarehouseState.candidate_books` are the migration targets on the
     table, its :attr:`~repro.simulate.state.WarehouseState.holdings`
-    the live/pending view split under asynchronous builds);
+    the live/pending view split at the decision);
     :meth:`counterfactual` prices the same world under another
     provider's book through the shared builder, so repeated
     counterfactuals over unchanged epochs are answered from cache.
@@ -104,13 +104,18 @@ class EpochContext:
 
     @property
     def holdings(self) -> Holdings:
-        """The epoch's live/pending view split (empty under sync runs)."""
+        """The epoch's live/pending view split at the decision.
+
+        Under synchronous runs (instant builds) ``live`` is the
+        previous decision's subset and ``pending`` is empty.
+        """
         return self.state.holdings
 
     @property
     def queue_depth(self) -> int:
         """Builds in flight when the decision is taken — the knob a
-        queue-aware policy throttles on (0 under synchronous runs)."""
+        queue-aware policy throttles on (0 under synchronous runs,
+        whose instant builds have all landed by then)."""
         return self.state.holdings.queue_depth
 
     def counterfactual(self, provider: Provider) -> SelectionProblem:

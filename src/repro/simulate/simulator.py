@@ -23,12 +23,13 @@ carried views are zeroed out of the cascade's build plan, which
 slightly overstates a rebuild that could have cascaded off a carried
 view — the conservative direction.
 
-Asynchronous execution (pass a :class:`~repro.simulate.builds.
-BuildConfig`) decouples the decision from the epoch clock: a decided
-build enters a :class:`~repro.simulate.builds.BuildQueue` and lands
-only after its wall-clock duration (``materialization_hours``
-converted to months).  Until it lands, queries are answered from the
-*previous* holdings; once it lands mid-epoch, the epoch is split into
+There is one epoch loop, and every decided build goes through a
+:class:`~repro.simulate.builds.BuildQueue`.  Asynchronous execution
+(pass a :class:`~repro.simulate.builds.BuildConfig`) decouples the
+decision from the epoch clock: a decided build lands only after its
+wall-clock duration (``materialization_hours`` converted to months).
+Until it lands, queries are answered from the *previous* holdings;
+once it lands mid-epoch, the epoch is split into
 :class:`~repro.simulate.ledger.EpochSegment`\\ s at the completion
 instants and each segment bills its holdings' full-period operating
 charge scaled by the period fraction — all through the same
@@ -36,14 +37,17 @@ subset-evaluation cache.  Build compute is billed in the epoch the
 build *completes*; an in-flight build whose view a later decision
 drops is cancelled with only its sunk compute billed
 (``cancelled_cost``), and builds still in flight when the horizon
-ends are likewise closed out at sunk cost.  With instant builds
-(``hours_per_month = inf``) every decision lands at its own epoch's
-start and the async ledger reproduces the synchronous one byte for
-byte — the parity invariant the tests enforce.
+ends are likewise closed out at sunk cost.  Synchronous execution
+(``builds=None``) is the instant-build case of the same loop: every
+decision lands at its own epoch's start, no epoch is split, and each
+epoch is billed whole — which is why instant builds under any
+``BuildConfig`` reproduce the synchronous ledgers byte for byte, the
+parity invariant the tests enforce.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from typing import (
     Dict,
@@ -78,7 +82,13 @@ from ..pricing.migration import migration_transfer_cost, migration_volume_gb
 from ..pricing.providers import Provider
 from ..telemetry import current as current_telemetry
 from .arbitrage import operating_cost as _subset_operating_cost
-from .builds import BuildConfig, BuildJob, tile_fractions
+from .builds import (
+    BuildCancellation,
+    BuildConfig,
+    BuildJob,
+    BuildQueue,
+    tile_fractions,
+)
 from .clock import Epoch, SimulationClock
 from .events import (
     BuildCancelled,
@@ -101,6 +111,11 @@ __all__ = [
     "compose_observers",
     "full_catalogue",
 ]
+
+#: The queue a synchronous simulator (``builds=None``) runs: one slot
+#: and an infinite wall clock, so every decided build lands the instant
+#: it is submitted — at its own epoch's start — and no epoch is split.
+_INSTANT_BUILDS = BuildConfig(slots=1, hours_per_month=math.inf)
 
 
 @runtime_checkable
@@ -264,7 +279,8 @@ class LifecycleSimulator:
 
     @property
     def builds(self) -> Optional[BuildConfig]:
-        """The build-queue configuration (``None`` = synchronous)."""
+        """The build-queue configuration (``None`` = synchronous, the
+        instant-build case)."""
         return self._builds
 
     # -- the run --------------------------------------------------------
@@ -284,42 +300,65 @@ class LifecycleSimulator:
         layer uses this hook to attribute each epoch's charges without
         the core loop knowing tenants exist.
 
-        With a build configuration (``builds=...``) the run is
-        asynchronous — see :meth:`_run_async`; without one, this is
-        the classic synchronous loop, bit-for-bit unchanged.
+        Every run steps a :class:`~repro.simulate.builds.BuildQueue`.
+        The policy always sees its previous *decision* as ``current``,
+        so the same policy makes the same choices whatever the queue;
+        what the queue changes is when a decision takes physical
+        effect:
+
+        * decided builds are submitted to the queue and land after
+          their wall-clock duration — possibly epochs later;
+        * queries are answered from the views actually live, so an
+          epoch is split at every landing instant and each segment
+          bills its holdings' prorated operating charge;
+        * build compute is billed in the landing epoch; a build whose
+          view a later decision drops is cancelled at sunk cost;
+        * a provider migration cancels every in-flight build (it
+          targeted the old book) and re-queues the whole subset on
+          the target.
+
+        A synchronous simulator (``builds=None``) runs the instant
+        queue (:data:`_INSTANT_BUILDS`): every submission lands at its
+        own epoch's start, no epoch is split, and a decided view is a
+        live view.
         """
-        if self._builds is not None:
-            return self._run_async(policy, observer)
         telemetry = current_telemetry()
         explain = current_explain()
         ledger = SimulationLedger(policy.describe())
         state = self._initial
+        queue = (
+            self._builds if self._builds is not None else _INSTANT_BUILDS
+        ).queue()
+        live: FrozenSet[str] = frozenset()
         current: Optional[FrozenSet[str]] = None
         previous_record: Optional[EpochRecord] = None
         previous_problem: Optional[SelectionProblem] = None
+        last_index = self._clock.n_epochs - 1
         stats_before = self._builder.evaluation_stats()
         for epoch in self._clock:
             fired = self._timeline.at(epoch.index)
             # Provenance capture: after each event applies, the
             # (event, intermediate state) pair — the telescoping chain
             # the explain layer later re-prices to attribute the
-            # operating delta per event.  Capture is two pointer
-            # stores; classification, description, and pricing all
-            # happen at log-read time (emit_deferred).  None when
-            # explain is off, so the disabled path allocates nothing.
+            # operating delta per event, at the subset physically live
+            # at epoch start.  Capture is two pointer stores;
+            # classification, description, and pricing all happen at
+            # log-read time (emit_deferred).  None when explain is
+            # off, so the disabled path allocates nothing.
+            baseline_live = live if previous_record is not None else None
             chain = [] if explain.enabled else None
             # Each migration hop is billed from the book it actually
             # leaves — captured at apply time, because earlier events
             # in the same epoch (a forced PriceChange, another hop)
             # may already have moved the warehouse.
-            hops = []
+            hops = []  # (deployment left, provider joined)
             arrived = []
             departures = []
             settle_inputs = None
             for event in fired:
                 if isinstance(event, ProviderMigration):
                     settle_inputs = None
-                    source = state.deployment.provider
+                    source = state.deployment
                     state = event.apply(state)
                     hops.append((source, state.deployment.provider))
                 elif isinstance(event, TenantDeparture):
@@ -344,6 +383,8 @@ class LifecycleSimulator:
                         arrived.append(event)
                 if chain is not None:
                     chain.append((event, state))
+            pending = queue.pending_views()
+            state = state.with_holdings(Holdings(live=live, pending=pending))
             problem = self._builder.problem_for(state)
             arrivals = tuple(
                 self._price_arrival(problem, event) for event in arrived
@@ -362,38 +403,50 @@ class LifecycleSimulator:
             if decision.migration is not None:
                 # A policy-decided switch: the state follows the
                 # decision, and the epoch is accounted on the target.
-                source = state.deployment.provider
+                source = state.deployment
                 state = decision.migration.apply(state)
                 hops.append((source, state.deployment.provider))
                 problem = self._builder.problem_for(state)
                 described.append(decision.migration.describe())
                 if chain is not None:
                     chain.append((decision.migration, state))
-            held = current if current is not None else frozenset()
-            dropped = held - decision.subset
+            target = decision.subset
+            # In-flight builds the decision no longer wants are
+            # abandoned at sunk cost; a migration abandons all of them
+            # (they were building for the book being left).
+            cancellations = queue.cancel(
+                pending if hops else pending - target, epoch.start_month
+            )
+            dropped = live - target
+            migration_cost = ZERO
+            migrated_to = None
             if hops:
-                # Views are not portable between providers: everything
-                # kept through the move is re-materialized (and billed)
-                # on the target, and the warehouse as it stood —
-                # dataset plus held views — is shipped across, once
-                # per hop.
-                built = frozenset(decision.subset)
-                migration_cost = ZERO
-                for source, target in hops:
+                # Views are not portable between providers: ship the
+                # warehouse as it physically stands — dataset plus
+                # live views — once per hop, then rebuild the whole
+                # target subset from scratch on the new book.
+                for source, hop_target in hops:
                     migration_cost = migration_cost + self._migration_cost(
-                        source, target, problem, held
+                        source.provider, hop_target, problem, live
                     )
                 migrated_to = state.deployment.provider.name
+                live = frozenset()
             else:
-                built = decision.subset - held
-                migration_cost = ZERO
-                migrated_to = None
+                live = live & target
             with telemetry.span("epoch.account", epoch=epoch.index):
-                record, breakdown = self._account(
-                    epoch.index, problem, decision.subset, built, dropped,
-                    decision.reoptimized, decision.regret, tuple(described),
-                    migration_cost, migrated_to,
+                # Sunk compute of builds a migration abandons was burned
+                # on the book being *left*: bill cancellations at the
+                # deployment as it stood before the first hop, the
+                # rates the compute actually ran under.
+                record, breakdown, live = self._account(
+                    epoch, problem, decision, queue, live, dropped,
+                    cancellations, tuple(described), migration_cost,
+                    migrated_to,
+                    cancel_deployment=(
+                        hops[0][0] if hops else problem.inputs.deployment
+                    ),
                     arrivals=arrivals, departures=tuple(departures),
+                    horizon=epoch.index == last_index,
                 )
             record, stats_before = self._finish_epoch(
                 telemetry, record, stats_before
@@ -404,12 +457,12 @@ class LifecycleSimulator:
             if explain.enabled:
                 self._emit_explain(
                     explain, ledger.policy_name, decision, record,
-                    previous_record, current, current,
+                    previous_record, current, baseline_live,
                     chain, problem, previous_problem,
                 )
             previous_record = record
             previous_problem = problem
-            current = decision.subset
+            current = target
         return ledger
 
     def _emit_explain(
@@ -445,11 +498,11 @@ class LifecycleSimulator:
 
         ``previous_subset`` is the incumbent the *policy* saw (its
         ``current``); ``baseline_subset`` is the subset the
-        telescoping event chain is priced with — the same thing on
-        synchronous runs, but the physically *live* holdings at epoch
-        start on asynchronous ones (``None`` on the first epoch — no
-        chain).  ``chain`` holds ``(event, state)`` snapshots taken
-        after each event applied.
+        telescoping event chain is priced with — the physically *live*
+        holdings at epoch start, which under instant builds are the
+        same thing (``None`` on the first epoch — no chain).
+        ``chain`` holds ``(event, state)`` snapshots taken after each
+        event applied.
 
         ``problem`` and ``previous_problem`` are the epoch's and the
         previous epoch's decision problems, passed by reference so the
@@ -573,8 +626,7 @@ class LifecycleSimulator:
 
         Returns the amended record and the new stats baseline.  The
         cache fields are computed whether or not telemetry is enabled
-        — they are ledger data, and both execution paths derive them
-        the same way, so sync/instant-async record equality is kept.
+        — they are ledger data.
         """
         stats_after = self._builder.evaluation_stats()
         record = replace(
@@ -593,370 +645,14 @@ class LifecycleSimulator:
             telemetry.observe("simulator.epoch_cost", record.total_cost)
         return record, stats_after
 
-    # -- the asynchronous run ------------------------------------------
-
-    def _run_async(
-        self,
-        policy: ReselectionPolicy,
-        observer: Optional[EpochObserver] = None,
-    ) -> SimulationLedger:
-        """Simulate with wall-clock builds through a :class:`BuildQueue`.
-
-        The decision loop is identical to the synchronous run (the
-        policy still sees its previous *decision* as ``current``, so
-        the same policy makes the same choices); what changes is when
-        a decision takes physical effect:
-
-        * decided builds are submitted to the queue and land after
-          their wall-clock duration — possibly epochs later;
-        * queries are answered from the views actually live, so an
-          epoch is split at every landing instant and each segment
-          bills its holdings' prorated operating charge;
-        * build compute is billed in the landing epoch; a build whose
-          view a later decision drops is cancelled at sunk cost;
-        * a provider migration cancels every in-flight build (it
-          targeted the old book) and re-queues the whole subset on
-          the target.
-
-        With instant builds every submission lands at its own epoch's
-        start and this loop reproduces :meth:`run`'s ledger exactly.
-        """
-        telemetry = current_telemetry()
-        explain = current_explain()
-        ledger = SimulationLedger(policy.describe())
-        state = self._initial
-        queue = self._builds.queue()
-        live: FrozenSet[str] = frozenset()
-        current: Optional[FrozenSet[str]] = None
-        previous_record: Optional[EpochRecord] = None
-        previous_problem: Optional[SelectionProblem] = None
-        last_index = self._clock.n_epochs - 1
-        stats_before = self._builder.evaluation_stats()
-        for epoch in self._clock:
-            fired = self._timeline.at(epoch.index)
-            # Provenance capture (see run()); the async chain is
-            # priced at the subset physically live at epoch start.
-            baseline_live = live if previous_record is not None else None
-            chain = [] if explain.enabled else None
-            hops = []
-            # Sunk compute of builds a migration abandons was burned on
-            # the book being *left*: remember the deployment as it
-            # stood before the first hop, so cancellations bill at the
-            # rates the compute actually ran under.
-            pre_hop_deployment = None
-            arrived = []
-            departures = []
-            settle_inputs = None
-            for event in fired:
-                if isinstance(event, ProviderMigration):
-                    settle_inputs = None
-                    if pre_hop_deployment is None:
-                        pre_hop_deployment = state.deployment
-                    source = state.deployment.provider
-                    state = event.apply(state)
-                    hops.append((source, state.deployment.provider))
-                elif isinstance(event, TenantDeparture):
-                    if settle_inputs is None:
-                        settle_inputs = self._builder.problem_for(
-                            state
-                        ).inputs
-                    departures.append(
-                        self._settle_departure(state, event, settle_inputs)
-                    )
-                    state = event.apply(state)
-                else:
-                    settle_inputs = None
-                    state = event.apply(state)
-                    if isinstance(event, TenantArrival):
-                        arrived.append(event)
-                if chain is not None:
-                    chain.append((event, state))
-            epoch_holdings = Holdings(
-                live=live, pending=queue.pending_views()
-            )
-            state = state.with_holdings(epoch_holdings)
-            problem = self._builder.problem_for(state)
-            arrivals = tuple(
-                self._price_arrival(problem, event) for event in arrived
-            )
-            context = EpochContext(state=state, builder=self._builder)
-            with explain.scope(epoch.index, ledger.policy_name):
-                with telemetry.span(
-                    "epoch.decide",
-                    epoch=epoch.index,
-                    policy=ledger.policy_name,
-                ):
-                    decision = policy.decide_in_context(
-                        epoch.index, problem, current, context
-                    )
-            described = [e.describe() for e in fired]
-            if decision.migration is not None:
-                if pre_hop_deployment is None:
-                    pre_hop_deployment = state.deployment
-                source = state.deployment.provider
-                state = decision.migration.apply(state)
-                hops.append((source, state.deployment.provider))
-                problem = self._builder.problem_for(state)
-                described.append(decision.migration.describe())
-                if chain is not None:
-                    chain.append((decision.migration, state))
-            target = decision.subset
-            live_at_start = live
-            # In-flight builds the decision no longer wants are
-            # abandoned at sunk cost; a migration abandons all of them
-            # (they were building for the book being left).
-            doomed = (
-                queue.pending_views()
-                if hops
-                else queue.pending_views() - target
-            )
-            cancellations = list(queue.cancel(doomed, epoch.start_month))
-            dropped = live - target
-            live = live & target
-            if hops:
-                # Views are not portable between providers: ship the
-                # warehouse as it physically stands, then rebuild the
-                # whole target subset from scratch on the new book.
-                migration_cost = ZERO
-                for source, hop_target in hops:
-                    migration_cost = migration_cost + self._migration_cost(
-                        source, hop_target, problem, live_at_start
-                    )
-                migrated_to = state.deployment.provider.name
-                live = frozenset()
-            else:
-                migration_cost = ZERO
-                migrated_to = None
-            # Submit what the decision wants but the warehouse neither
-            # has nor is already building; durations come from this
-            # epoch's cost model and are frozen into the job.
-            plan = problem.inputs.plan_for(target)
-            hours_by_view = dict(
-                zip(sorted(target), plan.materialization_hours)
-            )
-            for view in sorted(target - live - queue.pending_views()):
-                queue.submit(
-                    BuildJob(
-                        view=view,
-                        hours=hours_by_view[view],
-                        submitted_month=epoch.start_month,
-                    )
-                )
-            completions = list(queue.advance_to(epoch.end_month))
-            if epoch.index == last_index:
-                # The horizon ends with builds in flight: close them
-                # out at sunk cost so no compute silently vanishes.
-                cancellations.extend(
-                    queue.cancel(queue.pending_views(), epoch.end_month)
-                )
-            delayed = queue.drain_delayed_starts()
-            with telemetry.span("epoch.account", epoch=epoch.index):
-                record, breakdown, live = self._account_async(
-                    epoch, problem, plan, decision, live, dropped,
-                    completions, cancellations, delayed, tuple(described),
-                    migration_cost, migrated_to,
-                    cancel_deployment=(
-                        pre_hop_deployment
-                        if pre_hop_deployment is not None
-                        else problem.inputs.deployment
-                    ),
-                    arrivals=arrivals, departures=tuple(departures),
-                )
-            record, stats_before = self._finish_epoch(
-                telemetry, record, stats_before
-            )
-            ledger.append(record)
-            if observer is not None:
-                observer(record, problem, breakdown)
-            if explain.enabled:
-                self._emit_explain(
-                    explain, ledger.policy_name, decision, record,
-                    previous_record, current, baseline_live,
-                    chain, problem, previous_problem,
-                )
-            previous_record = record
-            previous_problem = problem
-            current = target
-        return ledger
-
-    def _account_async(
-        self,
-        epoch: Epoch,
-        problem: SelectionProblem,
-        plan,
-        decision,
-        live: FrozenSet[str],
-        dropped: FrozenSet[str],
-        completions,
-        cancellations,
-        delayed_starts,
-        described: Tuple[str, ...],
-        migration_cost: Money,
-        migrated_to: Optional[str],
-        cancel_deployment=None,
-        arrivals: Tuple[Tuple[str, Money], ...] = (),
-        departures: Tuple[Tuple[str, Money], ...] = (),
-    ) -> Tuple[EpochRecord, CostBreakdown, FrozenSet[str]]:
-        """Price one asynchronous epoch; returns the epoch-end holdings.
-
-        The epoch is cut at every landing instant into segments of
-        constant live holdings.  When the single resulting segment
-        already equals the decision's subset — instant builds, or an
-        epoch with nothing in flight — accounting is delegated to the
-        synchronous :meth:`_account`, which is what makes zero-latency
-        parity exact rather than approximate.
-
-        ``plan`` is the caller's already-computed
-        ``inputs.plan_for(target)`` (reused, not recomputed);
-        ``cancel_deployment`` is the deployment whose rates sunk
-        compute is billed at — the pre-migration book on migration
-        epochs, the epoch's own deployment otherwise.
-        """
-        target = decision.subset
-        # -- segmentation: holdings only grow within an epoch ----------
-        runs = []  # (start_month, end_month, holdings)
-        seg_start = epoch.start_month
-        holdings = live
-        for completion in completions:
-            month = min(completion.completed_month, epoch.end_month)
-            if month > seg_start:
-                runs.append((seg_start, month, holdings))
-                seg_start = month
-            holdings = holdings | {completion.job.view}
-        if seg_start < epoch.end_month or not runs:
-            runs.append((seg_start, epoch.end_month, holdings))
-        live_at_end = holdings
-
-        # -- ledger marks: only the asynchrony is worth narrating ------
-        marks = list(described)
-        marks += [
-            BuildCancelled(
-                epoch=epoch.index, view=c.job.view, month=c.cancelled_month
-            ).describe()
-            for c in cancellations
-        ]
-        marks += [
-            BuildStarted(
-                epoch=epoch.index, view=job.view, month=month
-            ).describe()
-            for job, month in delayed_starts
-        ]
-        marks += [
-            BuildCompleted(
-                epoch=epoch.index, view=c.job.view, month=c.completed_month
-            ).describe()
-            for c in completions
-            if c.completed_month > epoch.start_month
-        ]
-
-        built = frozenset(c.job.view for c in completions)
-        sunk_hours = sum(c.sunk_hours for c in cancellations)
-        cancelled_names = tuple(sorted(c.job.view for c in cancellations))
-        latency = sum(c.latency_months for c in completions)
-
-        single_full = (
-            len(runs) == 1
-            and runs[0][2] == target
-            and not sunk_hours
-            and sum(c.job.hours for c in completions)
-            == sum(
-                hours
-                for name, hours in zip(
-                    sorted(target), plan.materialization_hours
-                )
-                if name in built
-            )
-        )
-        if single_full:
-            # The decision's subset was live for the whole period and
-            # every landing was this epoch's own instant build: the
-            # synchronous accounting applies verbatim (byte parity).
-            record, breakdown = self._account(
-                epoch.index, problem, target, built, dropped,
-                decision.reoptimized, decision.regret, tuple(marks),
-                migration_cost, migrated_to, plan=plan,
-                arrivals=arrivals, departures=departures,
-            )
-            if cancelled_names or latency:
-                record = replace(
-                    record,
-                    views_cancelled=cancelled_names,
-                    build_latency_months=latency,
-                )
-            return record, breakdown, live_at_end
-
-        # -- general path: prorated segments + completion billing ------
-        fractions = tile_fractions(
-            [end - start for start, end, _ in runs], epoch.months
-        )
-        operating = ZERO
-        hours = 0.0
-        segments = []
-        breakdown = None
-        for (start, end, held), fraction in zip(runs, fractions):
-            breakdown = problem.evaluate(held).breakdown
-            full = breakdown.total - breakdown.computing.materialization_cost
-            operating = operating + (
-                full if fraction == 1.0 else full * fraction
-            )
-            hours += breakdown.processing_hours * fraction
-            segments.append(
-                EpochSegment(
-                    start_month=start,
-                    months=end - start,
-                    fraction=fraction,
-                    subset=tuple(sorted(held)),
-                )
-            )
-        inputs = problem.inputs
-        build_cost = self._compute_bill(
-            inputs.deployment, sum(c.job.hours for c in completions)
-        )
-        cancelled_cost = self._compute_bill(
-            cancel_deployment if cancel_deployment is not None
-            else inputs.deployment,
-            sunk_hours,
-        )
-        if dropped and self._charge_teardown:
-            dropped_gb = sum(
-                inputs.view_stats[name].size_gb for name in dropped
-            )
-            teardown_cost = (
-                inputs.deployment.provider.transfer.outbound_cost(dropped_gb)
-            )
-        else:
-            teardown_cost = ZERO
-        record = EpochRecord(
-            epoch=epoch.index,
-            subset=tuple(sorted(target)),
-            operating_cost=operating,
-            build_cost=build_cost,
-            teardown_cost=teardown_cost,
-            processing_hours=hours,
-            views_built=tuple(sorted(built)),
-            views_dropped=tuple(sorted(dropped)),
-            reoptimized=decision.reoptimized,
-            regret=decision.regret,
-            events=tuple(marks),
-            migration_cost=migration_cost,
-            migrated_to=migrated_to,
-            views_cancelled=cancelled_names,
-            cancelled_cost=cancelled_cost,
-            build_latency_months=latency,
-            segments=tuple(segments),
-            arrivals=arrivals,
-            departures=departures,
-        )
-        return record, breakdown, live_at_end
-
     @staticmethod
     def _compute_bill(deployment, hours: float) -> Money:
         """Materialization compute for ``hours`` at ``deployment``'s rates.
 
         Billed through the same :func:`~repro.costmodel.computing.
         view_computing_cost` path the cost model uses, summed and
-        rounded once per epoch — matching how the synchronous
-        accounting rounds the views built together in one epoch.
+        rounded once per epoch — matching how whole-epoch billing
+        rounds the views built together in one epoch.
         """
         if not hours:
             return ZERO
@@ -972,7 +668,7 @@ class LifecycleSimulator:
         self,
         state: WarehouseState,
         event: TenantDeparture,
-        inputs: Optional[PlanningInputs] = None,
+        inputs: PlanningInputs,
     ) -> Tuple[str, Money]:
         """Price a departing tenant's settlement export.
 
@@ -980,16 +676,13 @@ class LifecycleSimulator:
         query it still had — are exported at the book being left: the
         state as it stands *before* the departure applies (earlier
         same-epoch events, including migrations, have already acted).
-        ``inputs`` may carry that state's already-priced inputs (the
-        epoch loops reuse one pricing pass across consecutive
-        departures — result sizes do not depend on the queries other
-        departures removed).  A tenant whose queries all drifted away
-        settles at zero.
+        ``inputs`` are that state's priced inputs (the epoch loop
+        reuses one pricing pass across consecutive departures — result
+        sizes do not depend on the queries other departures removed).
+        A tenant whose queries all drifted away settles at zero.
         """
         if not event.names:
             return event.tenant, ZERO
-        if inputs is None:
-            inputs = self._builder.problem_for(state).inputs
         volume = sum(
             inputs.result_sizes_gb[name]
             for name in event.names
@@ -1055,38 +748,159 @@ class LifecycleSimulator:
 
     def _account(
         self,
-        epoch_index: int,
+        epoch: Epoch,
         problem: SelectionProblem,
-        subset: FrozenSet[str],
-        built: FrozenSet[str],
+        decision,
+        queue: BuildQueue,
+        live: FrozenSet[str],
         dropped: FrozenSet[str],
-        reoptimized: bool,
-        regret: float,
-        events: Tuple[str, ...],
-        migration_cost: Money = ZERO,
-        migrated_to: "Optional[str]" = None,
-        plan=None,
-        arrivals: Tuple[Tuple[str, Money], ...] = (),
-        departures: Tuple[Tuple[str, Money], ...] = (),
-    ) -> Tuple[EpochRecord, CostBreakdown]:
+        cancellations: Tuple[BuildCancellation, ...],
+        described: Tuple[str, ...],
+        migration_cost: Money,
+        migrated_to: Optional[str],
+        cancel_deployment,
+        arrivals: Tuple[Tuple[str, Money], ...],
+        departures: Tuple[Tuple[str, Money], ...],
+        horizon: bool,
+    ) -> Tuple[EpochRecord, CostBreakdown, FrozenSet[str]]:
+        """Land one epoch's builds and bill the epoch.
+
+        Returns the epoch's record, its priced breakdown and the
+        holdings live at the epoch's end.  The decision's missing
+        views are submitted to ``queue`` and the queue is run to the
+        epoch's end; on the ``horizon`` epoch, builds still in flight
+        are closed out at sunk cost.  ``cancellations`` are the
+        builds the decision already abandoned at the epoch's start.
+
+        The epoch is cut at every landing instant into segments of
+        constant live holdings.  When the single resulting segment is
+        the decision's subset and every landing was this epoch's own
+        instant build — every synchronous epoch, and an asynchronous
+        one with nothing in flight — the epoch is billed whole: the
+        plan is priced with materialization narrowed to the views
+        built this epoch (a carried view was paid for when it was
+        built).  Otherwise each segment bills its holdings'
+        full-period operating charge scaled by its fraction, and the
+        landed compute is billed through :meth:`_compute_bill`.
+
+        ``cancel_deployment`` is the deployment whose rates sunk
+        compute is billed at — the pre-migration book on migration
+        epochs, the epoch's own deployment otherwise.
+        """
+        target = decision.subset
+        ordered = sorted(target)
+        # Submit what the decision wants but the warehouse neither has
+        # nor is already building; durations come from this epoch's
+        # cost model and are frozen into the job.
+        plan = problem.inputs.plan_for(target)
+        hours_by_view = dict(zip(ordered, plan.materialization_hours))
+        for view in sorted(target - live - queue.pending_views()):
+            queue.submit(
+                BuildJob(
+                    view=view,
+                    hours=hours_by_view[view],
+                    submitted_month=epoch.start_month,
+                )
+            )
+        completions = queue.advance_to(epoch.end_month)
+        if horizon:
+            # The horizon ends with builds in flight: close them out at
+            # sunk cost so no compute silently vanishes.
+            cancellations += queue.cancel(
+                queue.pending_views(), epoch.end_month
+            )
+        # -- segmentation: holdings only grow within an epoch ----------
+        runs = []  # (start_month, end_month, holdings)
+        seg_start = epoch.start_month
+        holdings = live
+        for completion in completions:
+            month = min(completion.completed_month, epoch.end_month)
+            if month > seg_start:
+                runs.append((seg_start, month, holdings))
+                seg_start = month
+            holdings = holdings | {completion.job.view}
+        if seg_start < epoch.end_month or not runs:
+            runs.append((seg_start, epoch.end_month, holdings))
+
+        # -- ledger marks: only the asynchrony is worth narrating ------
+        marks = list(described)
+        marks += [
+            BuildCancelled(
+                epoch=epoch.index, view=c.job.view, month=c.cancelled_month
+            ).describe()
+            for c in cancellations
+        ]
+        marks += [
+            BuildStarted(
+                epoch=epoch.index, view=job.view, month=month
+            ).describe()
+            for job, month in queue.drain_delayed_starts()
+        ]
+        marks += [
+            BuildCompleted(
+                epoch=epoch.index, view=c.job.view, month=c.completed_month
+            ).describe()
+            for c in completions
+            if c.completed_month > epoch.start_month
+        ]
+
         inputs = problem.inputs
-        # The async path hands down the plan it already computed for
-        # the same (problem, subset); the sync loop computes it here.
-        if plan is None:
-            plan = inputs.plan_for(subset)
-        # plan_for orders per-view tuples by sorted view name; charge
-        # materialization only for the views built this epoch.
-        ordered = sorted(subset)
-        epoch_plan = replace(
-            plan,
-            materialization_hours=tuple(
-                hours if name in built else 0.0
-                for name, hours in zip(ordered, plan.materialization_hours)
-            ),
-        )
-        breakdown = problem.cost_model.evaluate(epoch_plan)
-        build_cost = breakdown.computing.materialization_cost
-        operating_cost = breakdown.total - build_cost
+        built = frozenset(c.job.view for c in completions)
+        landed_hours = sum(c.job.hours for c in completions)
+        sunk_hours = sum(c.sunk_hours for c in cancellations)
+        if (
+            len(runs) == 1
+            and runs[0][2] == target
+            and not sunk_hours
+            and landed_hours
+            == sum(hours_by_view[view] for view in sorted(built))
+        ):
+            # The decision's subset was live for the whole period and
+            # every landing was this epoch's own instant build.
+            # plan_for orders per-view tuples by sorted view name;
+            # charge materialization only for the views built this
+            # epoch.
+            breakdown = problem.cost_model.evaluate(
+                replace(
+                    plan,
+                    materialization_hours=tuple(
+                        hours if name in built else 0.0
+                        for name, hours in zip(
+                            ordered, plan.materialization_hours
+                        )
+                    ),
+                )
+            )
+            build_cost = breakdown.computing.materialization_cost
+            operating = breakdown.total - build_cost
+            processing_hours = breakdown.processing_hours
+            segments = []
+        else:
+            # -- prorated segments + completion billing ----------------
+            fractions = tile_fractions(
+                [end - start for start, end, _ in runs], epoch.months
+            )
+            operating = ZERO
+            processing_hours = 0.0
+            segments = []
+            for (start, end, held), fraction in zip(runs, fractions):
+                breakdown = problem.evaluate(held).breakdown
+                full = (
+                    breakdown.total - breakdown.computing.materialization_cost
+                )
+                operating = operating + (
+                    full if fraction == 1.0 else full * fraction
+                )
+                processing_hours += breakdown.processing_hours * fraction
+                segments.append(
+                    EpochSegment(
+                        start_month=start,
+                        months=end - start,
+                        fraction=fraction,
+                        subset=tuple(sorted(held)),
+                    )
+                )
+            build_cost = self._compute_bill(inputs.deployment, landed_hours)
         if dropped and self._charge_teardown:
             dropped_gb = sum(
                 inputs.view_stats[name].size_gb for name in dropped
@@ -1097,20 +911,26 @@ class LifecycleSimulator:
         else:
             teardown_cost = ZERO
         record = EpochRecord(
-            epoch=epoch_index,
+            epoch=epoch.index,
             subset=tuple(ordered),
-            operating_cost=operating_cost,
+            operating_cost=operating,
             build_cost=build_cost,
             teardown_cost=teardown_cost,
-            processing_hours=breakdown.processing_hours,
+            processing_hours=processing_hours,
             views_built=tuple(sorted(built)),
             views_dropped=tuple(sorted(dropped)),
-            reoptimized=reoptimized,
-            regret=regret,
-            events=events,
+            reoptimized=decision.reoptimized,
+            regret=decision.regret,
+            events=tuple(marks),
             migration_cost=migration_cost,
             migrated_to=migrated_to,
+            views_cancelled=tuple(sorted(c.job.view for c in cancellations)),
+            cancelled_cost=self._compute_bill(cancel_deployment, sunk_hours),
+            build_latency_months=sum(
+                (c.latency_months for c in completions), 0.0
+            ),
+            segments=tuple(segments),
             arrivals=arrivals,
             departures=departures,
         )
-        return record, breakdown
+        return record, breakdown, holdings

@@ -12,13 +12,13 @@ row scale grows, exactly the substitution the analytic planning mode
 is built on (a 10 GB dataset billed as 13 GB after 30% growth, group
 counts re-estimated at the new logical row count).
 
-With asynchronous builds (:mod:`repro.simulate.builds`) a state also
-carries :class:`Holdings` — the distinction between views that are
-*live* (materialized, answering queries, billed) and views that are
-merely *pending* (decided, queued or mid-build, not yet answering
-anything).  Like the market, holdings inform decisions but never
-change what the active deployment bills for a given subset, so they
-are excluded from the state key and two states differing only in
+The simulator also stamps each epoch's state with :class:`Holdings`
+(see :mod:`repro.simulate.builds`) — the distinction between views
+that are *live* (materialized, answering queries, billed) and views
+that are merely *pending* (decided, queued or mid-build, not yet
+answering anything).  Like the market, holdings inform decisions but
+never change what the active deployment bills for a given subset, so
+they are excluded from the state key and two states differing only in
 holdings share every cached pricing.
 """
 
@@ -122,9 +122,9 @@ class WarehouseState:
     bills, so two states differing only in quotes share every cached
     pricing.
 
-    ``holdings`` carries the live/pending view distinction maintained
-    by the asynchronous simulator (empty under synchronous execution,
-    where a decided view *is* a live view).  Like the market it is
+    ``holdings`` carries the live/pending view distinction the
+    simulator maintains (under synchronous execution nothing is ever
+    pending: a decided view *is* a live view).  Like the market it is
     excluded from the state key: it informs policies — queue depth,
     what physically exists — but a subset's price does not depend on
     which views happen to be mid-build.
@@ -286,10 +286,10 @@ class WarehouseState:
     def with_holdings(self, holdings: Holdings) -> "WarehouseState":
         """The same warehouse with its live/pending views restated.
 
-        Maintained by the asynchronous simulator each epoch so that
-        policies (via :class:`~repro.simulate.problems.EpochContext`)
-        can observe what physically exists and how deep the build
-        queue is.  Never affects pricing or the state key.
+        Maintained by the simulator each epoch so that policies (via
+        :class:`~repro.simulate.problems.EpochContext`) can observe
+        what physically exists and how deep the build queue is.
+        Never affects pricing or the state key.
 
         Parameters
         ----------

@@ -1,0 +1,216 @@
+"""Pinned bytes of the epoch loop: renders, explain exports, fleet books.
+
+Each case runs one simulator with explain recording on and hashes what
+a reader of the run sees: the ledger's ``render()``, the explain JSON
+lines and, for fleets, every tenant's invoice or the per-tenant CSV.
+The cases cover both regimes of the one loop: synchronous runs (the
+instant-build case, including provider migrations and an elastic
+fleet) and a slow build queue whose epochs split at landings.
+
+The digests were recorded while each regime still had a loop of its
+own, so they hold the one loop to the bytes those two loops produced.
+They are also the cross-backend check: every case must give the same
+digests with the kernel as shipped, forced onto its pure-Python
+backend (what a numpy-less install runs), and switched off (the exact
+``Decimal`` oracle).
+"""
+
+from __future__ import annotations
+
+import contextlib
+import functools
+import hashlib
+
+import pytest
+
+from repro.explain import ExplainLog, activate, explain_lines
+from repro.kernel import set_kernel_enabled
+from repro.kernel import world as kernel_world
+from repro.simulate import (
+    ArbitrageAware,
+    BuildConfig,
+    default_market,
+    drifting_sales_simulator,
+    make_policy,
+    stochastic_sales_simulator,
+)
+from repro.simulate.presets import (
+    elastic_multi_tenant_simulator,
+    population_fleet_simulator,
+)
+
+ROWS = 2_000
+
+
+def _recorded(run):
+    """``run()``'s result and its explain export, as bytes."""
+    with activate(ExplainLog()) as log:
+        result = run()
+    return result, "".join(line + "\n" for line in explain_lines(log)).encode()
+
+
+def _single(simulator, policy):
+    ledger, explain = _recorded(lambda: simulator.run(policy))
+    return ledger, {"render": ledger.render().encode(), "explain": explain}
+
+
+def _fleet(simulator, policy):
+    fleet_ledger, explain = _recorded(lambda: simulator.run(policy))
+    artifacts = {
+        "render": fleet_ledger.fleet.render().encode(),
+        "explain": explain,
+    }
+    for name, ledger in fleet_ledger.tenants.items():
+        artifacts[f"tenant:{name}"] = ledger.render().encode()
+    return fleet_ledger.fleet, artifacts
+
+
+def _sharded(simulator, policy, shards):
+    summary, explain = _recorded(
+        lambda: simulator.run_sharded(policy, shards=shards)
+    )
+    return summary.fleet, {
+        "render": summary.render(max_tenants=len(summary.tenants)).encode(),
+        "csv": summary.to_csv().encode(),
+        "explain": explain,
+    }
+
+
+def _drifting(name):
+    return _single(
+        drifting_sales_simulator(n_epochs=19, n_rows=ROWS), make_policy(name)
+    )
+
+
+CASES = {
+    "drifting-never": lambda: _drifting("never"),
+    "drifting-periodic": lambda: _drifting("periodic"),
+    "drifting-regret": lambda: _drifting("regret"),
+    "stochastic-arbitrage": lambda: _single(
+        stochastic_sales_simulator(
+            generator="spot",
+            n_epochs=10,
+            n_rows=ROWS,
+            seed=7,
+            market=default_market(),
+        ),
+        ArbitrageAware(make_policy("regret"), horizon=2, hysteresis=1),
+    ),
+    "elastic-fleet": lambda: _fleet(
+        elastic_multi_tenant_simulator(
+            n_tenants=3, n_epochs=12, n_rows=ROWS, seed=11
+        ),
+        make_policy("regret"),
+    ),
+    "population-sharded": lambda: _sharded(
+        population_fleet_simulator(
+            n_tenants=60, n_epochs=4, n_rows=ROWS, seed=7
+        ),
+        make_policy("regret"),
+        shards=3,
+    ),
+    "slow-async": lambda: _single(
+        drifting_sales_simulator(
+            n_epochs=19,
+            n_rows=ROWS,
+            builds=BuildConfig(slots=1, hours_per_month=0.5),
+        ),
+        make_policy("periodic"),
+    ),
+}
+
+GOLDEN = {
+    "drifting-never": {
+        "explain": "87c3f80e19acc29e87bae28e687dafd55a37cb5a53451710e9d8d358aaafda9c",
+        "render": "decb42a5100d109e8eabfcc4eddf391a696ba60c5d452c306fb8f1b10e164c63",
+    },
+    "drifting-periodic": {
+        "explain": "eee3d5fbdd19426f4249a67f668c6c3e66a35529f0981e509daf35225420332b",
+        "render": "763c94d54912cae557a0ecbf52dab0365a6a14f00735cc77ab7bca1f312ff3bc",
+    },
+    "drifting-regret": {
+        "explain": "b0ff3a0a7b596582f5e5f941de741f2a360d08a73ae00f224fe1adefa1898337",
+        "render": "d42b743aa08888b80322ea466c60f64a448adec5cb78bfaa78abda5e1928f5e8",
+    },
+    "elastic-fleet": {
+        "explain": "34d90f2231df5113fda13515028c9e3170f925e9ce76e4d922faf392a892ff3e",
+        "render": "3ef2ce545af05999828161b604d9a6ee8a25a20734d98885fb3c945a72c3ca40",
+        "tenant:c0": "ed42051872c480094c42fb3daa2add350801859173c9dc220494ed5789ef8427",
+        "tenant:c1": "b56fc6d1419bd55fe5684af43274d3b9777dedc89c4adb2d777b6768b3168110",
+        "tenant:c2": "a91a44b1cfcbcf31dc436ac6dec440492dbe71244e1166575894e18f5262a41d",
+        "tenant:c3": "6639bc437a707858e2d0571fcdd6a67e7794f7e94356ebc384cc0fa8363cc8ed",
+        "tenant:c4": "af0ef107b822cae8aba4591379905fad08817f29e46c1d5a7b01571c2e38f022",
+        "tenant:t1": "3376c0e4e1122a02168a755762ffb53d79f0a2fdb6d33ebec592158855b59cbe",
+        "tenant:t2": "b86ae3659d14c1dd9f08b1f101155dcf666e4b2f2c94fa8b38d1d7756c1b0685",
+        "tenant:t3": "0709c537d8ec5e409c0bd8a92eee67f749db15ac28465b7dfbf212945a6e75e8",
+    },
+    "population-sharded": {
+        "csv": "02a50a514d6f0e89bd8bded62d604a4daf0826de70aaf44e0afeb51553f7b227",
+        "explain": "d3fcc61f72098e6dc9eaa2effd1880749d731f2bc066287aee5d329fef3b082a",
+        "render": "965a582b023809c93d7d12e2fef88258a6b64f88f992137769b855cbefddab5a",
+    },
+    "slow-async": {
+        "explain": "1cc5a331a239f2fef386c94b6dc70e2f716d17b169902106d15a316173044863",
+        "render": "0d1bad2eeb76b8fe42d3bef91e4f7b902d0f028e3cce4739fbbbfe69da6f7cc8",
+    },
+    "stochastic-arbitrage": {
+        "explain": "e3dc0f23d3734e1b24e3c9b4366045c5d9870828170059b2af000d328773ff12",
+        "render": "2f4f87da05484a1735b4af0ceb530f9e461287238ad1e35a2bf1c008d6fc6a8f",
+    },
+}
+
+KERNELS = ("auto", "python", "oracle")
+
+
+@contextlib.contextmanager
+def _kernel(mode):
+    """Price with the kernel as shipped, on pure Python, or not at all."""
+    if mode == "oracle":
+        previous = set_kernel_enabled(False)
+        try:
+            yield
+        finally:
+            set_kernel_enabled(previous)
+    elif mode == "python":
+        make_backend = kernel_world.make_backend
+        kernel_world.make_backend = lambda base, entries, n_views, prefer: (
+            make_backend(base, entries, n_views, "python")
+        )
+        try:
+            yield
+        finally:
+            kernel_world.make_backend = make_backend
+    else:
+        yield
+
+
+@functools.lru_cache(maxsize=None)
+def _outcome(case, kernel="auto"):
+    with _kernel(kernel):
+        return CASES[case]()
+
+
+def digests(case, kernel="auto"):
+    """sha256 of every artifact of ``case``, by artifact name."""
+    _, artifacts = _outcome(case, kernel)
+    return {
+        name: hashlib.sha256(data).hexdigest()
+        for name, data in sorted(artifacts.items())
+    }
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_bytes_match_the_pinned_digests(case, kernel):
+    assert digests(case, kernel) == GOLDEN[case]
+
+
+def test_the_cases_reach_the_paths_they_pin():
+    # A pinned digest proves nothing about a path the case never takes.
+    arbitrage, _ = _outcome("stochastic-arbitrage")
+    assert any(record.migrated_to for record in arbitrage)
+    slow, _ = _outcome("slow-async")
+    assert any(record.segments for record in slow)
+    fleet, _ = _outcome("elastic-fleet")
+    assert any(record.arrivals for record in fleet)
+    assert any(record.departures for record in fleet)

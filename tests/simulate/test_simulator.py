@@ -7,11 +7,15 @@ import pytest
 from repro.errors import SimulationError
 from repro.money import ZERO
 from repro.simulate import (
+    BuildConfig,
     GrowFactTable,
     LifecycleSimulator,
+    ReselectionPolicy,
     SimulationClock,
+    drifting_sales_simulator,
     make_policy,
 )
+from repro.telemetry import Telemetry, activate
 
 
 @pytest.fixture(scope="module")
@@ -153,3 +157,66 @@ class TestConstruction:
         )
         with pytest.raises(SimulationError, match="distinct"):
             simulator.compare([make_policy("never"), make_policy("never")])
+
+
+class _RecordingPolicy(ReselectionPolicy):
+    """Delegates to ``inner`` and records what each decision saw."""
+
+    name = "recording"
+
+    def __init__(self, inner):
+        super().__init__()
+        self._inner = inner
+        self.seen = []
+
+    def decide_in_context(self, epoch_index, problem, current, context):
+        self.seen.append((current, context.holdings, context.queue_depth))
+        return self._inner.decide_in_context(
+            epoch_index, problem, current, context
+        )
+
+    def decide(self, epoch_index, problem, current):
+        return self._inner.decide(epoch_index, problem, current)
+
+
+class TestInstantBuildCase:
+    """A synchronous run is the build-queue loop with instant builds."""
+
+    def test_sync_run_reports_its_instant_builds(self):
+        simulator = drifting_sales_simulator(n_epochs=19, n_rows=3_000)
+        assert simulator.builds is None
+        with activate(Telemetry()) as collector:
+            ledger = simulator.run(make_policy("regret"))
+        registry = collector.registry
+        assert ledger.rebuild_count > 0
+        assert registry.counter("builds.submitted") == ledger.rebuild_count
+        assert registry.counter("builds.completed") == ledger.rebuild_count
+        latency = registry.histogram("builds.latency_months")
+        assert latency.count == ledger.rebuild_count
+        assert latency.total == 0
+        assert registry.gauge("builds.queue_depth") >= 1
+
+    def test_policies_see_the_previous_decision_live(self):
+        policy = _RecordingPolicy(make_policy("regret"))
+        ledger = drifting_sales_simulator(n_epochs=19, n_rows=3_000).run(
+            policy
+        )
+        assert len(policy.seen) == len(ledger)
+        for current, holdings, queue_depth in policy.seen:
+            assert holdings.live == (current or frozenset())
+            assert holdings.pending == frozenset()
+            assert queue_depth == 0
+        assert any(holdings.live for _, holdings, _ in policy.seen)
+
+    def test_build_latency_is_always_a_float(self):
+        # Epoch 8 of this run is split with nothing landing: its
+        # latency is an empty sum, which must still be a float.
+        ledger = drifting_sales_simulator(
+            n_epochs=19,
+            n_rows=3_000,
+            builds=BuildConfig(slots=1, hours_per_month=0.5),
+        ).run(make_policy("periodic"))
+        assert ledger.records[8].segments
+        assert not ledger.records[8].views_built
+        for record in ledger:
+            assert isinstance(record.build_latency_months, float)
