@@ -985,7 +985,6 @@ def _run_simulate_montecarlo(args: argparse.Namespace) -> int:
         policies=tuple(
             PolicySpec(
                 name,
-                algorithm=args.algorithm,
                 period=args.period,
                 threshold=args.threshold,
                 hysteresis=args.hysteresis,

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+from ..bill import COMPONENTS, FLEET_CHARGES
 from ..money import Money
 from .records import DeltaTerm, EpochDeltaRecord
 
@@ -56,40 +57,20 @@ __all__ = [
 ]
 
 
-# One (cause, attribute) pair per fleet total_cost component — the
-# same 7-way split verify_attribution checks.  Order is the fold order
-# of EpochRecord.total_cost, which query output preserves.
-_FLEET_COMPONENTS: Tuple[Tuple[str, str], ...] = (
-    ("operating", "operating_cost"),
-    ("builds", "build_cost"),
-    ("teardown", "teardown_cost"),
-    ("migration", "migration_cost"),
-    ("cancelled-builds", "cancelled_cost"),
-    ("churn-arrivals", "onboarding_cost"),
-    ("churn-departures", "offboarding_cost"),
+# One (cause, field) pair per charge of the bill (repro.bill), in the
+# fold order of the record's total_cost, which query output preserves.
+_FLEET_TERMS: Tuple[Tuple[str, str], ...] = tuple(
+    (charge.cause, charge.field) for charge in FLEET_CHARGES
 )
-
-# TenantEpochRecord.total_cost folds operating (itself a 4-way fold)
-# with 6 more components; min-exponent associativity makes this flat
-# 10-way split repr-equal to the nested fold all the same.
-_TENANT_COMPONENTS: Tuple[Tuple[str, str], ...] = (
-    ("processing", "processing_cost"),
-    ("transfer", "transfer_cost"),
-    ("maintenance", "maintenance_cost"),
-    ("storage", "storage_cost"),
-    ("builds", "build_cost"),
-    ("teardown", "teardown_cost"),
-    ("migration", "migration_cost"),
-    ("cancelled-builds", "cancelled_cost"),
-    ("arrival", "onboarding_cost"),
-    ("departure", "offboarding_cost"),
+_TENANT_TERMS: Tuple[Tuple[str, str], ...] = tuple(
+    (component.tenant_cause, component.field) for component in COMPONENTS
 )
 
 #: The fleet-level causes, in term order.
-FLEET_CAUSES: Tuple[str, ...] = tuple(c for c, _ in _FLEET_COMPONENTS)
+FLEET_CAUSES: Tuple[str, ...] = tuple(c for c, _ in _FLEET_TERMS)
 
 #: The per-tenant causes, in term order.
-TENANT_CAUSES: Tuple[str, ...] = tuple(c for c, _ in _TENANT_COMPONENTS)
+TENANT_CAUSES: Tuple[str, ...] = tuple(c for c, _ in _TENANT_TERMS)
 
 
 # (class, cause) dispatch pairs for event_cause, built on first use.
@@ -241,7 +222,7 @@ def fleet_epoch_delta(
         total=record.total_cost,
         previous_total=None if previous is None else previous.total_cost,
         terms=_component_terms(
-            _FLEET_COMPONENTS, record, previous, operating_subterms
+            _FLEET_TERMS, record, previous, operating_subterms
         ),
         trial=trial,
     )
@@ -273,7 +254,7 @@ def tenant_epoch_delta(
         policy=policy,
         total=share.total_cost,
         previous_total=None if previous is None else previous.total_cost,
-        terms=_component_terms(_TENANT_COMPONENTS, share, previous),
+        terms=_component_terms(_TENANT_TERMS, share, previous),
         tenant=share.tenant,
         trial=trial,
     )

@@ -11,7 +11,7 @@ happened".
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ExplainError
 from ..money import Money
@@ -57,8 +57,14 @@ def load_explain(path: str) -> List[dict]:
 
 
 def _stamp(entry: dict) -> str:
-    """The trial/tenant prefix of a report line, when present."""
+    """The policy/trial/tenant prefix of a report line, when present.
+
+    An export can hold several policies' and trials' series side by
+    side (``--policy all``, Monte Carlo), so every line names its own.
+    """
     parts = []
+    if entry.get("policy") is not None:
+        parts.append(f"policy {entry['policy']}")
     if entry.get("trial") is not None:
         parts.append(f"trial {entry['trial']}")
     if entry.get("tenant") is not None:
@@ -89,8 +95,8 @@ def why_bill(
 
     Returns:
         A report with one delta record per matching series (one per
-        Monte Carlo trial when the export holds several), each listing
-        its exact cause terms.
+        policy, and per Monte Carlo trial, when the export holds
+        several), each listing its exact cause terms.
 
     Raises:
         ExplainError: If the export has no matching delta record.
@@ -231,6 +237,8 @@ def diff_epochs(entries: Sequence[dict], from_epoch: int, to_epoch: int) -> str:
     Folds the fleet delta records over ``(from_epoch, to_epoch]`` into
     one amount per cause; the causes sum exactly to
     ``total(to) - total(from)`` because each is a fold of exact terms.
+    An export holding several series (one per policy, and per Monte
+    Carlo trial) gets one block per series, in export order.
 
     Args:
         entries: Parsed explain export.
@@ -238,49 +246,49 @@ def diff_epochs(entries: Sequence[dict], from_epoch: int, to_epoch: int) -> str:
         to_epoch: The target epoch (must be greater).
 
     Returns:
-        A per-cause summary plus the closing total line.
+        Per series, a per-cause summary plus the closing total line.
 
     Raises:
-        ExplainError: If the range is empty, inverted, or the export
-            lacks fleet delta records covering it.
+        ExplainError: If the range is empty, inverted, or a series (or
+            the whole export) lacks fleet delta records covering it.
     """
     if to_epoch <= from_epoch:
         raise ExplainError(
             f"--to epoch ({to_epoch}) must be greater than --from "
             f"({from_epoch})"
         )
-    deltas = {
-        e["epoch"]: e
-        for e in entries
-        if e.get("kind") == "epoch-delta"
-        and e.get("tenant") is None
-        and e.get("trial") is None
-    }
-    needed = range(from_epoch + 1, to_epoch + 1)
-    missing = [i for i in needed if i not in deltas]
-    if missing or from_epoch not in deltas:
+    series: Dict[Tuple[Optional[str], Optional[int]], Dict[int, dict]] = {}
+    for e in entries:
+        if e.get("kind") == "epoch-delta" and e.get("tenant") is None:
+            key = (e.get("policy"), e.get("trial"))
+            series.setdefault(key, {})[e["epoch"]] = e
+    span = range(from_epoch, to_epoch + 1)
+    if not series:
         raise ExplainError(
             f"export lacks fleet delta records for epochs "
-            f"{from_epoch}..{to_epoch} (missing: "
-            f"{missing if missing else [from_epoch]})"
+            f"{from_epoch}..{to_epoch} (missing: {list(span)})"
         )
-    causes: List[str] = []
-    sums: Dict[str, Money] = {}
-    for index in needed:
-        for term in deltas[index]["terms"]:
-            cause = term["cause"]
-            if cause not in sums:
-                causes.append(cause)
-                sums[cause] = Money(term["amount"])
-            else:
-                sums[cause] = sums[cause] + Money(term["amount"])
-    lines = [f"fleet bill, epoch {from_epoch} -> {to_epoch}:"]
-    for cause in causes:
-        lines.append(f"  {cause:<18} {sums[cause].amount}")
-    start = deltas[from_epoch]["total"]
-    end = deltas[to_epoch]["total"]
-    delta = Money(end) - Money(start)
-    lines.append(
-        f"  {'epoch total':<18} {start} -> {end} (delta {delta.amount})"
-    )
+    lines: List[str] = []
+    for (policy, trial), deltas in series.items():
+        stamp = _stamp({"policy": policy, "trial": trial})
+        missing = [i for i in span if i not in deltas]
+        if missing:
+            raise ExplainError(
+                f"export lacks fleet delta records{stamp} for epochs "
+                f"{from_epoch}..{to_epoch} (missing: {missing})"
+            )
+        sums: Dict[str, Money] = {}
+        for index in span[1:]:
+            for term in deltas[index]["terms"]:
+                amount, cause = Money(term["amount"]), term["cause"]
+                sums[cause] = sums[cause] + amount if cause in sums else amount
+        lines.append(f"fleet bill{stamp}, epoch {from_epoch} -> {to_epoch}:")
+        for cause, amount in sums.items():
+            lines.append(f"  {cause:<18} {amount.amount}")
+        start = deltas[from_epoch]["total"]
+        end = deltas[to_epoch]["total"]
+        delta = Money(end) - Money(start)
+        lines.append(
+            f"  {'epoch total':<18} {start} -> {end} (delta {delta.amount})"
+        )
     return "\n".join(lines)

@@ -79,6 +79,7 @@ from typing import (
     Tuple,
 )
 
+from ..bill import COMPONENTS, FLEET_CHARGES
 from ..costmodel.storage import storage_cost
 from ..costmodel.total import CostBreakdown
 from ..errors import SimulationError
@@ -107,10 +108,9 @@ ATTRIBUTION_MODES = ("proportional", "even")
 #: merged fleet workload ("acme/Q1" belongs to tenant "acme").
 TENANT_SEPARATOR = "/"
 
-#: The record fields a selection outcome's bill folds, in order.
-_OUTCOME_FIELDS = (
-    "processing_cost", "transfer_cost", "maintenance_cost", "storage_cost", "build_cost"
-)
+#: A departed tenant's settlement record: every charge zero but its
+#: offboarding.
+_NO_CHARGES = dict.fromkeys((component.field for component in COMPONENTS), ZERO)
 
 
 def tenant_of_query(query_name: str) -> Optional[str]:
@@ -304,25 +304,20 @@ def merge_epoch(
             )
     columns = merge_shares(entries, len(active), products)
     add, zero = MONEY_CONTEXT.add, ZERO.amount
-    sums = {
-        field: Money(reduce(add, column, zero))
-        for field, column in columns.items()
-    }
-    operating = (
-        sums["processing_cost"]
-        + sums["transfer_cost"]
-        + sums["maintenance_cost"]
-        + sums["storage_cost"]
-    )
+    sums = {field: reduce(add, column, zero) for field, column in columns.items()}
+    # Every fleet charge the plan split is checked; churn charges are
+    # direct, so they cannot miss.
     check_books(
         f"epoch {record.epoch}: sharded {{}} shares",
-        (
-            ("operating", record.operating_cost, operating),
-            ("build", record.build_cost, sums["build_cost"]),
-            ("teardown", record.teardown_cost, sums["teardown_cost"]),
-            ("migration", record.migration_cost, sums["migration_cost"]),
-            ("cancelled", record.cancelled_cost, sums["cancelled_cost"]),
-        ),
+        [
+            (
+                charge.name,
+                getattr(record, charge.field),
+                Money(reduce(add, (sums[part] for part in charge.parts))),
+            )
+            for charge in FLEET_CHARGES
+            if charge.parts[0] in sums
+        ],
     )
     for index, name in enumerate(active):
         yield TenantEpochRecord(
@@ -336,14 +331,8 @@ def merge_epoch(
         yield TenantEpochRecord(
             epoch=record.epoch,
             tenant=tenant,
-            processing_cost=ZERO,
-            transfer_cost=ZERO,
-            maintenance_cost=ZERO,
-            storage_cost=ZERO,
-            build_cost=ZERO,
-            teardown_cost=ZERO,
             processing_hours=0.0,
-            offboarding_cost=amount,
+            **dict(_NO_CHARGES, offboarding_cost=amount),
         )
 
 
@@ -580,30 +569,25 @@ class SharedCostAttributor:
 
     def _epoch_entries(
         self,
-        charges: Tuple[Money, Money, Money, Money],
+        build: Money,
+        charges: Sequence[Tuple[str, Money]],
         build_amounts: Mapping[str, float],
         users: Mapping[str, Mapping[str, float]],
         infrastructure: Mapping[str, float],
         active: Sequence[str],
     ) -> Tuple[AllocationEntry, ...]:
-        """The epoch-level entries for ``charges`` = ``(build, teardown,
-        migration, cancelled)``: builds split by the built views' users
-        (``build_amounts`` weights each view), the rest by the
-        infrastructure rule."""
-        build, teardown, migration, cancelled = charges
-        splits = (
-            (
-                "build_cost",
-                build,
-                self._view_weights(build_amounts, users, infrastructure, active),
-            ),
-            ("teardown_cost", teardown, infrastructure),
-            ("migration_cost", migration, infrastructure),
-            ("cancelled_cost", cancelled, infrastructure),
+        """The epoch-level entries: ``build`` split by the built views'
+        users (``build_amounts`` weights each view), then each ``(field,
+        amount)`` of ``charges`` by the infrastructure rule."""
+        builds = AllocationEntry.of(
+            "build_cost",
+            build,
+            self._view_weights(build_amounts, users, infrastructure, active),
+            active,
         )
-        return tuple(
-            AllocationEntry.of(field, amount, weights, active)
-            for field, amount, weights in splits
+        return (builds,) + tuple(
+            AllocationEntry.of(field, amount, infrastructure, active)
+            for field, amount in charges
         )
 
     def _period_plan(
@@ -612,14 +596,15 @@ class SharedCostAttributor:
         subset: FrozenSet[str],
         built: FrozenSet[str],
         breakdown: CostBreakdown,
-        charges: Tuple[Money, Money, Money],
+        charges: Sequence[Tuple[str, Money]],
         active: Sequence[str],
     ) -> Tuple[Tuple[AllocationEntry, ...], Dict[str, float]]:
         """A plain billing period's plan: ``breakdown`` split once.
 
-        ``charges`` is ``(teardown, migration, cancelled)``; the build
-        entry bills ``breakdown``'s materialization, weighted by the
-        views in ``built`` as this period's plan prices them.
+        ``charges`` are the infrastructure-split one-offs, as ``(field,
+        amount)`` pairs; the build entry bills ``breakdown``'s
+        materialization, weighted by the views in ``built`` as this
+        period's plan prices them.
         """
         inputs = problem.inputs
         plan = inputs.plan_for(subset)
@@ -635,7 +620,8 @@ class SharedCostAttributor:
             if name in built and hours > 0.0
         }
         entries += self._epoch_entries(
-            (breakdown.computing.materialization_cost, *charges),
+            breakdown.computing.materialization_cost,
+            charges,
             build_amounts,
             users,
             self._infrastructure_weights(processing, active),
@@ -669,7 +655,10 @@ class SharedCostAttributor:
         rule over time-weighted processing hours.
         """
         active = self._active(tenants)
-        charges = (record.teardown_cost, record.migration_cost, record.cancelled_cost)
+        charges = tuple(
+            (field, getattr(record, field))
+            for field in ("teardown_cost", "migration_cost", "cancelled_cost")
+        )
         if not record.segments:
             return self._period_plan(
                 problem,
@@ -704,7 +693,8 @@ class SharedCostAttributor:
             for name in record.views_built
         }
         entries += self._epoch_entries(
-            (record.build_cost, *charges),
+            record.build_cost,
+            charges,
             build_amounts,
             end_users,
             self._infrastructure_weights(hours, active),
@@ -772,21 +762,14 @@ class SharedCostAttributor:
         """
         active = self._active(tenants)
         entries, _ = self._period_plan(
-            problem,
-            outcome.subset,
-            outcome.subset,
-            outcome.breakdown,
-            (ZERO, ZERO, ZERO),
-            active,
+            problem, outcome.subset, outcome.subset, outcome.breakdown, (), active
         )
         columns = merge_shares(
             entries, len(active), _in_process(entries, len(active))
-        )
+        ).values()
         add = MONEY_CONTEXT.add
         return {
-            name: Money(
-                reduce(add, (columns[field][index] for field in _OUTCOME_FIELDS))
-            )
+            name: Money(reduce(add, (column[index] for column in columns)))
             for index, name in enumerate(active)
         }
 

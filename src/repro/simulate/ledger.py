@@ -1,23 +1,26 @@
 """The simulation ledger: per-epoch charges and lifetime totals.
 
 Each epoch produces one :class:`EpochRecord` splitting the bill the
-way an operator would read it:
+way an operator would read it, each charge on a ``<name>_cost`` field.
+The charges, their fold order and their labels are declared once, in
+:mod:`repro.bill`; every total, books check and CSV column here is
+derived from that table:
 
-* ``operating_cost`` — steady-state charges: query processing at the
+* ``operating`` — steady-state charges: query processing at the
   epoch's frequencies, view maintenance, storage (base + views),
   result egress;
-* ``build_cost`` — materialization compute for views (re)built this
+* ``build`` — materialization compute for views (re)built this
   epoch (carried views are *not* re-charged — that is the difference
   between a lifecycle ledger and the paper's single-shot bill);
-* ``teardown_cost`` — egress of dropped views (the view is exported /
+* ``teardown`` — egress of dropped views (the view is exported /
   archived out of the warehouse on decommission);
-* ``migration_cost`` — both transfer legs of a provider switch
+* ``migration`` — both transfer legs of a provider switch
   (dataset + held views out of the source, into the target), charged
   only on epochs where a migration fired (``migrated_to`` names the
   target book);
-* ``cancelled_cost`` — sunk compute of builds abandoned before
-  landing (asynchronous runs only; a build cancelled while still
-  queued sinks nothing).
+* ``cancelled`` — sunk compute of builds abandoned before landing
+  (asynchronous runs only; a build cancelled while still queued sinks
+  nothing).
 
 Asynchronous runs (:mod:`repro.simulate.builds`) additionally split an
 epoch into :class:`EpochSegment`\\ s at build-completion times: each
@@ -58,10 +61,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
-from functools import cached_property
-from operator import attrgetter
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from functools import cached_property, reduce
+from operator import add, attrgetter
+from typing import Dict, Generic, Iterator, List, Mapping, Optional, Tuple, TypeVar
 
+from ..bill import COMPONENTS, FLEET_CHARGES
 from ..errors import SimulationError
 from ..money import MONEY_CONTEXT, Money, ZERO
 
@@ -76,6 +80,19 @@ __all__ = [
     "TenantTotals",
     "check_books",
 ]
+
+#: A tenant record's charge fields, in fold order.
+_TENANT_FIELDS = tuple(component.field for component in COMPONENTS)
+
+#: The tenant fields that fold into the fleet's operating charge.
+_OPERATING = next(c for c in FLEET_CHARGES if c.name == "operating").parts
+
+#: A record's charges in fold order, at each level.
+_fleet_amounts = attrgetter(*(charge.field for charge in FLEET_CHARGES))
+_tenant_amounts = attrgetter(*_TENANT_FIELDS)
+_operating_amounts = attrgetter(*_OPERATING)
+
+_Record = TypeVar("_Record")
 
 
 @dataclass(frozen=True)
@@ -175,22 +192,14 @@ class EpochRecord:
 
     @cached_property
     def total_cost(self) -> Money:
-        """Everything this epoch cost (operating + build + teardown +
-        migration + cancelled + onboarding + offboarding).
+        """Everything this epoch cost: every fleet charge, folded in
+        :data:`~repro.bill.FLEET_CHARGES` order.
 
         Cached: the record is frozen, and the explain layer's delta
         decomposition reads each epoch's total twice (as ``total``,
         then as the next epoch's ``previous_total``) on the hot path.
         """
-        return (
-            self.operating_cost
-            + self.build_cost
-            + self.teardown_cost
-            + self.migration_cost
-            + self.cancelled_cost
-            + self.onboarding_cost
-            + self.offboarding_cost
-        )
+        return reduce(add, _fleet_amounts(self))
 
     @property
     def churn(self) -> int:
@@ -222,14 +231,33 @@ class EpochRecord:
         )
 
 
-class SimulationLedger:
-    """The per-epoch cost history of one policy's run."""
+def _lifetime_total(field: str, doc: str) -> property:
+    """A ledger's lifetime sum of one record field, from ``ZERO``."""
+    amount = attrgetter(field)
+    return property(lambda self: sum(map(amount, self._records), ZERO), doc=doc)
+
+
+def _with_lifetime_totals(cls):
+    """Give a ledger class ``total_<charge>_cost`` for every fleet charge."""
+    for charge in FLEET_CHARGES:
+        doc = f"Lifetime {charge.name} charges."
+        setattr(cls, f"total_{charge.field}", _lifetime_total(charge.field, doc))
+    return cls
+
+
+@_with_lifetime_totals
+class _EpochLedger(Generic[_Record]):
+    """An epoch-ordered record history, with lifetime totals of each
+    fleet charge (``total_operating_cost``, ``total_build_cost``, ...).
+
+    The shell :class:`SimulationLedger` and :class:`TenantLedger` share.
+    """
 
     def __init__(self, policy_name: str) -> None:
         self._policy = policy_name
-        self._records: List[EpochRecord] = []
+        self._records: List[_Record] = []
 
-    def append(self, record: EpochRecord) -> None:
+    def append(self, record: _Record) -> None:
         """Record the next epoch (indexes must arrive in order)."""
         if self._records and record.epoch <= self._records[-1].epoch:
             raise SimulationError(
@@ -238,50 +266,32 @@ class SimulationLedger:
             )
         self._records.append(record)
 
-    # -- access ---------------------------------------------------------
-
     @property
     def policy_name(self) -> str:
         """The policy that produced this history."""
         return self._policy
 
     @property
-    def records(self) -> Tuple[EpochRecord, ...]:
+    def records(self) -> Tuple[_Record, ...]:
         """Every epoch's record, in order."""
         return tuple(self._records)
 
     def __len__(self) -> int:
         return len(self._records)
 
-    def __iter__(self) -> Iterator[EpochRecord]:
+    def __iter__(self) -> Iterator[_Record]:
         return iter(self._records)
 
-    # -- totals ---------------------------------------------------------
+    total_cost = _lifetime_total("total_cost", "The lifetime bill.")
 
     @property
-    def total_cost(self) -> Money:
-        """The lifetime bill."""
-        return sum((r.total_cost for r in self._records), ZERO)
+    def total_hours(self) -> float:
+        """Lifetime processing hours (the response-time metric)."""
+        return sum(r.processing_hours for r in self._records)
 
-    @property
-    def total_operating_cost(self) -> Money:
-        """Lifetime steady-state charges."""
-        return sum((r.operating_cost for r in self._records), ZERO)
 
-    @property
-    def total_build_cost(self) -> Money:
-        """Lifetime materialization charges."""
-        return sum((r.build_cost for r in self._records), ZERO)
-
-    @property
-    def total_teardown_cost(self) -> Money:
-        """Lifetime decommission charges."""
-        return sum((r.teardown_cost for r in self._records), ZERO)
-
-    @property
-    def total_migration_cost(self) -> Money:
-        """Lifetime provider-switch transfer charges."""
-        return sum((r.migration_cost for r in self._records), ZERO)
+class SimulationLedger(_EpochLedger[EpochRecord]):
+    """The per-epoch cost history of one policy's run."""
 
     @property
     def migration_count(self) -> int:
@@ -289,24 +299,9 @@ class SimulationLedger:
         return sum(1 for r in self._records if r.migrated_to is not None)
 
     @property
-    def total_cancelled_cost(self) -> Money:
-        """Lifetime sunk compute of abandoned builds (async runs)."""
-        return sum((r.cancelled_cost for r in self._records), ZERO)
-
-    @property
     def cancel_count(self) -> int:
         """Builds abandoned before landing, over the lifetime."""
         return sum(len(r.views_cancelled) for r in self._records)
-
-    @property
-    def total_onboarding_cost(self) -> Money:
-        """Lifetime inbound-load charges of tenant arrivals."""
-        return sum((r.onboarding_cost for r in self._records), ZERO)
-
-    @property
-    def total_offboarding_cost(self) -> Money:
-        """Lifetime settlement exports of tenant departures."""
-        return sum((r.offboarding_cost for r in self._records), ZERO)
 
     @property
     def arrival_count(self) -> int:
@@ -323,11 +318,6 @@ class SimulationLedger:
         """Lifetime submit-to-landing wall-clock months, summed over
         every view that went live (0.0 for synchronous runs)."""
         return sum(r.build_latency_months for r in self._records)
-
-    @property
-    def total_hours(self) -> float:
-        """Lifetime workload processing hours (response-time metric)."""
-        return sum(r.processing_hours for r in self._records)
 
     @property
     def total_cache_hits(self) -> int:
@@ -418,13 +408,6 @@ class SimulationLedger:
 # ---------------------------------------------------------------------------
 
 
-#: The fleet-level bill components the books checks compare, each read
-#: as ``<name>_cost`` on a record (``total_<name>_cost`` on a ledger).
-_BOOKED_COMPONENTS = (
-    "operating", "build", "teardown", "migration", "cancelled", "onboarding", "offboarding",
-)
-
-
 def check_books(where: str, checks) -> None:
     """Raise on the first component whose tenant sum misses the fleet.
 
@@ -482,67 +465,49 @@ class TenantEpochRecord:
 
     @property
     def operating_cost(self) -> Money:
-        """Steady-state share: processing + transfer + maintenance + storage."""
-        return (
-            self.processing_cost
-            + self.transfer_cost
-            + self.maintenance_cost
-            + self.storage_cost
-        )
+        """Steady-state share: the parts of the fleet's operating charge."""
+        return reduce(add, _operating_amounts(self))
 
     @cached_property
     def total_cost(self) -> Money:
-        """Everything attributed to the tenant this epoch.
+        """Everything attributed to the tenant this epoch, folded in
+        :data:`~repro.bill.COMPONENTS` order.
 
         Cached for the same reason as
         :attr:`EpochRecord.total_cost` — the per-tenant delta fold
         reads consecutive totals pairwise.
         """
-        return (
-            self.operating_cost
-            + self.build_cost
-            + self.teardown_cost
-            + self.migration_cost
-            + self.cancelled_cost
-            + self.onboarding_cost
-            + self.offboarding_cost
-        )
+        return reduce(add, _tenant_amounts(self))
 
     def describe(self) -> str:
-        """One invoice line."""
-        migration = (
-            f", move={self.migration_cost}" if self.migration_cost else ""
-        )
-        cancelled = (
-            f", sunk={self.cancelled_cost}" if self.cancelled_cost else ""
-        )
-        onboard = (
-            f", onboard={self.onboarding_cost}"
-            if self.onboarding_cost
-            else ""
-        )
-        offboard = (
-            f", offboard={self.offboarding_cost}"
-            if self.offboarding_cost
-            else ""
+        """One invoice line: the recurring charges, then each other
+        charge that is nonzero."""
+        charges = ", ".join(
+            f"{c.label}={getattr(self, c.field)}"
+            for c in _INVOICE
+            if c.name in _ALWAYS_INVOICED or getattr(self, c.field)
         )
         return (
-            f"e{self.epoch:>3}  C={self.total_cost}  "
-            f"(proc={self.processing_cost}, maint={self.maintenance_cost}, "
-            f"stor={self.storage_cost}, xfer={self.transfer_cost}, "
-            f"build={self.build_cost}, drop={self.teardown_cost}"
-            f"{migration}{cancelled}{onboard}{offboard})  "
+            f"e{self.epoch:>3}  C={self.total_cost}  ({charges})  "
             f"T={self.processing_hours:.3f}h"
         )
 
 
-class TenantLedger:
+#: The charges a tenant invoice line always lists, in its order: the
+#: warehouse's own charges before result transfer, then the decision's
+#: builds and teardowns.  Every other charge follows in fold order, and
+#: only when nonzero.
+_ALWAYS_INVOICED = ("processing", "maintenance", "storage", "transfer", "build", "teardown")
+_INVOICE = [c for name in _ALWAYS_INVOICED for c in COMPONENTS if c.name == name]
+_INVOICE += [c for c in COMPONENTS if c.name not in _ALWAYS_INVOICED]
+
+
+class TenantLedger(_EpochLedger[TenantEpochRecord]):
     """One tenant's attributed cost history under one policy's run."""
 
     def __init__(self, tenant: str, policy_name: str) -> None:
+        super().__init__(policy_name)
         self._tenant = tenant
-        self._policy = policy_name
-        self._records: List[TenantEpochRecord] = []
 
     def append(self, record: TenantEpochRecord) -> None:
         """Record the next epoch's share (must belong to this tenant)."""
@@ -551,83 +516,12 @@ class TenantLedger:
                 f"record for tenant {record.tenant!r} appended to "
                 f"{self._tenant!r}'s ledger"
             )
-        if self._records and record.epoch <= self._records[-1].epoch:
-            raise SimulationError(
-                f"epoch {record.epoch} recorded after "
-                f"epoch {self._records[-1].epoch}"
-            )
-        self._records.append(record)
-
-    # -- access ---------------------------------------------------------
+        super().append(record)
 
     @property
     def tenant(self) -> str:
         """The tenant this ledger bills."""
         return self._tenant
-
-    @property
-    def policy_name(self) -> str:
-        """The fleet policy that produced this history."""
-        return self._policy
-
-    @property
-    def records(self) -> Tuple[TenantEpochRecord, ...]:
-        """Every epoch's attributed record, in order."""
-        return tuple(self._records)
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __iter__(self) -> Iterator[TenantEpochRecord]:
-        return iter(self._records)
-
-    # -- totals ---------------------------------------------------------
-
-    @property
-    def total_cost(self) -> Money:
-        """The tenant's lifetime attributed bill."""
-        return sum((r.total_cost for r in self._records), ZERO)
-
-    @property
-    def total_operating_cost(self) -> Money:
-        """Lifetime attributed steady-state charges."""
-        return sum((r.operating_cost for r in self._records), ZERO)
-
-    @property
-    def total_build_cost(self) -> Money:
-        """Lifetime attributed materialization charges."""
-        return sum((r.build_cost for r in self._records), ZERO)
-
-    @property
-    def total_teardown_cost(self) -> Money:
-        """Lifetime attributed decommission charges."""
-        return sum((r.teardown_cost for r in self._records), ZERO)
-
-    @property
-    def total_migration_cost(self) -> Money:
-        """Lifetime attributed provider-switch charges."""
-        return sum((r.migration_cost for r in self._records), ZERO)
-
-    @property
-    def total_cancelled_cost(self) -> Money:
-        """Lifetime attributed sunk compute of abandoned builds."""
-        return sum((r.cancelled_cost for r in self._records), ZERO)
-
-    @property
-    def total_onboarding_cost(self) -> Money:
-        """The tenant's arrival load charge (zero unless it arrived
-        mid-lifecycle)."""
-        return sum((r.onboarding_cost for r in self._records), ZERO)
-
-    @property
-    def total_offboarding_cost(self) -> Money:
-        """The tenant's settlement export (zero unless it departed)."""
-        return sum((r.offboarding_cost for r in self._records), ZERO)
-
-    @property
-    def total_hours(self) -> float:
-        """The tenant's lifetime processing hours."""
-        return sum(r.processing_hours for r in self._records)
 
     # -- display --------------------------------------------------------
 
@@ -648,23 +542,25 @@ class TenantLedger:
         return "\n".join(lines)
 
 
-class FleetLedger:
-    """A fleet run's full accounting: the fleet ledger + tenant ledgers.
+_Books = TypeVar("_Books")
 
-    ``fleet`` is the ordinary :class:`SimulationLedger` of the shared
-    warehouse; ``tenants`` maps tenant name to its attributed
-    :class:`TenantLedger`.  The two views describe the same money:
-    :meth:`verify_attribution` re-checks the books and raises if any
-    epoch's tenant shares do not sum exactly to the fleet record.
+
+class _FleetBooks(Generic[_Books]):
+    """The fleet's own ledger plus one set of books per tenant.
+
+    The shell :class:`FleetLedger` and :class:`FleetSummary` share;
+    ``_kind`` names the result in its errors.
     """
 
+    _kind: str
+
     def __init__(
-        self, fleet: SimulationLedger, tenants: Mapping[str, TenantLedger]
+        self, fleet: SimulationLedger, tenants: Mapping[str, _Books]
     ) -> None:
         if not tenants:
-            raise SimulationError("a fleet ledger needs at least one tenant")
+            raise SimulationError(f"a fleet {self._kind} needs at least one tenant")
         self._fleet = fleet
-        self._tenants: Dict[str, TenantLedger] = dict(tenants)
+        self._tenants: Dict[str, _Books] = dict(tenants)
 
     @property
     def fleet(self) -> SimulationLedger:
@@ -672,8 +568,8 @@ class FleetLedger:
         return self._fleet
 
     @property
-    def tenants(self) -> Mapping[str, TenantLedger]:
-        """Per-tenant attributed ledgers, by tenant name."""
+    def tenants(self) -> Mapping[str, _Books]:
+        """Per-tenant books, by tenant name (fleet order)."""
         return dict(self._tenants)
 
     @property
@@ -686,22 +582,37 @@ class FleetLedger:
         """The fleet's lifetime bill (equals the sum of tenant bills)."""
         return self._fleet.total_cost
 
-    def tenant(self, name: str) -> TenantLedger:
-        """One tenant's ledger, by name."""
+    def tenant(self, name: str) -> _Books:
+        """One tenant's books, by name."""
         try:
             return self._tenants[name]
         except KeyError:
             raise SimulationError(
-                f"no tenant named {name!r}; fleet has "
-                f"{sorted(self._tenants)}"
+                f"no tenant named {name!r}; fleet has {self._roster()}"
             ) from None
+
+    def _roster(self) -> str:
+        """How a missing-tenant error describes the fleet."""
+        return str(sorted(self._tenants))
+
+
+class FleetLedger(_FleetBooks[TenantLedger]):
+    """A fleet run's full accounting: the fleet ledger + tenant ledgers.
+
+    ``fleet`` is the ordinary :class:`SimulationLedger` of the shared
+    warehouse; ``tenants`` maps tenant name to its attributed
+    :class:`TenantLedger`.  The two views describe the same money:
+    :meth:`verify_attribution` re-checks the books and raises if any
+    epoch's tenant shares do not sum exactly to the fleet record.
+    """
+
+    _kind = "ledger"
 
     def verify_attribution(self) -> None:
         """Assert the books balance: tenant shares sum to fleet charges.
 
         Checked exactly (``Decimal`` equality), per epoch and per
-        component (operating / build / teardown / migration /
-        cancelled / onboarding / offboarding).  Tenant ledgers may be
+        fleet charge of :data:`~repro.bill.FLEET_CHARGES`.  Tenant ledgers may be
         *ragged* — an elastic fleet's tenant has records only for the
         epochs it was present — so each epoch is checked over the
         tenant records that exist for it.  Raises
@@ -721,9 +632,9 @@ class FleetLedger:
         for record in self._fleet.records:
             shares = by_epoch.get(record.epoch, [])
             check_books(f"epoch {record.epoch}: tenant {{}} shares", (
-                (name, getattr(record, f"{name}_cost"),
-                 sum((getattr(s, f"{name}_cost") for s in shares), ZERO))
-                for name in _BOOKED_COMPONENTS
+                (charge.name, getattr(record, charge.field),
+                 sum((getattr(s, charge.field) for s in shares), ZERO))
+                for charge in FLEET_CHARGES
             ))
 
     def summary(self) -> str:
@@ -746,34 +657,21 @@ class FleetLedger:
 # ---------------------------------------------------------------------------
 
 
-#: The billed components :class:`TenantTotals` folds, in
-#: :class:`TenantEpochRecord` field order.
-_TOTAL_COMPONENTS = (
-    "processing_cost",
-    "transfer_cost",
-    "maintenance_cost",
-    "storage_cost",
-    "build_cost",
-    "teardown_cost",
-    "migration_cost",
-    "cancelled_cost",
-    "onboarding_cost",
-    "offboarding_cost",
-)
-
-#: One record's component amounts as raw ``Decimal``\ s, in
-#: :data:`_TOTAL_COMPONENTS` order.
-_record_amounts = attrgetter(*(f"{name}.amount" for name in _TOTAL_COMPONENTS))
+#: One record's charges as raw ``Decimal``\ s, in fold order.
+_record_amounts = attrgetter(*(f"{field}.amount" for field in _TENANT_FIELDS))
 
 
-def _component_total(index: int) -> property:
-    """Read-only Money view of one folded component sum."""
-    return property(
-        lambda self: Money(self._sums[index]),
-        doc=f"Lifetime {_TOTAL_COMPONENTS[index][:-5]} share.",
-    )
+def _with_charge_totals(cls):
+    """Give :class:`TenantTotals` a read-only Money view of each folded
+    charge (``processing_cost``, ...)."""
+    for index, component in enumerate(COMPONENTS):
+        doc = f"Lifetime {component.name} share."
+        total = property(lambda self, i=index: Money(self._sums[i]), doc=doc)
+        setattr(cls, component.field, total)
+    return cls
 
 
+@_with_charge_totals
 class TenantTotals:
     """One tenant's lifetime totals, folded record-by-record.
 
@@ -800,22 +698,11 @@ class TenantTotals:
 
     def __init__(self, tenant: str) -> None:
         self.tenant = tenant
-        self._sums: List[Decimal] = [ZERO.amount] * len(_TOTAL_COMPONENTS)
+        self._sums: List[Decimal] = [ZERO.amount] * len(COMPONENTS)
         self.processing_hours = 0.0
         self.n_records = 0
         self.first_epoch: Optional[int] = None
         self.last_epoch: Optional[int] = None
-
-    processing_cost = _component_total(0)
-    transfer_cost = _component_total(1)
-    maintenance_cost = _component_total(2)
-    storage_cost = _component_total(3)
-    build_cost = _component_total(4)
-    teardown_cost = _component_total(5)
-    migration_cost = _component_total(6)
-    cancelled_cost = _component_total(7)
-    onboarding_cost = _component_total(8)
-    offboarding_cost = _component_total(9)
 
     def fold(self, record: TenantEpochRecord) -> None:
         """Accumulate one epoch record (must belong to this tenant,
@@ -842,43 +729,22 @@ class TenantTotals:
     @property
     def operating_cost(self) -> Money:
         """Lifetime steady-state share."""
-        return (
-            self.processing_cost
-            + self.transfer_cost
-            + self.maintenance_cost
-            + self.storage_cost
-        )
+        return reduce(add, _operating_amounts(self))
 
     @property
     def total_cost(self) -> Money:
-        """The tenant's lifetime attributed bill."""
-        return (
-            self.operating_cost
-            + self.build_cost
-            + self.teardown_cost
-            + self.migration_cost
-            + self.cancelled_cost
-            + self.onboarding_cost
-            + self.offboarding_cost
-        )
+        """The tenant's lifetime attributed bill, folded in
+        :data:`~repro.bill.COMPONENTS` order."""
+        return reduce(add, _tenant_amounts(self))
 
-    #: CSV column names for :meth:`row`, in order.
+    #: CSV column names for :meth:`row`, in order: one per charge.
     CSV_HEADER = (
         "tenant",
         "first_epoch",
         "last_epoch",
         "n_records",
         "total",
-        "processing",
-        "transfer",
-        "maintenance",
-        "storage",
-        "build",
-        "teardown",
-        "migration",
-        "cancelled",
-        "onboarding",
-        "offboarding",
+        *(component.name for component in COMPONENTS),
         "hours",
     )
 
@@ -891,16 +757,7 @@ class TenantTotals:
             "" if self.last_epoch is None else str(self.last_epoch),
             str(self.n_records),
             str(self.total_cost.amount),
-            str(self.processing_cost.amount),
-            str(self.transfer_cost.amount),
-            str(self.maintenance_cost.amount),
-            str(self.storage_cost.amount),
-            str(self.build_cost.amount),
-            str(self.teardown_cost.amount),
-            str(self.migration_cost.amount),
-            str(self.cancelled_cost.amount),
-            str(self.onboarding_cost.amount),
-            str(self.offboarding_cost.amount),
+            *map(str, self._sums),
             f"{self.processing_hours:.10g}",
         )
 
@@ -919,7 +776,7 @@ class TenantTotals:
         )
 
 
-class FleetSummary:
+class FleetSummary(_FleetBooks[TenantTotals]):
     """A population-scale fleet run's books: fleet ledger + streamed
     per-tenant totals.
 
@@ -931,61 +788,33 @@ class FleetSummary:
     partitioned (results are byte-identical for any value).
     """
 
+    _kind = "summary"
+
     def __init__(
         self,
         fleet: SimulationLedger,
         tenants: Mapping[str, TenantTotals],
         shards: int = 1,
     ) -> None:
-        if not tenants:
-            raise SimulationError("a fleet summary needs at least one tenant")
-        self._fleet = fleet
-        self._tenants: Dict[str, TenantTotals] = dict(tenants)
+        super().__init__(fleet, tenants)
         self._shards = shards
-
-    @property
-    def fleet(self) -> SimulationLedger:
-        """The shared warehouse's own per-epoch ledger."""
-        return self._fleet
-
-    @property
-    def tenants(self) -> Mapping[str, TenantTotals]:
-        """Per-tenant streamed totals, by tenant name (fleet order)."""
-        return dict(self._tenants)
 
     @property
     def shards(self) -> int:
         """How many attribution shards produced these totals."""
         return self._shards
 
-    @property
-    def policy_name(self) -> str:
-        """The policy that produced this history."""
-        return self._fleet.policy_name
-
-    @property
-    def total_cost(self) -> Money:
-        """The fleet's lifetime bill (equals the sum of tenant bills)."""
-        return self._fleet.total_cost
-
-    def tenant(self, name: str) -> TenantTotals:
-        """One tenant's totals, by name."""
-        try:
-            return self._tenants[name]
-        except KeyError:
-            raise SimulationError(
-                f"no tenant named {name!r}; fleet has "
-                f"{len(self._tenants)} tenants"
-            ) from None
+    def _roster(self) -> str:
+        return f"{len(self._tenants)} tenants"
 
     def verify_totals(self) -> None:
-        """Assert the books balance: per-component tenant totals sum
+        """Assert the books balance: per-charge tenant totals sum
         exactly to the fleet ledger's lifetime totals."""
         totals = list(self._tenants.values())
         check_books("lifetime {}: tenant totals", (
-            (name, getattr(self._fleet, f"total_{name}_cost"),
-             sum((getattr(t, f"{name}_cost") for t in totals), ZERO))
-            for name in _BOOKED_COMPONENTS
+            (charge.name, getattr(self._fleet, f"total_{charge.field}"),
+             sum((getattr(t, charge.field) for t in totals), ZERO))
+            for charge in FLEET_CHARGES
         ))
 
     def summary(self) -> str:

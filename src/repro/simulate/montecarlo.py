@@ -80,16 +80,14 @@ class PolicySpec:
     of the config quote the multi-provider market — so an arbitrage
     spec and its stay-put twin compare over identical worlds.
 
-    ``optimizer`` is the redesigned selection surface: a frozen
+    ``optimizer`` is a frozen
     :class:`~repro.optimizer.registry.OptimizerSpec` carrying the
     algorithm *and* its knobs (budgets, seeds, beam widths), which
-    pickles into workers like every other field.  When set it takes
-    precedence over the legacy ``algorithm`` name string, which stays
-    for compatibility.
+    pickles into workers like every other field; ``None`` selects
+    greedy.
     """
 
     name: str
-    algorithm: str = "greedy"
     period: int = 4
     threshold: float = 0.05
     hysteresis: int = 1
@@ -119,11 +117,7 @@ class PolicySpec:
             period=self.period,
             threshold=self.threshold,
             hysteresis=self.hysteresis,
-            # The legacy name string routes through the same registry
-            # as a spec object, so both spellings build identically.
-            optimizer=(
-                self.optimizer if self.optimizer is not None else self.algorithm
-            ),
+            optimizer=self.optimizer,
         )
         if self.arbitrage:
             return ArbitrageAware(

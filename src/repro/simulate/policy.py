@@ -20,7 +20,6 @@ build/teardown consequences of their decisions.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, FrozenSet, Optional, Union
 
@@ -52,36 +51,6 @@ __all__ = [
 
 #: Registry keys accepted by :func:`make_policy` (and the CLI).
 POLICY_NAMES = ("never", "periodic", "regret")
-
-
-def _resolve_optimizer(
-    optimizer: Optional[Union[str, OptimizerSpec]],
-    algorithm: Optional[str],
-) -> OptimizerSpec:
-    """One optimizer spec from the new and the deprecated kwarg.
-
-    ``optimizer`` is the redesigned surface (a spec object, or a
-    registry name for convenience).  ``algorithm`` is the legacy
-    scattered string kwarg: still honored, with a
-    :class:`DeprecationWarning`, so existing callers produce
-    byte-identical results while they migrate.
-    """
-    if optimizer is not None and algorithm is not None:
-        raise SimulationError(
-            "pass either optimizer= or the deprecated algorithm=, not both"
-        )
-    if algorithm is not None:
-        warnings.warn(
-            "algorithm= is deprecated; pass optimizer="
-            f"{resolve(algorithm).__class__.__name__}() (or the registry "
-            "name) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return resolve(algorithm)
-    if optimizer is None:
-        return resolve("greedy")
-    return resolve(optimizer)
 
 
 def _relative_regret(held_key, best_key) -> float:
@@ -147,10 +116,9 @@ class ReselectionPolicy:
 
     ``optimizer`` is an :class:`~repro.optimizer.registry.OptimizerSpec`
     (or a registry name) carrying the selection algorithm and all its
-    knobs; the scattered ``algorithm=`` string kwarg still works but
-    warns with :class:`DeprecationWarning`.  Policies hand the held
-    subset to the optimizer as a *warm start*, which the anytime search
-    specs turn into near-free re-selection on unchanged epochs.
+    knobs; it defaults to greedy.  Policies hand the held subset to the
+    optimizer as a *warm start*, which the anytime search specs turn
+    into near-free re-selection on unchanged epochs.
     """
 
     name: str = "abstract"
@@ -158,7 +126,7 @@ class ReselectionPolicy:
     def __init__(
         self,
         scenario: Optional[Scenario] = None,
-        algorithm: Optional[str] = None,
+        *,
         scenario_factory: Optional[ScenarioFactory] = None,
         optimizer: Optional[Union[str, OptimizerSpec]] = None,
     ) -> None:
@@ -168,7 +136,7 @@ class ReselectionPolicy:
             )
         self._scenario = scenario if scenario is not None else Tradeoff(alpha=0.0)
         self._factory = scenario_factory
-        self._optimizer = _resolve_optimizer(optimizer, algorithm)
+        self._optimizer = resolve("greedy" if optimizer is None else optimizer)
 
     @property
     def scenario(self) -> Scenario:
@@ -182,7 +150,7 @@ class ReselectionPolicy:
 
     @property
     def algorithm(self) -> str:
-        """The selection algorithm's registry name (legacy accessor)."""
+        """The selection algorithm's registry name."""
         return self._optimizer.name
 
     def _scenario_for(self, problem: SelectionProblem) -> Scenario:
@@ -284,11 +252,13 @@ class PeriodicReselect(ReselectionPolicy):
         self,
         period: int = 4,
         scenario: Optional[Scenario] = None,
-        algorithm: Optional[str] = None,
+        *,
         scenario_factory: Optional[ScenarioFactory] = None,
         optimizer: Optional[Union[str, OptimizerSpec]] = None,
     ) -> None:
-        super().__init__(scenario, algorithm, scenario_factory, optimizer)
+        super().__init__(
+            scenario, scenario_factory=scenario_factory, optimizer=optimizer
+        )
         if period < 1:
             raise SimulationError(
                 f"re-selection period must be >= 1 epoch, got {period}"
@@ -347,12 +317,14 @@ class RegretTriggered(ReselectionPolicy):
         self,
         threshold: float = 0.05,
         scenario: Optional[Scenario] = None,
-        algorithm: Optional[str] = None,
+        *,
         scenario_factory: Optional[ScenarioFactory] = None,
         hysteresis: int = 1,
         optimizer: Optional[Union[str, OptimizerSpec]] = None,
     ) -> None:
-        super().__init__(scenario, algorithm, scenario_factory, optimizer)
+        super().__init__(
+            scenario, scenario_factory=scenario_factory, optimizer=optimizer
+        )
         if threshold < 0:
             raise SimulationError(
                 f"regret threshold cannot be negative, got {threshold}"
@@ -445,7 +417,7 @@ class RegretTriggered(ReselectionPolicy):
 def make_policy(
     name: str,
     scenario: Optional[Scenario] = None,
-    algorithm: Optional[str] = None,
+    *,
     period: int = 4,
     threshold: float = 0.05,
     scenario_factory: Optional[ScenarioFactory] = None,
@@ -454,20 +426,15 @@ def make_policy(
 ) -> ReselectionPolicy:
     """Build a policy from its registry name (CLI/benchmark entry).
 
-    ``optimizer`` takes a spec object or registry name; ``algorithm``
-    is the deprecated string spelling (still honored, with a
-    :class:`DeprecationWarning` raised by the policy constructor).
+    ``optimizer`` takes a spec object or registry name.
     """
+    common = dict(scenario_factory=scenario_factory, optimizer=optimizer)
     if name == "never":
-        return NeverReselect(scenario, algorithm, scenario_factory, optimizer)
+        return NeverReselect(scenario, **common)
     if name == "periodic":
-        return PeriodicReselect(
-            period, scenario, algorithm, scenario_factory, optimizer
-        )
+        return PeriodicReselect(period, scenario, **common)
     if name == "regret":
-        return RegretTriggered(
-            threshold, scenario, algorithm, scenario_factory, hysteresis, optimizer
-        )
+        return RegretTriggered(threshold, scenario, hysteresis=hysteresis, **common)
     raise SimulationError(
         f"unknown policy {name!r}; choose from {POLICY_NAMES}"
     )

@@ -14,7 +14,8 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import main
-from repro.explain import ExplainLog, activate, explain_lines
+from repro.explain import ExplainLog, activate, explain_lines, load_explain
+from repro.money import ZERO, Money
 from repro.simulate import (
     MonteCarloConfig,
     NeverReselect,
@@ -149,3 +150,96 @@ class TestCliRoundTrip:
         assert main(["explain", "why-bill", "/no/such/file", "--epoch", "1"]) == 1
         err = capsys.readouterr().err
         assert "error:" in err
+
+
+def _fleet_series(path):
+    """Each fleet series' delta totals by epoch, keyed by (policy,
+    trial), in export order."""
+    series = {}
+    for entry in load_explain(str(path)):
+        if entry["kind"] == "epoch-delta" and entry["tenant"] is None:
+            key = (entry["policy"], entry["trial"])
+            series.setdefault(key, {})[entry["epoch"]] = entry["total"]
+    return series
+
+
+def _assert_diff_blocks(out, series, start, end):
+    """One labelled block per series, closing on its own totals, with
+    cause amounts that sum to its delta."""
+    lines = out.splitlines()
+    heads = [i for i, line in enumerate(lines) if line.startswith("fleet bill")]
+    assert len(heads) == len(series)
+    for (key, totals), first, stop in zip(
+        series.items(), heads, heads[1:] + [len(lines)]
+    ):
+        policy, trial = key
+        stamp = f"policy {policy}" + ("" if trial is None else f", trial {trial}")
+        assert lines[first] == f"fleet bill [{stamp}], epoch {start} -> {end}:"
+        closing = lines[stop - 1].split()
+        assert closing[:5] == ["epoch", "total", totals[start], "->", totals[end]]
+        causes = sum(
+            (Money(line.split()[1]) for line in lines[first + 1 : stop - 1]), ZERO
+        )
+        assert causes == Money(totals[end]) - Money(totals[start])
+
+
+class TestMultiSeriesExports:
+    """Exports holding several policies or trials: every query names the
+    series it reports, and ``diff`` reports each one."""
+
+    @pytest.fixture(scope="class")
+    def all_policies(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("explain") / "all.jsonl"
+        code = main(
+            [
+                "simulate",
+                "--rows",
+                "4000",
+                "--epochs",
+                "20",
+                "--quiet",
+                "--explain-out",
+                str(path),
+            ]
+        )
+        assert code == 0
+        return path
+
+    def test_diff_closes_each_policy_on_its_own_totals(self, all_policies, capsys):
+        series = _fleet_series(all_policies)
+        assert len(series) == 3
+        assert main(["explain", "diff", str(all_policies), "--from", "5", "--to", "10"]) == 0
+        _assert_diff_blocks(capsys.readouterr().out, series, 5, 10)
+
+    def test_why_bill_names_each_policy(self, all_policies, capsys):
+        series = _fleet_series(all_policies)
+        assert main(["explain", "why-bill", str(all_policies), "--epoch", "5"]) == 0
+        heads = [
+            line.split(": total")[0]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("epoch")
+        ]
+        assert heads == [f"epoch 5 [policy {policy}]" for policy, _ in series]
+
+    def test_diff_reports_every_monte_carlo_trial(self, tmp_path, capsys):
+        path = tmp_path / "mc.jsonl"
+        code = main(
+            [
+                "simulate",
+                "--trials",
+                "2",
+                "--rows",
+                "4000",
+                "--epochs",
+                "8",
+                "--quiet",
+                "--explain-out",
+                str(path),
+            ]
+        )
+        assert code == 0
+        series = _fleet_series(path)
+        assert {trial for _, trial in series} == {0, 1}
+        capsys.readouterr()
+        assert main(["explain", "diff", str(path), "--from", "2", "--to", "5"]) == 0
+        _assert_diff_blocks(capsys.readouterr().out, series, 2, 5)

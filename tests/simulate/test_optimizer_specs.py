@@ -6,10 +6,10 @@ import pickle
 
 import pytest
 
-from repro.errors import SimulationError
 from repro.optimizer import BeamSearchSpec, GreedySpec, KnapsackSpec
 from repro.simulate import (
     MonteCarloConfig,
+    PeriodicReselect,
     PolicySpec,
     make_policy,
     run_monte_carlo,
@@ -33,16 +33,20 @@ class TestPolicyOptimizerKwarg:
         assert policy.optimizer is spec
         assert policy.algorithm == "beam"
 
-    def test_legacy_algorithm_warns_deprecation(self):
-        with pytest.warns(DeprecationWarning, match="algorithm"):
-            policy = make_policy("periodic", algorithm="knapsack")
-        assert policy.algorithm == "knapsack"
+    def test_removed_algorithm_kwarg_raises(self):
+        """The deprecated ``algorithm=`` spelling is gone from policies
+        and from ``PolicySpec``; ``optimizer=`` carries the choice."""
+        with pytest.raises(TypeError, match="algorithm"):
+            make_policy("periodic", algorithm="knapsack")
+        with pytest.raises(TypeError, match="algorithm"):
+            PolicySpec("periodic", algorithm="greedy")
 
-    def test_both_kwargs_rejected(self):
-        with pytest.raises(SimulationError, match="not both"):
-            make_policy(
-                "periodic", algorithm="greedy", optimizer=GreedySpec()
-            )
+    def test_options_after_scenario_are_keyword_only(self):
+        """An old positional call cannot slide into another parameter."""
+        with pytest.raises(TypeError):
+            make_policy("periodic", None, 4)
+        with pytest.raises(TypeError):
+            PeriodicReselect(4, None, None)
 
     def test_no_warning_on_optimizer_kwarg(self, recwarn):
         make_policy("periodic", optimizer="greedy")
@@ -54,23 +58,6 @@ class TestPolicyOptimizerKwarg:
 
 
 class TestPolicySpec:
-    def test_legacy_algorithm_field_builds_silently(self, recwarn):
-        # PolicySpec routes the legacy name through the registry, so
-        # existing configs build without deprecation noise.
-        policy = PolicySpec("periodic", algorithm="knapsack").build()
-        assert policy.algorithm == "knapsack"
-        assert not [
-            w
-            for w in recwarn.list
-            if issubclass(w.category, DeprecationWarning)
-        ]
-
-    def test_optimizer_field_takes_precedence(self):
-        spec = PolicySpec(
-            "periodic", algorithm="knapsack", optimizer=BeamSearchSpec()
-        )
-        assert spec.build().algorithm == "beam"
-
     def test_spec_with_optimizer_pickles(self):
         spec = PolicySpec("regret", optimizer=BeamSearchSpec(budget=32))
         clone = pickle.loads(pickle.dumps(spec))
@@ -79,26 +66,6 @@ class TestPolicySpec:
 
 
 class TestMonteCarloEquivalence:
-    def test_legacy_and_spec_spellings_identical(self):
-        legacy = MonteCarloConfig(
-            n_trials=2,
-            n_epochs=4,
-            n_rows=4_000,
-            seed=7,
-            policies=(PolicySpec("periodic", algorithm="greedy"),),
-        )
-        spec = MonteCarloConfig(
-            n_trials=2,
-            n_epochs=4,
-            n_rows=4_000,
-            seed=7,
-            policies=(PolicySpec("periodic", optimizer=GreedySpec()),),
-        )
-        assert (
-            run_monte_carlo(legacy, jobs=1).rows()
-            == run_monte_carlo(spec, jobs=1).rows()
-        )
-
     def test_search_optimizer_identical_across_jobs(self):
         config = MonteCarloConfig(
             n_trials=3,

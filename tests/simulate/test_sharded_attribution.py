@@ -187,6 +187,26 @@ def _assert_exact_report(error, prefix, fleet_amount):
     assert tenant_sum == MONEY_CONTEXT.add(fleet, difference)
 
 
+#: Every fleet charge the books checks compare, with a tenant record
+#: field that books into it.
+BOOKED = (
+    ("operating", "storage_cost"),
+    ("build", "build_cost"),
+    ("teardown", "teardown_cost"),
+    ("migration", "migration_cost"),
+    ("cancelled", "cancelled_cost"),
+    ("onboarding", "onboarding_cost"),
+    ("offboarding", "offboarding_cost"),
+)
+
+
+def _slivered(tenant, record, field):
+    """Tenant a's epoch-1 record one ``SLIVER`` over on ``field``."""
+    if tenant != "a" or record.epoch != 1:
+        return record
+    return replace(record, **{field: getattr(record, field) + SLIVER})
+
+
 class TestUnbalancedBooksReportExactAmounts:
     def test_per_epoch_merge_check(self, elastic_sim, captured_epochs):
         """Both routes' merge check names the epoch and the exact miss."""
@@ -207,41 +227,35 @@ class TestUnbalancedBooksReportExactAmounts:
             )
         _assert_exact_report(error, prefix, short.operating_cost)
 
-    def test_verify_attribution(self, elastic_sim):
+    @pytest.mark.parametrize("charge, field", BOOKED, ids=[c for c, _ in BOOKED])
+    def test_verify_attribution(self, elastic_sim, charge, field):
         ledger = elastic_sim.run(NeverReselect())
         doctored = {}
         for name, tenant_ledger in ledger.tenants.items():
             copy = TenantLedger(name, tenant_ledger.policy_name)
             for record in tenant_ledger.records:
-                if name == "a" and record.epoch == 1:
-                    record = replace(
-                        record, storage_cost=record.storage_cost + SLIVER
-                    )
-                copy.append(record)
+                copy.append(_slivered(name, record, field))
             doctored[name] = copy
         with pytest.raises(SimulationError) as error:
             FleetLedger(ledger.fleet, doctored).verify_attribution()
         _assert_exact_report(
             error,
-            "epoch 1: tenant operating shares",
-            ledger.fleet.records[1].operating_cost,
+            f"epoch 1: tenant {charge} shares",
+            getattr(ledger.fleet.records[1], f"{charge}_cost"),
         )
 
-    def test_verify_totals(self, elastic_sim):
+    @pytest.mark.parametrize("charge, field", BOOKED, ids=[c for c, _ in BOOKED])
+    def test_verify_totals(self, elastic_sim, charge, field):
         ledger = elastic_sim.run(NeverReselect())
         totals = {}
         for name, tenant_ledger in ledger.tenants.items():
             totals[name] = TenantTotals(name)
             for record in tenant_ledger.records:
-                if name == "a" and record.epoch == 1:
-                    record = replace(
-                        record, build_cost=record.build_cost + SLIVER
-                    )
-                totals[name].fold(record)
+                totals[name].fold(_slivered(name, record, field))
         with pytest.raises(SimulationError) as error:
             FleetSummary(ledger.fleet, totals).verify_totals()
         _assert_exact_report(
             error,
-            "lifetime build: tenant totals",
-            ledger.fleet.total_build_cost,
+            f"lifetime {charge}: tenant totals",
+            getattr(ledger.fleet, f"total_{charge}_cost"),
         )
