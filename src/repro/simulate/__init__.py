@@ -96,7 +96,6 @@ from .arbitrage import (
 from .attribution import (
     ATTRIBUTION_MODES,
     SharedCostAttributor,
-    allocate_exactly,
     tenant_of_query,
 )
 from .clock import Epoch, SimulationClock
@@ -240,7 +239,6 @@ __all__ = [
     "TenantLedger",
     "TrialOutcome",
     "WarehouseState",
-    "allocate_exactly",
     "assess_migration",
     "async_sales_simulator",
     "compile_timeline",

@@ -54,19 +54,26 @@ one-offs.  Every tenant but the last owes the independent product
 :func:`merge_epoch` gives the last tenant the exact residual ``amount -
 sum(other shares)``, lands the churn charges and checks the books, so
 per-tenant ledgers sum to the fleet ledger to the last decimal digit.
+Entries that split by the same weights (proportional mode bills
+processing, base storage and the three infrastructure one-offs all by
+the processing weights) share one normalized weight vector, and each
+of its ratios is converted to ``Decimal`` once per epoch.
 :meth:`SharedCostAttributor.attribute` computes the products
 in-process, :class:`~repro.simulate.sharding.ShardedAttribution`
 across tenant shards; both run the same ``Decimal`` operations in the
-same order, so they give the same bytes.  Per entry, the merge is
-:func:`allocate_exactly`, the reference split it is tested against.
+same order, so they give the same bytes.  The merge streams one
+:class:`~repro.simulate.ledger.ShareRow` of raw ``Decimal``\\ s per
+tenant-epoch; only :meth:`SharedCostAttributor.attribute` turns them
+into :class:`~repro.simulate.ledger.TenantEpochRecord`\\ s.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import reduce
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from typing import (
     Callable,
     Dict,
@@ -85,7 +92,7 @@ from ..costmodel.total import CostBreakdown
 from ..errors import SimulationError
 from ..money import MONEY_CONTEXT, Money, ZERO, to_decimal
 from ..optimizer.problem import SelectionOutcome, SelectionProblem
-from .ledger import EpochRecord, TenantEpochRecord, check_books
+from .ledger import EpochRecord, ShareRow, TenantEpochRecord, check_books
 
 __all__ = [
     "ATTRIBUTION_MODES",
@@ -93,7 +100,6 @@ __all__ = [
     "AllocationEntry",
     "ShardPayload",
     "SharedCostAttributor",
-    "allocate_exactly",
     "merge_epoch",
     "merge_shares",
     "shard_payload",
@@ -108,9 +114,11 @@ ATTRIBUTION_MODES = ("proportional", "even")
 #: merged fleet workload ("acme/Q1" belongs to tenant "acme").
 TENANT_SEPARATOR = "/"
 
-#: A departed tenant's settlement record: every charge zero but its
-#: offboarding.
-_NO_CHARGES = dict.fromkeys((component.field for component in COMPONENTS), ZERO)
+#: A tenant share's charge fields, in fold order.
+_FIELDS = tuple(component.field for component in COMPONENTS)
+
+#: A plan entry before normalization: ``(field, amount, weights)``.
+_Split = Tuple[str, Money, Mapping[str, float]]
 
 
 def tenant_of_query(query_name: str) -> Optional[str]:
@@ -120,44 +128,6 @@ def tenant_of_query(query_name: str) -> Optional[str]:
     return query_name.split(TENANT_SEPARATOR, 1)[0]
 
 
-def allocate_exactly(
-    amount: Money, weights: Mapping[str, float], order: Sequence[str]
-) -> Dict[str, Money]:
-    """Split ``amount`` by ``weights`` so the shares sum to it exactly.
-
-    Every tenant but the last gets ``amount * (weight / total_weight)``;
-    the last gets the exact residual, which absorbs any rounding of the
-    Decimal products.  Zero (or degenerate) total weight falls back to
-    an even split — a charge must never vanish just because nobody's
-    weight registered.
-
-    The reference form of one plan entry's split: the attribution
-    routes run it as :func:`shard_products` plus :func:`merge_shares`,
-    which a property test holds repr-equal to this function.
-
-    >>> from repro.money import Money
-    >>> shares = allocate_exactly(
-    ...     Money("10.00"), {"a": 2.0, "b": 1.0}, ["a", "b"]
-    ... )
-    >>> shares["a"] + shares["b"] == Money("10.00")
-    True
-    """
-    if not order:
-        raise SimulationError("cannot allocate a charge to zero tenants")
-    total_weight = sum(max(0.0, weights.get(name, 0.0)) for name in order)
-    if total_weight <= 0.0:
-        weights = {name: 1.0 for name in order}
-        total_weight = float(len(order))
-    shares: Dict[str, Money] = {}
-    running = ZERO
-    for name in order[:-1]:
-        share = amount * (max(0.0, weights.get(name, 0.0)) / total_weight)
-        shares[name] = share
-        running = running + share
-    shares[order[-1]] = amount - running
-    return shares
-
-
 @dataclass(frozen=True)
 class AllocationEntry:
     """One exact split of an attribution plan.
@@ -165,11 +135,11 @@ class AllocationEntry:
     ``field`` names the :class:`~repro.simulate.ledger.TenantEpochRecord`
     component the shares land on, ``weights`` aligns with the active
     tenant order, and the zero-total even fallback is *already
-    applied* (``total`` is the exact divisor :func:`allocate_exactly`
-    uses).  Any tenant's product ``amount * (weights[i] / total)`` can
-    therefore be computed independently, in any shard, and
-    :func:`merge_shares` reassembles the sequential running sum so the
-    globally-last tenant gets the exact residual.
+    applied* (``total`` is the exact divisor).  Any tenant's product
+    ``amount * (weights[i] / total)`` can therefore be computed
+    independently, in any shard, and :func:`merge_shares` reassembles
+    the sequential running sum so the globally-last tenant gets the
+    exact residual.
     """
 
     field: str
@@ -185,9 +155,10 @@ class AllocationEntry:
         weights: Mapping[str, float],
         order: Sequence[str],
     ) -> "AllocationEntry":
-        """Normalize one split the way :func:`allocate_exactly` reads
-        its weights: missing and negative weights count as zero, and a
-        zero total falls back to an even split."""
+        """Normalize one split's weights: missing and negative weights
+        count as zero, and a zero (or degenerate) total falls back to an
+        even split — a charge must never vanish just because nobody's
+        weight registered."""
         clipped = tuple(max(0.0, weights.get(name, 0.0)) for name in order)
         total = sum(clipped)
         if total <= 0.0:
@@ -196,36 +167,78 @@ class AllocationEntry:
         return cls(field=field, amount=amount, weights=clipped, total=total)
 
 
-#: One shard's work order: for each plan entry, ``(amount, weights
-#: slice for the shard's tenant range, total)``, the amount as the raw
-#: ``Decimal`` of its Money — compact and picklable for workers.
-ShardPayload = Tuple[Tuple[Decimal, Tuple[float, ...], float], ...]
+def _plan(
+    splits: Sequence[_Split], order: Sequence[str]
+) -> Tuple[AllocationEntry, ...]:
+    """A plan's entries, each distinct weight mapping normalized once.
+
+    Entries whose splits name the same mapping object share one
+    weights tuple and total, which :func:`shard_payload` ships and
+    :func:`shard_products` converts once.  ``splits`` holds every
+    mapping for the whole loop, so no two of them share an ``id``.
+    """
+    first: Dict[int, AllocationEntry] = {}
+    entries = []
+    for field, amount, weights in splits:
+        shared = first.get(id(weights))
+        if shared is None:
+            entry = AllocationEntry.of(field, amount, weights, order)
+            first[id(weights)] = entry
+        else:
+            entry = AllocationEntry(field, amount, shared.weights, shared.total)
+        entries.append(entry)
+    return tuple(entries)
+
+
+#: One shard's work order, compact and picklable for workers: the
+#: plan's distinct weight vectors, each as ``(weights slice for the
+#: shard's tenant range, total)``, then one ``(amount, vector index)``
+#: per entry, the amount as the raw ``Decimal`` of its Money.
+ShardPayload = Tuple[
+    Tuple[Tuple[Tuple[float, ...], float], ...],
+    Tuple[Tuple[Decimal, int], ...],
+]
 
 
 def shard_payload(
     entries: Sequence[AllocationEntry], start: int, stop: int
 ) -> ShardPayload:
-    """The work order for tenants ``[start, stop)`` of every entry."""
-    return tuple(
-        (entry.amount.amount, entry.weights[start:stop], entry.total)
-        for entry in entries
-    )
+    """The work order for tenants ``[start, stop)`` of every entry;
+    entries sharing a weights tuple and total share one vector."""
+    index: Dict[Tuple[int, float], int] = {}
+    vectors = []
+    work = []
+    for entry in entries:
+        key = (id(entry.weights), entry.total)
+        if key not in index:
+            index[key] = len(vectors)
+            vectors.append((entry.weights[start:stop], entry.total))
+        work.append((entry.amount.amount, index[key]))
+    return tuple(vectors), tuple(work)
 
 
 def shard_products(payload: ShardPayload) -> Tuple[Tuple[Decimal, ...], ...]:
     """One shard's independent per-tenant products, entry by entry.
 
-    Evaluates exactly the Money expression :func:`allocate_exactly`
-    gives a non-last tenant, ``amount * (weight / total)``, as the same
-    ``Decimal`` multiplication Money performs (same context, same float
-    conversion) without wrapping each product.  Runs in worker
+    Evaluates exactly the Money expression a non-last tenant owes,
+    ``amount * (weight / total)``, as the same ``Decimal``
+    multiplication Money performs (same context, same float
+    conversion) without wrapping each product.  Each vector's ratios
+    are converted once and multiplied by every entry that shares them:
+    the conversion is a pure function of the float, so the products
+    are the bytes a conversion per entry gives.  Runs in worker
     processes (top-level so it pickles) and in-process — the same code
     either way.
     """
+    vectors, work = payload
     multiply = MONEY_CONTEXT.multiply
+    ratios = [
+        [to_decimal(weight / total) for weight in weights]
+        for weights, total in vectors
+    ]
     return tuple(
-        tuple(multiply(amount, to_decimal(weight / total)) for weight in weights)
-        for amount, weights, total in payload
+        tuple(map(multiply, repeat(amount), ratios[vector]))
+        for amount, vector in work
     )
 
 
@@ -248,8 +261,8 @@ def merge_shares(
     order.  Per entry, the first ``n - 1`` products read in global
     tenant order are the non-last tenants' shares, and the last tenant
     takes ``amount - running``, ``running`` being their sequential sum
-    from zero — :func:`allocate_exactly`'s Money operations, verbatim
-    and in its order, on raw ``Decimal``\\ s through Money's context.
+    from zero — one Money split's operations, verbatim and in its
+    order, on raw ``Decimal``\\ s through Money's context.
     A field's first entry sets its column; later entries add into it
     tenant by tenant.  Returns field -> per-tenant shares.
     """
@@ -277,16 +290,17 @@ def merge_epoch(
     entries: Sequence[AllocationEntry],
     hours: Mapping[str, float],
     products: Sequence[Tuple[Tuple[Decimal, ...], ...]],
-) -> Iterator[TenantEpochRecord]:
-    """One epoch's per-tenant records, merged from shard products.
+) -> Iterator[ShareRow]:
+    """One epoch's per-tenant shares, merged from shard products.
 
-    Yields the active split in tenant order, then one settlement-only
-    record per departure.  Churn charges are direct: an arrival's
-    onboarding lands on the arriving tenant's record, a departure's
-    offboarding on a record of its own.  Before anything is yielded,
-    every component's shares are checked to sum exactly to the fleet
-    record — the per-epoch half of the books-balance invariant, which
-    streaming callers cannot re-check later.
+    Yields one :class:`~repro.simulate.ledger.ShareRow` per active
+    tenant in tenant order, then one settlement-only row per
+    departure.  Churn charges are direct: an arrival's onboarding
+    lands on the arriving tenant's row, a departure's offboarding on a
+    row of its own.  Before anything is yielded, every component's
+    shares are checked to sum exactly to the fleet record — the
+    per-epoch half of the books-balance invariant, which streaming
+    callers cannot re-check later.
     """
     arrivals = dict(record.arrivals)
     active_set = set(active)
@@ -319,21 +333,19 @@ def merge_epoch(
             if charge.parts[0] in sums
         ],
     )
-    for index, name in enumerate(active):
-        yield TenantEpochRecord(
-            epoch=record.epoch,
-            tenant=name,
-            processing_hours=hours[name],
-            onboarding_cost=arrivals.get(name, ZERO),
-            **{field: Money(column[index]) for field, column in columns.items()},
-        )
+    columns["onboarding_cost"] = [
+        arrivals.get(name, ZERO).amount for name in active
+    ]
+    zeros = [zero] * len(active)
+    rows = zip(*(columns.get(field, zeros) for field in _FIELDS))
+    for name, amounts in zip(active, rows):
+        yield ShareRow(record.epoch, name, hours[name], amounts)
     for tenant, amount in record.departures:
-        yield TenantEpochRecord(
-            epoch=record.epoch,
-            tenant=tenant,
-            processing_hours=0.0,
-            **dict(_NO_CHARGES, offboarding_cost=amount),
+        settlement = tuple(
+            amount.amount if field == "offboarding_cost" else zero
+            for field in _FIELDS
         )
+        yield ShareRow(record.epoch, tenant, 0.0, settlement)
 
 
 class SharedCostAttributor:
@@ -411,6 +423,17 @@ class SharedCostAttributor:
             raise SimulationError(
                 f"unknown active tenants {unknown!r}; roster has "
                 f"{len(self._tenants)} names"
+            )
+        if len(set(active)) != len(active):
+            # A name listed twice would take two columns of every split
+            # while its queries fill one, and the doubled column would
+            # still balance the books.
+            repeated = sorted(
+                name for name, count in Counter(active).items() if count > 1
+            )
+            raise SimulationError(
+                f"duplicate active tenants {repeated!r}; each tenant "
+                f"takes one share of the split"
             )
         return active
 
@@ -509,7 +532,7 @@ class SharedCostAttributor:
 
     # -- the plan -------------------------------------------------------
 
-    def _operating_entries(
+    def _operating_splits(
         self,
         problem: SelectionProblem,
         subset: FrozenSet[str],
@@ -517,13 +540,13 @@ class SharedCostAttributor:
         base_storage: Money,
         fraction: float,
         active: Sequence[str],
-    ) -> Tuple[Tuple[AllocationEntry, ...], Dict[str, float], Dict]:
-        """One billing period's operating entries, scaled by ``fraction``.
+    ) -> Tuple[Tuple[_Split, ...], Dict[str, float], Dict]:
+        """One billing period's operating splits, scaled by ``fraction``.
 
-        Returns ``(entries, processing, users)``; the period's
+        Returns ``(splits, processing, users)``; the period's
         processing weights and per-view users serve the epoch-level
-        entries and the tenants' processing hours.  Storage is two
-        entries, the base share and then the view share.
+        splits and the tenants' processing hours.  Storage is two
+        splits, the base share and then the view share.
         """
         inputs = problem.inputs
         processing, egress, users = self._direct_weights(
@@ -556,18 +579,14 @@ class SharedCostAttributor:
                 self._view_weights(size_amounts, users, infrastructure, active),
             ),
         )
-        entries = tuple(
-            AllocationEntry.of(
-                field,
-                amount if fraction == 1.0 else amount * fraction,
-                weights,
-                active,
+        if fraction != 1.0:
+            splits = tuple(
+                (field, amount * fraction, weights)
+                for field, amount, weights in splits
             )
-            for field, amount, weights in splits
-        )
-        return entries, processing, users
+        return splits, processing, users
 
-    def _epoch_entries(
+    def _epoch_splits(
         self,
         build: Money,
         charges: Sequence[Tuple[str, Money]],
@@ -575,19 +594,13 @@ class SharedCostAttributor:
         users: Mapping[str, Mapping[str, float]],
         infrastructure: Mapping[str, float],
         active: Sequence[str],
-    ) -> Tuple[AllocationEntry, ...]:
-        """The epoch-level entries: ``build`` split by the built views'
-        users (``build_amounts`` weights each view), then each ``(field,
+    ) -> Tuple[_Split, ...]:
+        """The epoch-level splits: ``build`` by the built views' users
+        (``build_amounts`` weights each view), then each ``(field,
         amount)`` of ``charges`` by the infrastructure rule."""
-        builds = AllocationEntry.of(
-            "build_cost",
-            build,
-            self._view_weights(build_amounts, users, infrastructure, active),
-            active,
-        )
-        return (builds,) + tuple(
-            AllocationEntry.of(field, amount, infrastructure, active)
-            for field, amount in charges
+        weights = self._view_weights(build_amounts, users, infrastructure, active)
+        return (("build_cost", build, weights),) + tuple(
+            (field, amount, infrastructure) for field, amount in charges
         )
 
     def _period_plan(
@@ -611,7 +624,7 @@ class SharedCostAttributor:
         base_storage = storage_cost(
             inputs.deployment.provider.storage, plan.base_timeline
         )
-        entries, processing, users = self._operating_entries(
+        splits, processing, users = self._operating_splits(
             problem, subset, breakdown, base_storage, 1.0, active
         )
         build_amounts = {
@@ -619,7 +632,7 @@ class SharedCostAttributor:
             for name, hours in zip(sorted(subset), plan.materialization_hours)
             if name in built and hours > 0.0
         }
-        entries += self._epoch_entries(
+        splits += self._epoch_splits(
             breakdown.computing.materialization_cost,
             charges,
             build_amounts,
@@ -627,7 +640,7 @@ class SharedCostAttributor:
             self._infrastructure_weights(processing, active),
             active,
         )
-        return entries, processing
+        return _plan(splits, active), processing
 
     def component_plan(
         self,
@@ -672,12 +685,12 @@ class SharedCostAttributor:
         base_storage = storage_cost(
             inputs.deployment.provider.storage, inputs.base_timeline
         )
-        entries: Tuple[AllocationEntry, ...] = ()
+        splits: Tuple[_Split, ...] = ()
         hours = {name: 0.0 for name in active}
         end_users: Mapping[str, Mapping[str, float]] = {}
         for segment in record.segments:
             subset = frozenset(segment.subset)
-            operating, processing, end_users = self._operating_entries(
+            operating, processing, end_users = self._operating_splits(
                 problem,
                 subset,
                 problem.evaluate(subset).breakdown,
@@ -685,14 +698,14 @@ class SharedCostAttributor:
                 segment.fraction,
                 active,
             )
-            entries += operating
+            splits += operating
             for name in active:
                 hours[name] += processing[name] * segment.fraction
         build_amounts = {
             name: inputs.view_stats[name].materialization_hours
             for name in record.views_built
         }
-        entries += self._epoch_entries(
+        splits += self._epoch_splits(
             record.build_cost,
             charges,
             build_amounts,
@@ -700,7 +713,7 @@ class SharedCostAttributor:
             self._infrastructure_weights(hours, active),
             active,
         )
-        return entries, hours
+        return _plan(splits, active), hours
 
     # -- the in-process route --------------------------------------------
 
@@ -728,15 +741,16 @@ class SharedCostAttributor:
         tenant no longer in the active set.
 
         The plan's products are computed in-process and merged by
-        :func:`merge_epoch`, the sharded route's merge: same bytes.
+        :func:`merge_epoch`, the sharded route's merge (same bytes);
+        each merged row becomes the tenant's record.
         """
         entries, hours = self.component_plan(
             problem, record, breakdown, tenants
         )
         active = self._active(tenants)
         return {
-            share.tenant: share
-            for share in merge_epoch(
+            row.tenant: row.record()
+            for row in merge_epoch(
                 record,
                 active,
                 entries,

@@ -429,8 +429,8 @@ def prorate(amount: Money, fractions: Sequence[float]) -> Tuple[Money, ...]:
     is the exact residual, absorbing any rounding of the products — so
     the prorated segments of one period always sum to the full-period
     charge to the last decimal digit (the billing-conservation
-    invariant; same construction as
-    :func:`repro.simulate.attribution.allocate_exactly`).
+    invariant; :func:`repro.simulate.attribution.merge_shares` gives
+    each attribution split's last tenant its residual the same way).
 
     This is the *standalone* splitter for one amount over many
     fractions.  The simulator itself never splits one amount — each

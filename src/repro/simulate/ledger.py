@@ -52,9 +52,10 @@ of a departing tenant's final footprint), each carried as
 ``(tenant, amount)`` pairs so attribution can charge them 100% to the
 tenant that caused them.  Tenant ledgers become *ragged* — a tenant
 has records only for the epochs it was present — and population-scale
-runs fold records shard-by-shard into :class:`TenantTotals`
-accumulators collected in a :class:`FleetSummary`, never materializing
-the full per-tenant record matrix in memory.
+runs fold the merge's :class:`ShareRow`\\ s (one tenant-epoch's charges
+as raw ``Decimal``\\ s) into :class:`TenantTotals` accumulators
+collected in a :class:`FleetSummary`, never building a record per
+tenant-epoch nor materializing the per-tenant matrix in memory.
 """
 
 from __future__ import annotations
@@ -62,8 +63,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import cached_property, reduce
-from operator import add, attrgetter
-from typing import Dict, Generic, Iterator, List, Mapping, Optional, Tuple, TypeVar
+from operator import add, attrgetter, itemgetter
+from typing import (
+    Callable,
+    Dict,
+    Generic,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+    Union,
+)
 
 from ..bill import COMPONENTS, FLEET_CHARGES
 from ..errors import SimulationError
@@ -74,6 +88,7 @@ __all__ = [
     "EpochSegment",
     "FleetLedger",
     "FleetSummary",
+    "ShareRow",
     "SimulationLedger",
     "TenantEpochRecord",
     "TenantLedger",
@@ -91,6 +106,8 @@ _OPERATING = next(c for c in FLEET_CHARGES if c.name == "operating").parts
 _fleet_amounts = attrgetter(*(charge.field for charge in FLEET_CHARGES))
 _tenant_amounts = attrgetter(*_TENANT_FIELDS)
 _operating_amounts = attrgetter(*_OPERATING)
+#: A tenant record's charges as raw ``Decimal``\ s, in fold order.
+_raw_amounts = attrgetter(*(f"{field}.amount" for field in _TENANT_FIELDS))
 
 _Record = TypeVar("_Record")
 
@@ -468,6 +485,13 @@ class TenantEpochRecord:
         """Steady-state share: the parts of the fleet's operating charge."""
         return reduce(add, _operating_amounts(self))
 
+    @property
+    def amounts(self) -> Tuple[Decimal, ...]:
+        """The charges as raw ``Decimal``\\ s, in
+        :data:`~repro.bill.COMPONENTS` order: the view
+        :meth:`TenantTotals.fold` reads, as on a :class:`ShareRow`."""
+        return _raw_amounts(self)
+
     @cached_property
     def total_cost(self) -> Money:
         """Everything attributed to the tenant this epoch, folded in
@@ -500,6 +524,32 @@ class TenantEpochRecord:
 _ALWAYS_INVOICED = ("processing", "maintenance", "storage", "transfer", "build", "teardown")
 _INVOICE = [c for name in _ALWAYS_INVOICED for c in COMPONENTS if c.name == name]
 _INVOICE += [c for c in COMPONENTS if c.name not in _ALWAYS_INVOICED]
+
+
+class ShareRow(NamedTuple):
+    """One tenant's share of one epoch, as the attribution merge
+    streams it: the charges as raw ``Decimal``\\ s in
+    :data:`~repro.bill.COMPONENTS` order, the very objects a
+    :class:`TenantEpochRecord` wraps in ``Money``.
+
+    :class:`TenantTotals` folds :attr:`amounts` directly; :meth:`record`
+    builds the full record for a consumer that keeps it.
+    """
+
+    epoch: int
+    tenant: str
+    #: The tenant's own frequency-weighted processing hours this epoch.
+    processing_hours: float
+    amounts: Tuple[Decimal, ...]
+
+    def record(self) -> TenantEpochRecord:
+        """The :class:`TenantEpochRecord` holding this share."""
+        return TenantEpochRecord(
+            epoch=self.epoch,
+            tenant=self.tenant,
+            processing_hours=self.processing_hours,
+            **dict(zip(_TENANT_FIELDS, map(Money, self.amounts))),
+        )
 
 
 class TenantLedger(_EpochLedger[TenantEpochRecord]):
@@ -657,8 +707,19 @@ class FleetLedger(_FleetBooks[TenantLedger]):
 # ---------------------------------------------------------------------------
 
 
-#: One record's charges as raw ``Decimal``\ s, in fold order.
-_record_amounts = attrgetter(*(f"{field}.amount" for field in _TENANT_FIELDS))
+def _charge_reader(parts: Sequence[str]) -> Callable[[Sequence[Decimal]], Decimal]:
+    """Reads one fleet charge off a tenant's folded amounts: its
+    ``parts`` added in fold order through Money's context, the additions
+    the Money-valued properties make."""
+    pick = itemgetter(*(_TENANT_FIELDS.index(part) for part in parts))
+    if len(parts) == 1:
+        return pick
+    return lambda amounts: reduce(MONEY_CONTEXT.add, pick(amounts))
+
+
+#: Each fleet charge's reader, in :data:`~repro.bill.FLEET_CHARGES` order.
+_CHARGE_READERS = tuple(_charge_reader(charge.parts) for charge in FLEET_CHARGES)
+_operating_of = _charge_reader(_OPERATING)
 
 
 def _with_charge_totals(cls):
@@ -673,18 +734,20 @@ def _with_charge_totals(cls):
 
 @_with_charge_totals
 class TenantTotals:
-    """One tenant's lifetime totals, folded record-by-record.
+    """One tenant's lifetime totals, folded share by share.
 
     The streaming counterpart of :class:`TenantLedger`: instead of
     keeping every :class:`TenantEpochRecord`, it accumulates each
-    component total as records stream past — O(1) memory per tenant
+    component total as shares stream past — O(1) memory per tenant
     regardless of horizon, which is what lets a 10⁴-tenant run merge
     shard outputs without materializing the full per-tenant matrix.
-    Folding the same records in the same order as a
+    Folding the same shares in the same order as a
     :class:`TenantLedger` would hold produces totals exactly equal to
     the ledger's: each component is summed as a raw ``Decimal`` through
     Money's own context (the additions Money would make, in identical
-    sequence) and read back as :class:`~repro.money.Money`.
+    sequence).  The totals, the CSV row and the books check read those
+    columns directly and wrap a result in
+    :class:`~repro.money.Money` only where one is returned.
     """
 
     __slots__ = (
@@ -704,38 +767,41 @@ class TenantTotals:
         self.first_epoch: Optional[int] = None
         self.last_epoch: Optional[int] = None
 
-    def fold(self, record: TenantEpochRecord) -> None:
-        """Accumulate one epoch record (must belong to this tenant,
-        and arrive in epoch order)."""
-        if record.tenant != self.tenant:
+    def fold(self, share: Union[ShareRow, TenantEpochRecord]) -> None:
+        """Accumulate one epoch's share: a :class:`ShareRow` or a
+        :class:`TenantEpochRecord`, read through the same ``amounts``
+        (must belong to this tenant, and arrive in epoch order)."""
+        if share.tenant != self.tenant:
             raise SimulationError(
-                f"record for tenant {record.tenant!r} folded into "
+                f"record for tenant {share.tenant!r} folded into "
                 f"{self.tenant!r}'s totals"
             )
-        if self.last_epoch is not None and record.epoch <= self.last_epoch:
+        if self.last_epoch is not None and share.epoch <= self.last_epoch:
             raise SimulationError(
-                f"tenant {self.tenant!r}: epoch {record.epoch} folded "
+                f"tenant {self.tenant!r}: epoch {share.epoch} folded "
                 f"after epoch {self.last_epoch}"
             )
-        self._sums = list(
-            map(MONEY_CONTEXT.add, self._sums, _record_amounts(record))
-        )
-        self.processing_hours += record.processing_hours
+        self._sums = list(map(MONEY_CONTEXT.add, self._sums, share.amounts))
+        self.processing_hours += share.processing_hours
         self.n_records += 1
         if self.first_epoch is None:
-            self.first_epoch = record.epoch
-        self.last_epoch = record.epoch
+            self.first_epoch = share.epoch
+        self.last_epoch = share.epoch
 
     @property
     def operating_cost(self) -> Money:
         """Lifetime steady-state share."""
-        return reduce(add, _operating_amounts(self))
+        return Money(_operating_of(self._sums))
+
+    def _total(self) -> Decimal:
+        """The lifetime bill as a raw ``Decimal``."""
+        return reduce(MONEY_CONTEXT.add, self._sums)
 
     @property
     def total_cost(self) -> Money:
         """The tenant's lifetime attributed bill, folded in
         :data:`~repro.bill.COMPONENTS` order."""
-        return reduce(add, _tenant_amounts(self))
+        return Money(self._total())
 
     #: CSV column names for :meth:`row`, in order: one per charge.
     CSV_HEADER = (
@@ -756,7 +822,7 @@ class TenantTotals:
             "" if self.first_epoch is None else str(self.first_epoch),
             "" if self.last_epoch is None else str(self.last_epoch),
             str(self.n_records),
-            str(self.total_cost.amount),
+            str(self._total()),
             *map(str, self._sums),
             f"{self.processing_hours:.10g}",
         )
@@ -809,12 +875,17 @@ class FleetSummary(_FleetBooks[TenantTotals]):
 
     def verify_totals(self) -> None:
         """Assert the books balance: per-charge tenant totals sum
-        exactly to the fleet ledger's lifetime totals."""
-        totals = list(self._tenants.values())
+        exactly to the fleet ledger's lifetime totals.
+
+        Each charge is summed over the tenants' folded columns in fleet
+        order from zero, the additions a sum of the Money-valued
+        properties makes, and wrapped in Money once."""
+        folded = [totals._sums for totals in self._tenants.values()]
+        add, zero = MONEY_CONTEXT.add, ZERO.amount
         check_books("lifetime {}: tenant totals", (
             (charge.name, getattr(self._fleet, f"total_{charge.field}"),
-             sum((getattr(t, charge.field) for t in totals), ZERO))
-            for charge in FLEET_CHARGES
+             Money(reduce(add, map(read, folded), zero)))
+            for charge, read in zip(FLEET_CHARGES, _CHARGE_READERS)
         ))
 
     def summary(self) -> str:

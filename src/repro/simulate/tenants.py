@@ -75,7 +75,7 @@ from .events import (
     TenantRoster,
 )
 from .ledger import (
-    FleetLedger, FleetSummary, SimulationLedger, TenantLedger, TenantTotals,
+    FleetLedger, FleetSummary, ShareRow, SimulationLedger, TenantLedger, TenantTotals,
 )
 from .policy import ReselectionPolicy
 from .problems import EpochProblemBuilder
@@ -551,11 +551,12 @@ class MultiTenantSimulator:
         :meth:`run_sharded`; returns the fleet's own ledger.
 
         ``route(problem, record, breakdown, tenants)`` yields an
-        epoch's tenant records in global tenant order (``tenants`` is
-        the active set of an elastic fleet, else ``None``).  Each
-        record goes to ``sink`` and, in that order and in this process,
-        to the explain fold, so the explain stream does not depend on
-        the route.
+        epoch's tenant shares in global tenant order (``tenants`` is
+        the active set of an elastic fleet, else ``None``): records, or
+        :class:`~repro.simulate.ledger.ShareRow`\\ s on the streaming
+        route.  Each share goes to ``sink`` and, in that order and in
+        this process, to the explain fold as a record, so the explain
+        stream does not depend on the route.
         """
         elastic = self._fleet.is_elastic
         telemetry = current_telemetry()
@@ -573,6 +574,8 @@ class MultiTenantSimulator:
             for share in route(problem, record, breakdown, active):
                 sink(share)
                 if fold is not None:
+                    if isinstance(share, ShareRow):
+                        share = share.record()
                     explain.emit(fold.feed(share))
             if telemetry.enabled and (record.arrivals or record.departures):
                 telemetry.inc("fleet.arrivals", len(record.arrivals))
@@ -625,12 +628,14 @@ class MultiTenantSimulator:
         The population-scale route of :meth:`run`'s observer: each
         epoch's products are partitioned into ``shards`` contiguous
         tenant ranges (evaluated across ``jobs`` worker processes when
-        ``jobs > 1``), and the record stream is folded into
-        :class:`~repro.simulate.ledger.TenantTotals` — the tenant x
-        epoch record matrix is never materialized.  Both routes share
-        one plan and one merge, so the totals are byte-identical for
-        any ``shards`` / ``jobs`` and equal to :meth:`run`'s ledgers
-        folded record by record.
+        ``jobs > 1``), and the stream of
+        :class:`~repro.simulate.ledger.ShareRow`\\ s is folded into
+        :class:`~repro.simulate.ledger.TenantTotals` — no record is
+        built unless an explain log is active, and the tenant x epoch
+        matrix is never materialized.  Both routes share one plan and
+        one merge, so the totals are byte-identical for any ``shards``
+        / ``jobs`` and equal to :meth:`run`'s ledgers folded record by
+        record.
         """
         from .sharding import ShardedAttribution
 

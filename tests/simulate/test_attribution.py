@@ -4,23 +4,53 @@ from __future__ import annotations
 
 import random
 from decimal import Decimal
+from typing import Dict, Mapping, Sequence
 
 import pytest
 
+from repro.bill import COMPONENTS
 from repro.errors import SimulationError
 from repro.money import Money, ZERO
-from repro.simulate import (
-    SharedCostAttributor,
-    allocate_exactly,
-    tenant_of_query,
-)
+from repro.simulate import SharedCostAttributor, tenant_of_query
 from repro.simulate.attribution import (
     AllocationEntry,
+    _plan,
     merge_shares,
     shard_payload,
     shard_products,
 )
+from repro.simulate.ledger import ShareRow, TenantEpochRecord, TenantTotals
 from repro.simulate.sharding import shard_bounds
+
+
+def allocate_exactly(
+    amount: Money, weights: Mapping[str, float], order: Sequence[str]
+) -> Dict[str, Money]:
+    """Split ``amount`` by ``weights`` so the shares sum to it exactly.
+
+    The reference form of one plan entry's split, in plain Money
+    arithmetic: every tenant but the last gets ``amount * (weight /
+    total_weight)``; the last gets the exact residual, which absorbs
+    any rounding of the products.  Zero (or degenerate) total weight
+    falls back to an even split — a charge must never vanish just
+    because nobody's weight registered.  The attribution routes run it
+    as :func:`shard_products` plus :func:`merge_shares`, which the
+    property tests below hold repr-equal to this function.
+    """
+    if not order:
+        raise SimulationError("cannot allocate a charge to zero tenants")
+    total_weight = sum(max(0.0, weights.get(name, 0.0)) for name in order)
+    if total_weight <= 0.0:
+        weights = {name: 1.0 for name in order}
+        total_weight = float(len(order))
+    shares: Dict[str, Money] = {}
+    running = ZERO
+    for name in order[:-1]:
+        share = amount * (max(0.0, weights.get(name, 0.0)) / total_weight)
+        shares[name] = share
+        running = running + share
+    shares[order[-1]] = amount - running
+    return shares
 
 
 class TestAllocateExactly:
@@ -81,6 +111,60 @@ def _draw_weights(rng, order):
     }
 
 
+def _draw_amount(rng):
+    """A Money amount of up to 30 digits at any exponent, mostly
+    positive."""
+    coefficient = rng.randint(0, 10 ** rng.randint(1, 30))
+    return Money(
+        Decimal(rng.choice((1, 1, 1, -1)) * coefficient).scaleb(
+            rng.randint(-40, 4)
+        )
+    )
+
+
+def _draw_plan(rng, order, mode):
+    """One epoch's splits in the shape ``component_plan`` gives them.
+
+    One to three billing periods of operating splits (processing,
+    transfer, maintenance, base storage, view storage), then build,
+    teardown, migration and cancelled.  Proportional mode splits
+    processing, base storage and the three one-offs by one mapping, the
+    processing weights; even mode splits base storage by one constant
+    mapping and the one-offs by another.  Storage always takes two
+    entries per period.
+    """
+    splits = []
+    for _ in range(rng.randint(1, 3)):
+        processing = _draw_weights(rng, order)
+        if mode == "proportional":
+            infrastructure = processing
+        else:
+            infrastructure = {name: 1.0 for name in order}
+        splits += [
+            ("processing_cost", _draw_amount(rng), processing),
+            ("transfer_cost", _draw_amount(rng), _draw_weights(rng, order)),
+            ("maintenance_cost", _draw_amount(rng), _draw_weights(rng, order)),
+            ("storage_cost", _draw_amount(rng), infrastructure),
+            ("storage_cost", _draw_amount(rng), _draw_weights(rng, order)),
+        ]
+    if mode != "proportional":
+        infrastructure = {name: 1.0 for name in order}
+    splits.append(("build_cost", _draw_amount(rng), _draw_weights(rng, order)))
+    for field in ("teardown_cost", "migration_cost", "cancelled_cost"):
+        splits.append((field, _draw_amount(rng), infrastructure))
+    return splits
+
+
+def _merged(entries, n, shards):
+    """The plan merged from ``shards`` shards, as the routes do: the
+    last tenant takes the residual, so no shard computes its product."""
+    products = [
+        shard_products(shard_payload(entries, start, min(stop, n - 1)))
+        for start, stop in shard_bounds(n, shards)
+    ]
+    return merge_shares(entries, n, products)
+
+
 class TestMergeMatchesReference:
     """No route calls ``allocate_exactly`` any more; the merge must stay
     repr-equal to it, whatever the shard split."""
@@ -90,12 +174,7 @@ class TestMergeMatchesReference:
         for draw in range(200):
             n = rng.randint(1, 7)
             order = [f"t{i}" for i in range(n)]
-            coefficient = rng.randint(0, 10 ** rng.randint(1, 30))
-            amount = Money(
-                Decimal(rng.choice((1, 1, 1, -1)) * coefficient).scaleb(
-                    rng.randint(-40, 4)
-                )
-            )
+            amount = _draw_amount(rng)
             weights = _draw_weights(rng, order)
             expected = [
                 repr(share)
@@ -103,17 +182,91 @@ class TestMergeMatchesReference:
             ]
             entry = AllocationEntry.of("build_cost", amount, weights, order)
             for shards in range(1, n + 3):
-                # As the routes do: the last tenant takes the residual,
-                # so no shard computes its product.
-                products = [
-                    shard_products(shard_payload((entry,), start, min(stop, n - 1)))
-                    for start, stop in shard_bounds(n, shards)
-                ]
-                merged = merge_shares((entry,), n, products)["build_cost"]
+                merged = _merged((entry,), n, shards)["build_cost"]
                 assert [repr(Money(share)) for share in merged] == expected, (
                     f"draw {draw}: {n} tenants on {shards} shards, "
                     f"amount {amount!r}, weights {weights!r}"
                 )
+
+    @pytest.mark.parametrize("mode", ("proportional", "even"))
+    def test_plan_merge_is_per_entry_reference(self, mode):
+        """Entries sharing a weight vector, constant even-mode weights
+        and two entries on one field merge to the per-entry reference
+        splits, folded into columns in plan order."""
+        rng = random.Random(f"plan-{mode}")
+        for draw in range(60):
+            n = rng.randint(1, 7)
+            order = [f"t{i}" for i in range(n)]
+            splits = _draw_plan(rng, order, mode)
+            expected: Dict[str, list] = {}
+            for field, amount, weights in splits:
+                shares = list(allocate_exactly(amount, weights, order).values())
+                column = expected.get(field)
+                expected[field] = (
+                    shares
+                    if column is None
+                    else [a + b for a, b in zip(column, shares)]
+                )
+            entries = _plan(splits, order)
+            # Entries splitting by one mapping ship one vector, and
+            # every entry's vector is its own normalized weights.
+            vectors, work = shard_payload(entries, 0, n)
+            vector_of = {}
+            for (_, _, weights), entry, (amount, index) in zip(splits, entries, work):
+                assert vector_of.setdefault(id(weights), index) == index
+                assert vectors[index] == (entry.weights, entry.total)
+                assert amount is entry.amount.amount
+            assert len(vectors) <= len(vector_of) < len(splits)
+            for shards in range(1, n + 3):
+                merged = _merged(entries, n, shards)
+                assert {
+                    field: [repr(Money(share)) for share in column]
+                    for field, column in merged.items()
+                } == {
+                    field: [repr(share) for share in column]
+                    for field, column in expected.items()
+                }, f"draw {draw}: {n} tenants on {shards} shards ({mode})"
+
+
+class TestTenantTotalsFold:
+    def test_rows_and_records_fold_to_equal_rows(self):
+        """A share folds the same as a row or as its record: one fold
+        reads both through ``amounts``."""
+        rng = random.Random(7)
+        by_rows, by_records = TenantTotals("t"), TenantTotals("t")
+        for epoch in range(6):
+            record = TenantEpochRecord(
+                epoch=epoch,
+                tenant="t",
+                processing_hours=rng.random() * 100,
+                # Zero products keep their exponent (``0E-19``).
+                **{
+                    field: rng.choice(
+                        (_draw_amount(rng), Money(Decimal("0E-19")), ZERO)
+                    )
+                    for field in (component.field for component in COMPONENTS)
+                },
+            )
+            row = ShareRow(epoch, "t", record.processing_hours, record.amounts)
+            assert row.record() == record
+            by_rows.fold(row)
+            by_records.fold(record)
+        assert by_rows.row() == by_records.row()
+        assert repr(by_rows.total_cost) == repr(by_records.total_cost)
+        assert repr(by_rows.operating_cost) == repr(by_records.operating_cost)
+
+    @pytest.mark.parametrize("as_record", (False, True), ids=("row", "record"))
+    def test_fold_refuses_other_tenants_and_past_epochs(self, as_record):
+        def share(epoch, tenant):
+            row = ShareRow(epoch, tenant, 0.0, (ZERO.amount,) * len(COMPONENTS))
+            return row.record() if as_record else row
+
+        totals = TenantTotals("t")
+        with pytest.raises(SimulationError, match="tenant 'u' folded into 't'"):
+            totals.fold(share(0, "u"))
+        totals.fold(share(1, "t"))
+        with pytest.raises(SimulationError, match="epoch 1 folded after epoch 1"):
+            totals.fold(share(1, "t"))
 
 
 class TestTenantOfQuery:

@@ -259,3 +259,28 @@ class TestUnbalancedBooksReportExactAmounts:
             f"lifetime {charge}: tenant totals",
             getattr(ledger.fleet, f"total_{charge}_cost"),
         )
+
+
+class TestDuplicateActiveTenants:
+    """A name listed twice in the active split would take two columns
+    of every split while its queries fill one; the doubled column
+    still balances the merge's books, so both routes must refuse it."""
+
+    DOUBLED = ("a", "c", "c")
+
+    def test_in_process_route_rejects(self, elastic_sim, captured_epochs):
+        record, problem, breakdown = captured_epochs[0]
+        with pytest.raises(SimulationError, match=r"duplicate active tenants \['c'\]"):
+            elastic_sim.attributor.attribute(
+                problem, record, breakdown, tenants=self.DOUBLED
+            )
+
+    def test_streaming_route_rejects(self, elastic_sim, captured_epochs):
+        record, problem, breakdown = captured_epochs[0]
+        sharded = ShardedAttribution(elastic_sim.attributor, shards=2)
+        with pytest.raises(SimulationError, match=r"duplicate active tenants \['c'\]"):
+            list(
+                sharded.attribute_streaming(
+                    problem, record, breakdown, tenants=self.DOUBLED
+                )
+            )
