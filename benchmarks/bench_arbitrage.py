@@ -47,9 +47,11 @@ def test_arbitrage_sweep_cold(benchmark, phase_breakdown):
 
     ledger, simulator = benchmark(run)
     assert len(ledger) == EPOCHS
-    # The sweep really priced counterfactual worlds, not just the
-    # active one: one (dataset, deployment) world per distinct book.
-    assert simulator.builder.worlds_built > EPOCHS // 2
+    # The sweep really built counterfactual problems, not just the
+    # active one: one problem per distinct (state, book).  Books share
+    # the cluster, so every one re-bills one (dataset, cluster) world.
+    assert simulator.builder.problems_cached > EPOCHS // 2
+    assert simulator.builder.worlds_built == 1
     phase_breakdown(run)
 
 

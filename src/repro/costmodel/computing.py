@@ -17,6 +17,7 @@ rounds the *total* 50 h, not each query.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from ..errors import CostModelError
@@ -63,9 +64,12 @@ class ComputingBreakdown:
     materialization_cost: Money
     maintenance_cost: Money
 
-    @property
+    @cached_property
     def total(self) -> Money:
-        """Formula 6: Cc = CprocessingQ + CmaintenanceV + CmaterializationV."""
+        """Formula 6: Cc = CprocessingQ + CmaintenanceV + CmaterializationV.
+
+        Summed on first read.
+        """
         return self.processing_cost + self.maintenance_cost + self.materialization_cost
 
     @property

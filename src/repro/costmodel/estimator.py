@@ -26,14 +26,18 @@ The estimator's two pricing primitives are public so incremental
 callers (the lifecycle simulator's epoch builder) can reuse priced
 pieces instead of rebuilding whole worlds: :meth:`~PlanningEstimator.
 view_statistics` prices a candidate catalogue once per (dataset,
-deployment), and :meth:`~PlanningEstimator.price_query` prices one
-query against those statistics.  :meth:`~PlanningEstimator.build` is
-the batch composition of the two.
+cluster), and :meth:`~PlanningEstimator.price_query` prices one
+query against those statistics.  Both estimate hours and sizes, which
+no price depends on, so they hold under every price book that shares
+the deployment's :meth:`~repro.costmodel.params.DeploymentSpec.
+physics_key`.  :meth:`~PlanningEstimator.build` is the batch
+composition of the two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import AbstractSet, Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
 
 from ..cube.build_plan import plan_builds
@@ -96,39 +100,53 @@ class PlanningInputs:
                 return candidate
         raise CostModelError(f"no candidate view named {name!r}")
 
+    @cached_property
+    def _known_names(self) -> FrozenSet[str]:
+        """Every candidate view's name, collected once per inputs."""
+        return frozenset(c.name for c in self.candidates)
+
     def check_subset(self, subset: AbstractSet[str]) -> FrozenSet[str]:
         """Validate a set of candidate names."""
-        known = {c.name for c in self.candidates}
-        unknown = set(subset) - known
-        if unknown:
-            raise CostModelError(f"unknown candidate views: {sorted(unknown)}")
+        known = self._known_names
+        if not known.issuperset(subset):
+            raise CostModelError(
+                f"unknown candidate views: {sorted(set(subset) - known)}"
+            )
         return frozenset(subset)
+
+    def best_sources_with(
+        self, subset: AbstractSet[str]
+    ) -> Tuple[Dict[str, float], Dict[str, str]]:
+        """Per-query t_iV under ``subset``, and the view each query reads.
+
+        t_iV is the minimum over answering views, capped by base.  A
+        query has a view entry only if a selected view beats the base
+        table; a tie keeps the first view the subset yields.
+        """
+        subset = self.check_subset(subset)
+        hours: Dict[str, float] = {}
+        sources: Dict[str, str] = {}
+        for query in self.workload:
+            name = query.name
+            best = self.base_query_hours[name]
+            source: Optional[str] = None
+            for view_name in subset:
+                t = self.view_query_hours.get((name, view_name))
+                if t is not None and t < best:
+                    best = t
+                    source = view_name
+            hours[name] = best
+            if source is not None:
+                sources[name] = source
+        return hours, sources
 
     def best_source(self, query_name: str, subset: AbstractSet[str]) -> Optional[str]:
         """The selected view answering ``query_name`` fastest, if any beats base."""
-        base = self.base_query_hours[query_name]
-        best_name: Optional[str] = None
-        best_hours = base
-        for view_name in subset:
-            hours = self.view_query_hours.get((query_name, view_name))
-            if hours is not None and hours < best_hours:
-                best_hours = hours
-                best_name = view_name
-        return best_name
+        return self.best_sources_with(subset)[1].get(query_name)
 
     def query_hours_with(self, subset: AbstractSet[str]) -> Dict[str, float]:
         """Per-query t_iV under ``subset`` (min over answering views, capped by base)."""
-        subset = self.check_subset(subset)
-        hours: Dict[str, float] = {}
-        for query in self.workload:
-            base = self.base_query_hours[query.name]
-            best = base
-            for view_name in subset:
-                t = self.view_query_hours.get((query.name, view_name))
-                if t is not None and t < best:
-                    best = t
-            hours[query.name] = best
-        return hours
+        return self.best_sources_with(subset)[0]
 
     def processing_hours(self, subset: AbstractSet[str]) -> float:
         """Formula 9: T_processingQ under ``subset``, frequency-weighted."""
@@ -291,9 +309,9 @@ class PlanningEstimator:
 
         Materialization scans the dataset and writes the view out (the
         write amplification factor); maintenance is one incremental job
-        per cycle over the delta.  Depends only on (dataset,
-        deployment), so incremental callers compute it once and reuse
-        it across workloads.
+        per cycle over the delta.  Depends only on the dataset and the
+        deployment's physics key, so incremental callers compute it
+        once and reuse it across workloads and price books.
         """
         dep = self._deployment
         dataset_gb = self._dataset.logical_size_gb

@@ -112,6 +112,23 @@ class DeploymentSpec:
         return (
             self.provider.fingerprint(),
             self.instance_type,
+        ) + self.physics_key()
+
+    def physics_key(self) -> Tuple:
+        """A hashable identity of the cluster, price book left out.
+
+        Every field but ``provider``, with the instance type reduced to
+        its :attr:`compute_units`.  Two deployments with equal physics
+        keys take the same hours for every job and maintenance cycle,
+        so view statistics and query pricings estimated under one hold
+        under the other; only the rates that bill those hours differ.
+        Compute units stand in for the instance because
+        :meth:`job_hours` reads nothing else of it, and maintenance
+        ``CHEAPEST`` compares hours, not prices: a price book that
+        rents a same-named instance at another speed gets another key.
+        """
+        return (
+            self.compute_units,
             self.n_instances,
             self.timing,
             self.storage_months,

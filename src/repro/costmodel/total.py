@@ -12,6 +12,7 @@ prices a plan against a deployment, returning a full
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 from ..errors import CostModelError
@@ -80,9 +81,9 @@ class CostBreakdown:
     transfer: Money
     processing_hours: float
 
-    @property
+    @cached_property
     def total(self) -> Money:
-        """C = Cc + Cs + Ct."""
+        """C = Cc + Cs + Ct, summed on first read."""
         return self.computing.total + self.storage + self.transfer
 
     def summary(self) -> str:

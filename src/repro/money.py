@@ -169,9 +169,10 @@ class Money:
         return self._amount < other._amount
 
     def __hash__(self) -> int:
-        # Normalize so Money('1.0') and Money('1.00') hash identically,
-        # matching __eq__ (Decimal("1.0") == Decimal("1.00")).
-        return hash(self._amount.normalize())
+        # Decimal hashes by value, so Money('1.0') and Money('1.00')
+        # hash identically, matching __eq__ (Decimal("1.0") ==
+        # Decimal("1.00")), with no normalized copy per hash.
+        return hash(self._amount)
 
     def __bool__(self) -> bool:
         return self._amount != 0

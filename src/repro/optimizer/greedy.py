@@ -21,7 +21,7 @@ Two extra passes make it robust:
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from ..errors import InfeasibleProblemError
 from .problem import SelectionOutcome, SelectionProblem
@@ -59,18 +59,17 @@ def _best_addition(
     scenario: Scenario,
     current: FrozenSet[str],
 ) -> Optional[SelectionOutcome]:
-    base_key = scenario.key(problem.evaluate(current))
     best: Optional[SelectionOutcome] = None
+    best_key = scenario.key(problem.evaluate(current))
     for name in problem.candidate_names:
         if name in current:
             continue
         outcome = problem.evaluate(current | {name})
         if not scenario.feasible(outcome):
             continue
-        if scenario.key(outcome) >= base_key:
-            continue
-        if best is None or scenario.key(outcome) < scenario.key(best):
-            best = outcome
+        key = scenario.key(outcome)
+        if key < best_key:
+            best, best_key = outcome, key
     return best
 
 
@@ -79,6 +78,14 @@ def _drop_pass(
     scenario: Scenario,
     current: FrozenSet[str],
 ) -> FrozenSet[str]:
+    keys: Dict[FrozenSet[str], Tuple[float, ...]] = {}
+
+    def key_of(outcome: SelectionOutcome) -> Tuple[float, ...]:
+        key = keys.get(outcome.subset)
+        if key is None:
+            key = keys[outcome.subset] = scenario.key(outcome)
+        return key
+
     improved = True
     while improved:
         improved = False
@@ -87,7 +94,7 @@ def _drop_pass(
             outcome = problem.evaluate(trimmed)
             if not scenario.feasible(outcome):
                 continue
-            if scenario.key(outcome) < scenario.key(problem.evaluate(current)):
+            if key_of(outcome) < key_of(problem.evaluate(current)):
                 current = trimmed
                 improved = True
     return current

@@ -78,6 +78,8 @@ class StarSchema:
         if len(set(mnames)) != len(mnames):
             raise SchemaError(f"schema {name!r} has duplicate measure names")
         self._by_name: Dict[str, Dimension] = {d.name: d for d in self._dimensions}
+        #: (source, target) -> grain_answers, for grains that validated.
+        self._answers: Dict[Tuple[Grain, Grain], bool] = {}
         self._level_bytes = dict(level_bytes)
         for key in self._level_bytes:
             dim_name, _, level = key.partition(".")
@@ -166,14 +168,24 @@ class StarSchema:
 
         This is the lattice's partial order: the source must be
         finer-or-equal on *every* dimension (SUM is distributive, so
-        rolling up per dimension is always sound).
+        rolling up per dimension is always sound).  Each pair is
+        answered once per schema; only pairs whose grains both
+        validated are remembered, so a malformed grain raises
+        :class:`SchemaError` on every call.
         """
-        source = self.validate_grain(source)
-        target = self.validate_grain(target)
-        return all(
-            dim.hierarchy.is_finer_or_equal(s_level, t_level)
-            for dim, s_level, t_level in zip(self._dimensions, source, target)
-        )
+        key = (tuple(source), tuple(target))
+        answer = self._answers.get(key)
+        if answer is None:
+            source = self.validate_grain(key[0])
+            target = self.validate_grain(key[1])
+            answer = all(
+                dim.hierarchy.is_finer_or_equal(s_level, t_level)
+                for dim, s_level, t_level in zip(
+                    self._dimensions, source, target
+                )
+            )
+            self._answers[key] = answer
+        return answer
 
     # -- size model ---------------------------------------------------
 

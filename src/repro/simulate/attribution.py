@@ -459,7 +459,7 @@ class SharedCostAttributor:
         # the hours agree with PlanningInputs.group_processing_hours
         # per tenant (pinned by a test) without re-scanning the
         # workload once per tenant.
-        per_query = inputs.query_hours_with(subset)
+        per_query, sources = inputs.best_sources_with(subset)
         processing = {name: 0.0 for name in active}
         egress = {name: 0.0 for name in active}
         users: Dict[str, Dict[str, float]] = {}
@@ -474,7 +474,7 @@ class SharedCostAttributor:
             egress[tenant] += (
                 inputs.result_sizes_gb[query.name] * query.frequency
             )
-            source = inputs.best_source(query.name, subset)
+            source = sources.get(query.name)
             if source is not None:
                 users.setdefault(source, {}).setdefault(tenant, 0.0)
                 users[source][tenant] += query.frequency

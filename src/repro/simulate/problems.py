@@ -9,11 +9,17 @@ layers, coarsest first:
    epoch whose state is unchanged (or that returns to an earlier
    state) gets the *same* problem object back, with every subset it
    ever priced still memoized.
-2. **priced worlds** — per (dataset, deployment) world, candidate-view
+2. **priced worlds** — per (dataset, cluster) world, candidate-view
    statistics are computed once and each distinct query signature
    (grain + filters) is priced once.  Workload drift that adds one
    query prices one query; drops and re-weightings price nothing
-   (frequencies are applied at plan time, not pricing time).
+   (frequencies are applied at plan time, not pricing time).  The
+   cluster is the deployment's
+   :meth:`~repro.costmodel.params.DeploymentSpec.physics_key`: every
+   setting but the price book.  Hours do not depend on prices, so a
+   market quote, a spot reprice or another provider's book re-bills
+   the world's estimates instead of estimating them again; each
+   problem's inputs still carry its own deployment.
 3. **shared subset cache** — one
    :class:`~repro.optimizer.problem.SubsetEvaluationCache` spans every
    problem the builder creates, so multi-policy sweeps over the same
@@ -30,6 +36,7 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, Optional, Sequence, Tuple
 
 from ..costmodel.estimator import PlanningEstimator, PlanningInputs, QueryPricing
+from ..costmodel.params import DeploymentSpec
 from ..cube.views import CandidateView, ViewStats
 from ..optimizer.problem import (
     EvaluationStats,
@@ -47,11 +54,17 @@ _QuerySig = Tuple[Tuple[str, ...], tuple]
 
 
 class _PricedWorld:
-    """One (dataset, deployment) world with incrementally priced queries."""
+    """One (dataset, cluster) world with incrementally priced queries.
+
+    Estimates hours and sizes under the first state's deployment; every
+    deployment sharing its physics key takes the same hours, so the
+    statistics and pricings serve each of them, billed at its own rates.
+    """
 
     def __init__(
         self, state: WarehouseState, catalogue: Tuple[CandidateView, ...]
     ) -> None:
+        self._dataset = state.dataset
         self._estimator = PlanningEstimator(state.dataset, state.deployment)
         self._catalogue = catalogue
         self._view_stats: Dict[str, ViewStats] = (
@@ -68,8 +81,14 @@ class _PricedWorld:
         self._pricings[sig] = pricing
         return pricing, True
 
-    def inputs_for(self, workload: Workload) -> Tuple[PlanningInputs, int]:
-        """Planning inputs for ``workload``; returns (inputs, newly priced)."""
+    def inputs_for(
+        self, workload: Workload, deployment: DeploymentSpec
+    ) -> Tuple[PlanningInputs, int]:
+        """Planning inputs for ``workload`` billed under ``deployment``.
+
+        ``deployment`` must share this world's physics key.  Returns
+        (inputs, newly priced queries).
+        """
         fresh = 0
 
         def memoized(query) -> QueryPricing:
@@ -78,7 +97,9 @@ class _PricedWorld:
             fresh += int(priced_now)
             return pricing
 
-        inputs = self._estimator.assemble(
+        # assemble stamps the deployment and derives the base storage
+        # timeline from it, so each problem assembles under its own.
+        inputs = PlanningEstimator(self._dataset, deployment).assemble(
             workload, self._catalogue, self._view_stats, memoized
         )
         return inputs, fresh
@@ -143,9 +164,11 @@ class EpochProblemBuilder:
         self._worlds: Dict[Hashable, _PricedWorld] = {}
         #: Problems actually constructed (not served from the cache).
         self.builds = 0
-        #: Queries priced through the estimator (not reused).
+        #: Queries priced through the estimator (not reused), summed
+        #: over every (dataset, cluster) world.
         self.queries_priced = 0
-        #: Distinct (dataset, deployment) worlds instantiated.
+        #: Distinct (dataset, cluster) worlds instantiated; price books
+        #: sharing a cluster share one.
         self.worlds_built = 0
 
     @property
@@ -179,7 +202,7 @@ class EpochProblemBuilder:
         return total
 
     def _world_key(self, state: WarehouseState) -> Hashable:
-        return (state.dataset_key(), state.deployment.fingerprint())
+        return (state.dataset_key(), state.deployment.physics_key())
 
     def problem_for(self, state: WarehouseState) -> SelectionProblem:
         """The selection problem for ``state`` (cached by state key).
@@ -201,7 +224,7 @@ class EpochProblemBuilder:
             world = _PricedWorld(state, self._catalogue)
             self._worlds[world_key] = world
             self.worlds_built += 1
-        inputs, fresh = world.inputs_for(state.workload)
+        inputs, fresh = world.inputs_for(state.workload, state.deployment)
         self.queries_priced += fresh
         problem = SelectionProblem(inputs, cache=self._cache, state_key=key)
         self._problems[key] = problem

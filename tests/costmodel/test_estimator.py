@@ -9,7 +9,7 @@ from repro.costmodel import (
     DeploymentSpec,
     PlanningEstimator,
 )
-from repro.cube import CuboidLattice, candidates_from_workload
+from repro.cube import CandidateView, CuboidLattice, candidates_from_workload
 from repro.errors import CostModelError
 from repro.pricing import BillingGranularity, aws_2012
 from repro.workload import paper_sales_workload
@@ -163,6 +163,31 @@ class TestSubsetEvaluation:
                 other_hours = inputs.view_query_hours.get((query.name, other))
                 if other_hours is not None:
                     assert best_hours <= other_hours
+
+    def test_one_scan_gives_hours_and_sources_and_a_tie_keeps_the_first(
+        self, sales_dataset_10gb, deployment
+    ):
+        # Twin candidates on one grain answer a query in equal time;
+        # the source is the twin the subset yields first.
+        workload = paper_sales_workload(sales_dataset_10gb.schema, 5)
+        grain = next(iter(workload)).grain
+        twins = (CandidateView("A", grain), CandidateView("B", grain))
+        inputs = PlanningEstimator(sales_dataset_10gb, deployment).build(
+            workload, twins
+        )
+        subset = frozenset({"A", "B"})
+        hours, sources = inputs.best_sources_with(subset)
+        assert hours == inputs.query_hours_with(subset)
+        assert sources
+        for query in workload:
+            assert sources.get(query.name) == inputs.best_source(
+                query.name, subset
+            )
+            if query.name in sources:
+                assert sources[query.name] == next(iter(subset))
+                assert hours[query.name] < inputs.base_query_hours[query.name]
+            else:
+                assert hours[query.name] == inputs.base_query_hours[query.name]
 
     def test_plan_for_counts_views_once(self, inputs):
         subset = frozenset(c.name for c in inputs.candidates[:2])

@@ -5,8 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.costmodel import PlanningEstimator
+from repro.costmodel.maintenance import MaintenancePolicy
 from repro.cube import CuboidLattice
-from repro.optimizer import SubsetEvaluationCache
+from repro.engine.timing import ClusterTimingModel
+from repro.optimizer import SelectionProblem, SubsetEvaluationCache
 from repro.pricing.providers import archive_cloud
 from repro.simulate import EpochProblemBuilder, full_catalogue
 from repro.workload import AggregateQuery
@@ -179,4 +181,127 @@ class TestEpochProblemBuilder:
         # And the outcomes are literally shared.
         assert problem_b.evaluate(frozenset({"V1"})) is problem_a.evaluate(
             frozenset({"V1"})
+        )
+
+
+def _batch_inputs(state, catalogue):
+    """The batch path's inputs for ``state``: the reference world."""
+    return PlanningEstimator(state.dataset, state.deployment).build(
+        state.workload, catalogue
+    )
+
+
+def _replace_deployment(state, **changes):
+    from dataclasses import replace
+
+    return replace(state, deployment=replace(state.deployment, **changes))
+
+
+class TestPhysicsKeyedWorlds:
+    """Worlds are keyed by (dataset, cluster); price books share one."""
+
+    def test_price_books_share_one_world(self, builder, initial_state):
+        from repro.simulate import default_market, spot_repriced
+
+        market = default_market()
+        states = [initial_state.with_provider(book) for book in market]
+        states.append(
+            initial_state.with_provider(spot_repriced(market[0], 1.37))
+        )
+        builder.problem_for(states[0])
+        priced_after_first = builder.queries_priced
+        problems = [builder.problem_for(state) for state in states]
+        assert builder.worlds_built == 1
+        assert builder.queries_priced == priced_after_first
+        assert builder.builds == len(states)
+        for state, problem in zip(states, problems):
+            # Each problem keeps its own book: the stamped deployment
+            # and everything derived from it match the batch path's.
+            assert problem.inputs.deployment is state.deployment
+            assert (
+                problem.inputs.fingerprint()
+                == _batch_inputs(state, builder.catalogue).fingerprint()
+            )
+
+    def test_shared_world_bills_each_book_at_its_own_rates(
+        self, builder, initial_state
+    ):
+        from repro.pricing.providers import flat_cloud
+
+        aws = builder.problem_for(initial_state).evaluate(frozenset({"V1"}))
+        flat_state = initial_state.with_provider(flat_cloud())
+        flat = builder.problem_for(flat_state).evaluate(frozenset({"V1"}))
+        assert builder.worlds_built == 1
+        reference = SelectionProblem(_batch_inputs(flat_state, builder.catalogue))
+        assert flat.breakdown == reference.evaluate(frozenset({"V1"})).breakdown
+        assert flat.breakdown.total != aws.breakdown.total
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"instance_type": "large"},
+            {"n_instances": 3},
+            {"timing": ClusterTimingModel(job_overhead_s=90.0)},
+            {"materialization_write_factor": 3.0},
+            {"maintenance_policy": MaintenancePolicy.CHEAPEST},
+            {"maintenance_cycles": 7},
+            {"update_fraction_per_cycle": 0.05},
+            {"view_speedup_cap": 2.0},
+            {"storage_months": 6.0},
+            {"runs_per_period": 4.0},
+            {"cascade_materialization": True},
+        ],
+        ids=lambda changes: next(iter(changes)),
+    )
+    def test_cluster_change_opens_a_new_world(
+        self, builder, initial_state, changes
+    ):
+        changed = _replace_deployment(initial_state, **changes)
+        assert (
+            changed.deployment.physics_key()
+            != initial_state.deployment.physics_key()
+        )
+        builder.problem_for(initial_state)
+        problem = builder.problem_for(changed)
+        assert builder.worlds_built == 2
+        assert (
+            problem.inputs.fingerprint()
+            == _batch_inputs(changed, builder.catalogue).fingerprint()
+        )
+
+    def test_malformed_candidate_grain_fails_when_its_world_is_built(
+        self, builder, initial_state
+    ):
+        from repro.cube import CandidateView
+        from repro.errors import SchemaError
+
+        # A valid world first, so the schema's answerability memo is
+        # warm before the malformed grain arrives.
+        builder.problem_for(initial_state)
+        schema = initial_state.workload.schema
+        malformed = ("not-a-level",) * len(schema.dimensions)
+        bad = EpochProblemBuilder((CandidateView("bad", malformed),))
+        with pytest.raises(SchemaError):
+            bad.problem_for(initial_state)
+        query_grain = next(iter(initial_state.workload)).grain
+        for _ in range(2):
+            with pytest.raises(SchemaError):
+                schema.grain_answers(malformed, query_grain)
+            with pytest.raises(SchemaError):
+                schema.grain_answers(query_grain, malformed[1:])
+
+    def test_breakdown_totals_are_computed_once(self, builder, initial_state):
+        breakdown = (
+            builder.problem_for(initial_state)
+            .evaluate(frozenset({"V1", "V2"}))
+            .breakdown
+        )
+        assert breakdown.total is breakdown.total
+        assert breakdown.computing.total is breakdown.computing.total
+        assert breakdown.total == (
+            breakdown.computing.processing_cost
+            + breakdown.computing.maintenance_cost
+            + breakdown.computing.materialization_cost
+            + breakdown.storage
+            + breakdown.transfer
         )

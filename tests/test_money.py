@@ -5,7 +5,7 @@ from __future__ import annotations
 from decimal import Decimal
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.money import ZERO, Money, cents, dollars
@@ -98,6 +98,26 @@ class TestOrderingAndHashing:
     def test_trailing_zeros_do_not_affect_equality_or_hash(self):
         assert Money("1.0") == Money("1.00")
         assert hash(Money("1.0")) == hash(Money("1.00"))
+
+    @given(
+        amount=st.decimals(
+            min_value=Decimal("-1e12"),
+            max_value=Decimal("1e12"),
+            places=12,
+            allow_nan=False,
+            allow_infinity=False,
+        )
+    )
+    @example(amount=Decimal("-0"))
+    @example(amount=Decimal("0E-19"))
+    @example(amount=Decimal("1.0"))
+    @example(amount=Decimal("1.00"))
+    @example(amount=Decimal("1E+3"))
+    def test_hash_is_the_normalized_amounts_hash(self, amount):
+        # Hashing by value needs no normalized copy: every amount
+        # hashes like its normalized form, trailing zeros or not.
+        assert hash(Money(amount)) == hash(amount.normalize())
+        assert hash(Money(amount)) == hash(Money(amount.normalize()))
 
     def test_comparison_with_non_money_fails(self):
         with pytest.raises(TypeError):
