@@ -17,11 +17,10 @@ rounds the *total* 50 h, not each query.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
 from ..errors import CostModelError
-from ..money import Money, ZERO
+from ..money import MONEY_CONTEXT, Money, ZERO
 from ..pricing.compute import ComputePricing
 
 __all__ = ["ComputingBreakdown", "computing_cost", "view_computing_cost"]
@@ -55,7 +54,13 @@ def computing_cost(
 
 @dataclass(frozen=True)
 class ComputingBreakdown:
-    """Formula 6's three terms, with their input durations."""
+    """Formula 6's three terms, with their input durations.
+
+    ``total`` is Formula 6, Cc = CprocessingQ + CmaintenanceV +
+    CmaterializationV: a plain attribute summed once at construction
+    (``dataclasses.replace`` sums it again), not a field, so
+    ``fields()``, ``repr`` and ``==`` see the six inputs only.
+    """
 
     processing_hours: float
     materialization_hours: float
@@ -64,13 +69,13 @@ class ComputingBreakdown:
     materialization_cost: Money
     maintenance_cost: Money
 
-    @cached_property
-    def total(self) -> Money:
-        """Formula 6: Cc = CprocessingQ + CmaintenanceV + CmaterializationV.
-
-        Summed on first read.
-        """
-        return self.processing_cost + self.maintenance_cost + self.materialization_cost
+    def __post_init__(self) -> None:
+        add = MONEY_CONTEXT.add
+        total = add(
+            add(self.processing_cost.amount, self.maintenance_cost.amount),
+            self.materialization_cost.amount,
+        )
+        object.__setattr__(self, "total", Money(total))
 
     @property
     def total_hours(self) -> float:

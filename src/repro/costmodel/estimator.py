@@ -176,13 +176,13 @@ class PlanningInputs:
             if q.name in names
         )
 
-    def plan_for(self, subset: AbstractSet[str]) -> WorkloadPlan:
-        """The :class:`WorkloadPlan` a subset induces (empty = baseline)."""
-        subset = self.check_subset(subset)
-        per_query = self.query_hours_with(subset)
-        ordered = sorted(subset, key=lambda name: self.view(name).name)
-        stats = [self.view_stats[name] for name in ordered]
-        cycles = self.deployment.maintenance_cycles
+    def _build_hours(self, stats: Sequence[ViewStats]) -> Tuple[float, ...]:
+        """Formula 7's per-view build hours for ``stats``, in their order.
+
+        With cascade materialization the views build from each other
+        where the lattice allows (:func:`~repro.cube.build_plan.
+        plan_builds`); otherwise each scans the dataset once.
+        """
         if self.deployment.cascade_materialization and stats:
             plan = plan_builds(
                 self.workload.schema,
@@ -191,9 +191,40 @@ class PlanningInputs:
                 self.deployment.job_hours,
                 self.deployment.materialization_write_factor,
             )
-            materialization = tuple(plan.hours_for(s.view.name) for s in stats)
-        else:
-            materialization = tuple(s.materialization_hours for s in stats)
+            return tuple(plan.hours_for(s.view.name) for s in stats)
+        return tuple(s.materialization_hours for s in stats)
+
+    def materialization_hours(self, subset: AbstractSet[str]) -> Tuple[float, ...]:
+        """Build hours of each view in ``subset``, in sorted-name order.
+
+        The :attr:`~repro.costmodel.total.WorkloadPlan.
+        materialization_hours` of :meth:`plan_for`, without pricing the
+        workload's queries.
+        """
+        subset = self.check_subset(subset)
+        return self._build_hours([self.view_stats[name] for name in sorted(subset)])
+
+    def plan_for(
+        self,
+        subset: AbstractSet[str],
+        build_hours: Optional[Sequence[float]] = None,
+    ) -> WorkloadPlan:
+        """The :class:`WorkloadPlan` a subset induces (empty = baseline).
+
+        ``build_hours``, one value per view in sorted-name order,
+        replaces the views' own :meth:`materialization_hours` — say, to
+        charge only the views built this period.
+        """
+        subset = self.check_subset(subset)
+        per_query = self.query_hours_with(subset)
+        stats = [self.view_stats[name] for name in sorted(subset)]
+        if build_hours is None:
+            build_hours = self._build_hours(stats)
+        elif len(build_hours) != len(stats):
+            raise CostModelError(
+                f"{len(build_hours)} build hours for {len(stats)} views"
+            )
+        cycles = self.deployment.maintenance_cycles
         return WorkloadPlan(
             query_hours=tuple(
                 per_query[q.name] * q.frequency for q in self.workload
@@ -202,7 +233,7 @@ class PlanningInputs:
                 self.result_sizes_gb[q.name] * q.frequency for q in self.workload
             ),
             base_timeline=self.base_timeline,
-            materialization_hours=materialization,
+            materialization_hours=tuple(build_hours),
             maintenance_hours=tuple(
                 s.maintenance_hours_per_cycle * cycles for s in stats
             ),
@@ -295,9 +326,9 @@ class PlanningEstimator:
         selectivity = query.selectivity(schema)
         if selectivity >= 1.0:
             return estimate_group_count(schema, query.grain, logical_rows)
-        from ..engine.cardinality import expected_distinct, grain_space
+        from ..engine.cardinality import expected_distinct
 
-        space = max(1.0, grain_space(schema, query.grain) * selectivity)
+        space = max(1.0, schema.grain_space(query.grain) * selectivity)
         return expected_distinct(logical_rows * selectivity, space)
 
     # -- pricing primitives --------------------------------------------

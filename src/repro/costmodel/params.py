@@ -13,14 +13,21 @@ insertion events.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import Decimal
 from typing import List, Optional, Sequence, Tuple
 
 from ..engine.timing import ClusterTimingModel, paper_cluster
 from ..errors import CostModelError
+from ..money import to_decimal
 from ..pricing.providers import Provider, aws_2012
 from .maintenance import MaintenancePolicy
 
-__all__ = ["DeploymentSpec", "StorageInterval", "StorageTimeline"]
+__all__ = ["DeploymentSpec", "StorageInterval", "StorageTimeline", "StorageSteps"]
+
+#: A timeline's intervals as Formula 5's fold reads them: per interval,
+#: the insert deltas that land since the previous interval (added to the
+#: running volume in order) and the interval's months as a ``Decimal``.
+StorageSteps = Tuple[Tuple[Tuple[float, ...], Decimal], ...]
 
 
 @dataclass(frozen=True)
@@ -217,6 +224,7 @@ class StorageTimeline:
                 )
             if delta_gb < 0:
                 raise CostModelError("deletions are not modelled; delta >= 0")
+        self._steps: Optional[StorageSteps] = None
 
     @property
     def horizon_months(self) -> float:
@@ -250,16 +258,45 @@ class StorageTimeline:
             self._initial + extra_gb, self._horizon, self._inserts
         )
 
+    def _shape(self) -> List[Tuple[Tuple[float, ...], float, float]]:
+        """Per interval: the deltas landing since the last one, start, end.
+
+        Volume-free, so a timeline shifted by :meth:`with_extra_volume`
+        has the same shape.
+        """
+        shape: List[Tuple[Tuple[float, ...], float, float]] = []
+        pending: List[float] = []
+        start = 0.0
+        for month, delta_gb in self._inserts:
+            if month > start:
+                shape.append((tuple(pending), start, month))
+                pending = []
+                start = month
+            pending.append(delta_gb)
+        if self._horizon > start or not shape:
+            shape.append((tuple(pending), start, self._horizon))
+        return shape
+
     def intervals(self) -> List[StorageInterval]:
         """Constant-volume intervals covering [0, horizon]."""
         result: List[StorageInterval] = []
         volume = self._initial
-        start = 0.0
-        for month, delta_gb in self._inserts:
-            if month > start:
-                result.append(StorageInterval(start, month, volume))
-                start = month
-            volume += delta_gb
-        if self._horizon > start or not result:
-            result.append(StorageInterval(start, self._horizon, volume))
+        for deltas, start, end in self._shape():
+            for delta_gb in deltas:
+                volume += delta_gb
+            result.append(StorageInterval(start, end, volume))
         return result
+
+    def steps(self) -> StorageSteps:
+        """The intervals as :func:`~repro.costmodel.storage.storage_fold`
+        reads them (see :data:`StorageSteps`), converted once.
+
+        The same for every initial volume, so a caller pricing many
+        view-augmented volumes on one timeline reads them once.
+        """
+        if self._steps is None:
+            self._steps = tuple(
+                (deltas, to_decimal(end - start))
+                for deltas, start, end in self._shape()
+            )
+        return self._steps

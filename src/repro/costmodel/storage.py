@@ -13,11 +13,39 @@ considered storage period".
 
 from __future__ import annotations
 
-from ..money import Money, ZERO
-from ..pricing.storage import StoragePricing
-from .params import StorageTimeline
+from decimal import Decimal
 
-__all__ = ["storage_cost", "storage_cost_with_views"]
+from ..errors import CostModelError
+from ..money import MONEY_CONTEXT, Money, ZERO
+from ..pricing.storage import StoragePricing
+from ..pricing.tiers import RateTable, TierMode, tier_cost
+from .params import StorageSteps, StorageTimeline
+
+__all__ = ["storage_cost", "storage_cost_with_views", "storage_fold"]
+
+
+def storage_fold(
+    table: RateTable, mode: TierMode, initial_gb: float, steps: StorageSteps
+) -> Decimal:
+    """Formula 5 on raw Decimals: each interval's GB-month charge x months.
+
+    ``table`` and ``mode`` are the storage schedule's
+    :attr:`~repro.pricing.tiers.TierSchedule.rate_table` and mode,
+    ``initial_gb`` the volume stored from month 0 and ``steps`` the
+    timeline's :meth:`~repro.costmodel.params.StorageTimeline.steps`.
+    Folded from a ``ZERO`` seed in interval order; :func:`storage_cost`
+    and :func:`storage_cost_with_views` (which the evaluation kernel
+    memoizes) both price storage through it.
+    """
+    add = MONEY_CONTEXT.add
+    multiply = MONEY_CONTEXT.multiply
+    total = ZERO.amount
+    volume_gb = initial_gb
+    for deltas, months in steps:
+        for delta_gb in deltas:
+            volume_gb += delta_gb
+        total = add(total, multiply(tier_cost(table, mode, volume_gb), months))
+    return total
 
 
 def storage_cost(pricing: StoragePricing, timeline: StorageTimeline) -> Money:
@@ -31,10 +59,15 @@ def storage_cost(pricing: StoragePricing, timeline: StorageTimeline) -> Money:
     (The paper prints $2131.76 for this computation; its own formula
     yields $2101.76 — see EXPERIMENTS.md, "arithmetic discrepancies".)
     """
-    total = ZERO
-    for interval in timeline.intervals():
-        total = total + pricing.monthly_cost(interval.volume_gb) * interval.months
-    return total
+    schedule = pricing.schedule
+    return Money(
+        storage_fold(
+            schedule.rate_table,
+            schedule.mode,
+            timeline.initial_volume_gb,
+            timeline.steps(),
+        )
+    )
 
 
 def storage_cost_with_views(
@@ -48,5 +81,19 @@ def storage_cost_with_views(
     >>> base = StorageTimeline(500, 12)
     >>> storage_cost_with_views(aws_2012().storage, base, 50.0)  # Example 9
     Money('924.00')
+
+    The views raise the volume stored from month 0, as
+    :meth:`~repro.costmodel.params.StorageTimeline.with_extra_volume`
+    does; the timeline's steps stay as they are.
     """
-    return storage_cost(pricing, timeline.with_extra_volume(views_total_gb))
+    if views_total_gb < 0:
+        raise CostModelError("extra volume cannot be negative")
+    schedule = pricing.schedule
+    return Money(
+        storage_fold(
+            schedule.rate_table,
+            schedule.mode,
+            float(timeline.initial_volume_gb + views_total_gb),
+            timeline.steps(),
+        )
+    )

@@ -12,11 +12,10 @@ prices a plan against a deployment, returning a full
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Tuple
 
 from ..errors import CostModelError
-from ..money import Money
+from ..money import MONEY_CONTEXT, Money
 from .computing import ComputingBreakdown, view_computing_cost
 from .params import DeploymentSpec, StorageTimeline
 from .storage import storage_cost_with_views
@@ -74,17 +73,25 @@ class WorkloadPlan:
 
 @dataclass(frozen=True)
 class CostBreakdown:
-    """Formula 1's three terms, with computing further split (Formula 6)."""
+    """Formula 1's three terms, with computing further split (Formula 6).
+
+    ``total`` is C = Cc + Cs + Ct: a plain attribute summed once at
+    construction, like :class:`ComputingBreakdown`'s, and likewise not
+    a field.
+    """
 
     computing: ComputingBreakdown
     storage: Money
     transfer: Money
     processing_hours: float
 
-    @cached_property
-    def total(self) -> Money:
-        """C = Cc + Cs + Ct, summed on first read."""
-        return self.computing.total + self.storage + self.transfer
+    def __post_init__(self) -> None:
+        add = MONEY_CONTEXT.add
+        total = add(
+            add(self.computing.total.amount, self.storage.amount),
+            self.transfer.amount,
+        )
+        object.__setattr__(self, "total", Money(total))
 
     def summary(self) -> str:
         """One-line display used by reports and examples."""

@@ -22,7 +22,6 @@ import math
 from typing import Sequence
 
 from ..errors import EngineError
-from ..schema.hierarchy import ALL
 from ..schema.star import StarSchema
 
 __all__ = ["expected_distinct", "grain_space", "estimate_group_count"]
@@ -55,14 +54,11 @@ def grain_space(schema: StarSchema, grain: Sequence[str]) -> float:
     """Size of the group-key space at ``grain``.
 
     The product of level cardinalities (ALL contributes 1).  Returned
-    as a float because SSB's fine cuboids overflow int ranges.
+    as a float because SSB's fine cuboids overflow int ranges.  An
+    alias of :meth:`StarSchema.grain_space`, which computes it once
+    per grain.
     """
-    grain = schema.validate_grain(grain)
-    space = 1.0
-    for dim, level in zip(schema.dimensions, grain):
-        if level != ALL:
-            space *= dim.cardinality(level)
-    return space
+    return schema.grain_space(grain)
 
 
 def estimate_group_count(
@@ -71,5 +67,4 @@ def estimate_group_count(
     n_rows: float,
 ) -> float:
     """Expected result rows of a roll-up to ``grain`` over ``n_rows`` facts."""
-    space = grain_space(schema, grain)
-    return expected_distinct(n_rows, space)
+    return expected_distinct(n_rows, schema.grain_space(grain))

@@ -23,19 +23,25 @@ rules follow:
    is accumulated sequentially in the oracle's iteration order (never
    ``np.sum``, which is pairwise).
 2. Every :class:`~repro.money.Money` it returns comes from the *same*
-   Decimal billing calls (:func:`~repro.pricing.compute.ComputePricing
-   .cost`, :func:`~repro.costmodel.storage.storage_cost_with_views`,
-   :func:`~repro.costmodel.transfer.transfer_cost`) the oracle makes —
-   just memoized by their float inputs, which is sound because Decimal
-   arithmetic is a pure function of its operands.  Rebuilding Money
-   from integer cents would preserve value but not repr (trailing
-   zeros), and ledgers are compared as text.
+   raw-Decimal billing rules the oracle runs —
+   :func:`~repro.pricing.compute.instance_bill` for the instance bill,
+   :func:`~repro.costmodel.storage.storage_cost_with_views` (Formula 5's
+   :func:`~repro.costmodel.storage.storage_fold` over
+   :func:`~repro.pricing.tiers.tier_cost`) for storage, and
+   :func:`~repro.costmodel.transfer.transfer_cost` for egress — with
+   the same operands in the same order, memoized by their float
+   inputs, which is sound because Decimal arithmetic is a pure
+   function of its operands.  The instance bill's rate, rounding rule
+   and instance count are read once per world.  Rebuilding Money from
+   integer cents would preserve value but not repr (trailing zeros),
+   and ledgers are compared as text.
 
 Worlds the kernel cannot faithfully reproduce — cascade
 materialization (build sharing re-plans per subset), subclassed cost
-models, NaN or negative inputs the oracle rejects with its own errors
-— make :meth:`KernelWorld.build` return ``None`` and the caller falls
-back to the oracle path.
+models, non-positive runs per period, NaN or negative inputs the
+oracle rejects with its own errors — make :meth:`KernelWorld.build`
+return ``None`` and the caller falls back to the oracle path; each
+fallback counts once in ``kernel.fallbacks{reason}``.
 """
 
 from __future__ import annotations
@@ -49,7 +55,8 @@ from ..costmodel.estimator import PlanningInputs
 from ..costmodel.storage import storage_cost_with_views
 from ..costmodel.total import CloudCostModel, CostBreakdown
 from ..costmodel.transfer import transfer_cost
-from ..money import Money, ZERO
+from ..money import Money, ZERO, to_decimal
+from ..pricing.compute import instance_bill
 from .backend import make_backend
 from .fixedpoint import to_cents
 from .screen import ScreeningWorld
@@ -104,6 +111,12 @@ class KernelWorld:
         self._storage_pricing = dep.provider.storage
         self._timeline = inputs.base_timeline
         self._transfer = transfer
+        # The instance bill's per-world operands, read once.
+        self._hourly_rate = self._compute_pricing.instance(
+            dep.instance_type
+        ).hourly_rate.amount
+        self._billable_hours = self._compute_pricing.granularity.billable_hours
+        self._n_decimal = to_decimal(dep.n_instances)
         self._bill_cache: Dict[float, Money] = {}
         self._storage_cache: Dict[float, Money] = {}
         self._screening: Optional[ScreeningWorld] = None
@@ -118,25 +131,31 @@ class KernelWorld:
         model: CloudCostModel,
         prefer_backend: str = "auto",
     ) -> Optional["KernelWorld"]:
-        """Factor ``inputs`` under ``model``; ``None`` if unsupported."""
+        """Factor ``inputs`` under ``model``; ``None`` if unsupported.
+
+        Each ``None`` counts in ``kernel.fallbacks`` under its reason.
+        """
+        tel = telemetry.current()
+        dep = inputs.deployment
         if type(model) is not CloudCostModel:
             # A subclass may price plans differently; only the exact
             # pricing functions this module re-invokes are guaranteed.
-            return None
-        dep = inputs.deployment
-        if dep.cascade_materialization and inputs.candidates:
+            reason = "subclassed_cost_model"
+        elif dep.cascade_materialization and inputs.candidates:
             # Cascaded build plans are re-planned per subset; there is
             # no per-view decomposition to precompute.
-            return None
-        if not dep.runs_per_period > 0:
-            return None
-
-        tel = telemetry.current()
-        with tel.span("kernel.build"):
-            world = cls._factor(inputs, model, prefer_backend)
-        if world is not None:
-            tel.inc("kernel.builds")
-        return world
+            reason = "cascade_materialization"
+        elif not dep.runs_per_period > 0:
+            reason = "non_positive_runs"
+        else:
+            with tel.span("kernel.build"):
+                world = cls._factor(inputs, model, prefer_backend)
+            if world is not None:
+                tel.inc("kernel.builds")
+                return world
+            reason = "unusable_inputs"
+        tel.inc("kernel.fallbacks", reason=reason)
+        return None
 
     @classmethod
     def _factor(
@@ -208,8 +227,12 @@ class KernelWorld:
             money = (
                 ZERO
                 if hours == 0
-                else self._compute_pricing.cost(
-                    self._instance_type, hours, self._n_instances
+                else Money(
+                    instance_bill(
+                        self._hourly_rate,
+                        self._billable_hours(hours),
+                        self._n_decimal,
+                    )
                 )
             )
             self._bill_cache[hours] = money

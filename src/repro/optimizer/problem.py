@@ -199,10 +199,10 @@ class SelectionProblem:
         self._state_key = state_key
         self._stats = EvaluationStats()
         self._kernel_requested = kernel
+        self._factored: Optional[KernelWorld] = None
+        self._factor_tried = False
         self._kernel_world: Optional[KernelWorld] = None
         self._kernel_tried = False
-        self._screen_world: Optional[KernelWorld] = None
-        self._screen_tried = False
 
     @property
     def inputs(self) -> PlanningInputs:
@@ -272,8 +272,19 @@ class SelectionProblem:
                 else kernel_enabled()
             )
             if wanted:
-                self._kernel_world = KernelWorld.build(self._inputs, self._model)
+                self._kernel_world = self._factor()
         return self._kernel_world
+
+    def _factor(self) -> Optional[KernelWorld]:
+        """This problem's one :meth:`KernelWorld.build` attempt.
+
+        Shared by exact pricing and screening, so a world is factored
+        (or found unrepresentable, and counted as a fallback) once.
+        """
+        if not self._factor_tried:
+            self._factor_tried = True
+            self._factored = KernelWorld.build(self._inputs, self._model)
+        return self._factored
 
     def screener(self) -> Optional[ScreeningWorld]:
         """The cents-only screening surrogate for this world, if any.
@@ -286,28 +297,13 @@ class SelectionProblem:
         only *orders* candidate moves, and both the kernel and oracle
         paths then price the screened winners to byte-identical
         ledgers — so ``--no-kernel`` keeps changing nothing but speed.
-        The kernel world built here is reused for exact pricing when
-        the flag allows it, so nothing is factored twice.
+        The kernel world factored here is the one exact pricing uses
+        when the flag allows it, so nothing is factored twice.
         """
-        if not self._screen_tried:
-            self._screen_tried = True
-            world = self._kernel_world
-            if world is None:
-                world = KernelWorld.build(self._inputs, self._model)
-                wanted = (
-                    self._kernel_requested
-                    if self._kernel_requested is not None
-                    else kernel_enabled()
-                )
-                if world is not None and wanted and not self._kernel_tried:
-                    # Share the factoring with the exact path when that
-                    # path would build the same world anyway.
-                    self._kernel_world = world
-                    self._kernel_tried = True
-            self._screen_world = world
-        if self._screen_world is None:
+        world = self._factor()
+        if world is None:
             return None
-        return self._screen_world.screening()
+        return world.screening()
 
     def baseline(self) -> SelectionOutcome:
         """The without-views outcome (Section 3 of the paper)."""

@@ -13,12 +13,18 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional
+from decimal import Decimal
+from typing import Dict, Iterable, Mapping, Optional, Union
 
 from ..errors import PricingError
-from ..money import Money, ZERO
+from ..money import MONEY_CONTEXT, Money, ZERO, to_decimal
 
-__all__ = ["InstanceType", "BillingGranularity", "ComputePricing"]
+__all__ = [
+    "InstanceType",
+    "BillingGranularity",
+    "ComputePricing",
+    "instance_bill",
+]
 
 
 @dataclass(frozen=True)
@@ -73,6 +79,24 @@ class BillingGranularity(enum.Enum):
         if self is BillingGranularity.PER_MINUTE:
             return math.ceil(hours * 60.0) / 60.0
         return hours
+
+
+def instance_bill(
+    hourly_rate: Decimal, billable_hours: float, n_instances: Union[int, Decimal]
+) -> Decimal:
+    """Formulas 4, 8, 10 and 12 on raw Decimals: c(IC) x hours x nbIC.
+
+    ``billable_hours`` comes from :meth:`BillingGranularity.billable_hours`.
+    Multiplied in this order, rate by hours first, through
+    ``MONEY_CONTEXT``; a caller billing many durations on one fleet may
+    pass ``n_instances`` already converted by ``to_decimal``.
+    :meth:`ComputePricing.cost` and the evaluation kernel both bill
+    through this rule.
+    """
+    multiply = MONEY_CONTEXT.multiply
+    return multiply(
+        multiply(hourly_rate, to_decimal(billable_hours)), to_decimal(n_instances)
+    )
 
 
 class ComputePricing:
@@ -149,10 +173,14 @@ class ComputePricing:
         Each instance's usage is rounded up independently, matching
         how per-instance metering works: Formula 4's
         ``t_ij x c(IC_j)`` with the paper's ``RoundUp`` applied per
-        instance.
+        instance.  Billed by :func:`instance_bill`.
         """
         if n_instances < 0:
             raise PricingError(f"instance count cannot be negative: {n_instances}")
         itype = self.instance(instance)
         rounding = granularity if granularity is not None else self._granularity
-        return itype.hourly_rate * rounding.billable_hours(hours) * n_instances
+        return Money(
+            instance_bill(
+                itype.hourly_rate.amount, rounding.billable_hours(hours), n_instances
+            )
+        )

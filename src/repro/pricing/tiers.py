@@ -26,12 +26,17 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import PricingError
-from ..money import Money, ZERO
+from ..money import MONEY_CONTEXT, Money, ZERO, to_decimal
 
-__all__ = ["Tier", "TierMode", "TierSchedule"]
+__all__ = ["Tier", "TierMode", "TierSchedule", "RateTable", "tier_cost"]
+
+#: A schedule's bands as ``(upper_gb, rate)`` pairs with raw ``Decimal``
+#: rates, in increasing volume order; the last ``upper_gb`` is ``None``.
+RateTable = Tuple[Tuple[Optional[float], Decimal], ...]
 
 
 class TierMode(enum.Enum):
@@ -71,6 +76,44 @@ class Tier:
             raise PricingError(f"tier rate cannot be negative: {self.rate}")
 
 
+def _band_rate(table: RateTable, volume_gb: float) -> Decimal:
+    """The rate of the band ``volume_gb`` falls into (the next unit's)."""
+    for upper, rate in table:
+        if upper is None or volume_gb < upper:
+            return rate
+    raise AssertionError("unreachable: final tier is unbounded")
+
+
+def tier_cost(table: RateTable, mode: TierMode, volume_gb: float) -> Decimal:
+    """Price a non-negative ``volume_gb`` on raw Decimals.
+
+    The one implementation of both semantics: slab bills the whole
+    volume at the rate of the band holding it, marginal folds each
+    band's share from a ``ZERO`` seed, in band order.
+    :meth:`TierSchedule.cost`, Formula 5's storage fold and the
+    evaluation kernel all price through it.
+    """
+    if volume_gb == 0:
+        return ZERO.amount
+    multiply = MONEY_CONTEXT.multiply
+    if mode is TierMode.SLAB:
+        return multiply(_band_rate(table, volume_gb), to_decimal(volume_gb))
+    add = MONEY_CONTEXT.add
+    total = ZERO.amount
+    lower = 0.0
+    for upper, rate in table:
+        if upper is None:
+            upper = volume_gb
+        band_volume = min(volume_gb, upper) - lower
+        if band_volume <= 0:
+            break
+        total = add(total, multiply(rate, to_decimal(band_volume)))
+        lower = upper
+        if volume_gb <= upper:
+            break
+    return total
+
+
 class TierSchedule:
     """An ordered sequence of price bands with a billing semantics.
 
@@ -101,6 +144,9 @@ class TierSchedule:
         self._tiers: Tuple[Tier, ...] = tuple(tiers)
         self._mode = mode
         self._validate()
+        self._table: RateTable = tuple(
+            (tier.upper_gb, tier.rate.amount) for tier in self._tiers
+        )
 
     def _validate(self) -> None:
         if not self._tiers:
@@ -132,6 +178,11 @@ class TierSchedule:
         """The billing semantics of this schedule."""
         return self._mode
 
+    @property
+    def rate_table(self) -> RateTable:
+        """The bands as :func:`tier_cost` reads them, built once."""
+        return self._table
+
     def fingerprint(self) -> tuple:
         """Hashable value identity: equal fingerprints bill identically."""
         return (self._mode.value, self._tiers)
@@ -146,34 +197,13 @@ class TierSchedule:
         """The per-GB rate charged for the *next* unit after ``volume_gb``."""
         if volume_gb < 0:
             raise PricingError(f"volume cannot be negative: {volume_gb}")
-        for tier in self._tiers:
-            if tier.upper_gb is None or volume_gb < tier.upper_gb:
-                return tier.rate
-        raise AssertionError("unreachable: final tier is unbounded")
+        return Money(_band_rate(self._table, volume_gb))
 
     def cost(self, volume_gb: float) -> Money:
-        """Price ``volume_gb`` under this schedule's semantics."""
+        """Price ``volume_gb`` under this schedule's semantics (:func:`tier_cost`)."""
         if volume_gb < 0:
             raise PricingError(f"volume cannot be negative: {volume_gb}")
-        if volume_gb == 0:
-            return ZERO
-        if self._mode is TierMode.SLAB:
-            return self.marginal_rate(volume_gb) * volume_gb
-        return self._marginal_cost(volume_gb)
-
-    def _marginal_cost(self, volume_gb: float) -> Money:
-        total = ZERO
-        lower = 0.0
-        for tier in self._tiers:
-            upper = tier.upper_gb if tier.upper_gb is not None else volume_gb
-            band_volume = min(volume_gb, upper) - lower
-            if band_volume <= 0:
-                break
-            total = total + tier.rate * band_volume
-            lower = upper
-            if volume_gb <= upper:
-                break
-        return total
+        return Money(tier_cost(self._table, self._mode, volume_gb))
 
     def average_rate(self, volume_gb: float) -> Money:
         """Effective per-GB rate at ``volume_gb`` (cost / volume)."""

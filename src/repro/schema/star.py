@@ -78,8 +78,9 @@ class StarSchema:
         if len(set(mnames)) != len(mnames):
             raise SchemaError(f"schema {name!r} has duplicate measure names")
         self._by_name: Dict[str, Dimension] = {d.name: d for d in self._dimensions}
-        #: (source, target) -> grain_answers, for grains that validated.
+        # Answers about grains, remembered only once the grains validated.
         self._answers: Dict[Tuple[Grain, Grain], bool] = {}
+        self._sizes: Dict[Grain, Tuple[int, float]] = {}
         self._level_bytes = dict(level_bytes)
         for key in self._level_bytes:
             dim_name, _, level = key.partition(".")
@@ -197,13 +198,38 @@ class StarSchema:
 
     def row_logical_bytes(self, grain: Sequence[str]) -> int:
         """Stored width of one row at ``grain`` (levels + all measures)."""
-        grain = self.validate_grain(grain)
-        level_part = sum(
-            self.level_logical_bytes(d.name, lv)
-            for d, lv in zip(self._dimensions, grain)
-        )
-        measure_part = sum(m.logical_bytes for m in self._measures)
-        return level_part + measure_part
+        return self._grain_sizes(grain)[0]
+
+    def grain_space(self, grain: Sequence[str]) -> float:
+        """Size of the group-key space at ``grain``.
+
+        The product of level cardinalities (ALL contributes 1), as a
+        float because SSB's fine cuboids overflow int ranges.
+        """
+        return self._grain_sizes(grain)[1]
+
+    def _grain_sizes(self, grain: Sequence[str]) -> Tuple[int, float]:
+        """(row width, key space) at ``grain``, computed once per grain.
+
+        Remembered only once the grain validated, like
+        :meth:`grain_answers`: a malformed grain raises
+        :class:`SchemaError` on every call.
+        """
+        key = tuple(grain)
+        sizes = self._sizes.get(key)
+        if sizes is None:
+            grain = self.validate_grain(key)
+            level_part = sum(
+                self.level_logical_bytes(d.name, lv)
+                for d, lv in zip(self._dimensions, grain)
+            )
+            measure_part = sum(m.logical_bytes for m in self._measures)
+            space = 1.0
+            for dim, level in zip(self._dimensions, grain):
+                if level != ALL:
+                    space *= dim.cardinality(level)
+            sizes = self._sizes[key] = (level_part + measure_part, space)
+        return sizes
 
     @property
     def fact_row_bytes(self) -> int:

@@ -620,16 +620,16 @@ class SharedCostAttributor:
         period's plan prices them.
         """
         inputs = problem.inputs
-        plan = inputs.plan_for(subset)
         base_storage = storage_cost(
-            inputs.deployment.provider.storage, plan.base_timeline
+            inputs.deployment.provider.storage, inputs.base_timeline
         )
         splits, processing, users = self._operating_splits(
             problem, subset, breakdown, base_storage, 1.0, active
         )
+        build_hours = inputs.materialization_hours(subset)
         build_amounts = {
             name: hours
-            for name, hours in zip(sorted(subset), plan.materialization_hours)
+            for name, hours in zip(sorted(subset), build_hours)
             if name in built and hours > 0.0
         }
         splits += self._epoch_splits(

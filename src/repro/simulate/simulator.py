@@ -792,8 +792,9 @@ class LifecycleSimulator:
         # Submit what the decision wants but the warehouse neither has
         # nor is already building; durations come from this epoch's
         # cost model and are frozen into the job.
-        plan = problem.inputs.plan_for(target)
-        hours_by_view = dict(zip(ordered, plan.materialization_hours))
+        inputs = problem.inputs
+        build_hours = inputs.materialization_hours(target)
+        hours_by_view = dict(zip(ordered, build_hours))
         for view in sorted(target - live - queue.pending_views()):
             queue.submit(
                 BuildJob(
@@ -844,7 +845,6 @@ class LifecycleSimulator:
             if c.completed_month > epoch.start_month
         ]
 
-        inputs = problem.inputs
         built = frozenset(c.job.view for c in completions)
         landed_hours = sum(c.job.hours for c in completions)
         sunk_hours = sum(c.sunk_hours for c in cancellations)
@@ -857,18 +857,15 @@ class LifecycleSimulator:
         ):
             # The decision's subset was live for the whole period and
             # every landing was this epoch's own instant build.
-            # plan_for orders per-view tuples by sorted view name;
-            # charge materialization only for the views built this
-            # epoch.
+            # Per-view hours are in sorted view name order; charge
+            # materialization only for the views built this epoch.
             breakdown = problem.cost_model.evaluate(
-                replace(
-                    plan,
-                    materialization_hours=tuple(
+                inputs.plan_for(
+                    target,
+                    build_hours=[
                         hours if name in built else 0.0
-                        for name, hours in zip(
-                            ordered, plan.materialization_hours
-                        )
-                    ),
+                        for name, hours in zip(ordered, build_hours)
+                    ],
                 )
             )
             build_cost = breakdown.computing.materialization_cost

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from dataclasses import replace
+
 import pytest
 
 from repro.costmodel import (
@@ -229,3 +232,66 @@ class TestRunsPerPeriod:
         assert thirty.computing.processing_cost.to_float() == pytest.approx(
             once.computing.processing_cost.to_float() * 30, rel=1e-9
         )
+
+
+class TestMaterializationHours:
+    """``materialization_hours`` is ``plan_for``'s per-view build hours."""
+
+    @staticmethod
+    def _subsets(names, seed):
+        rng = random.Random(seed)
+        subsets = [frozenset(), frozenset(names)]
+        subsets += [frozenset({name}) for name in names]
+        for _ in range(4):
+            if names:
+                subsets.append(frozenset(rng.sample(names, rng.randint(1, len(names)))))
+        return subsets
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_equals_the_plans_hours_cascade_or_not(self, seed, random_world_factory):
+        world = random_world_factory(seed)
+        names = [c.name for c in world.candidates]
+        cascade = replace(
+            world.inputs,
+            deployment=replace(world.deployment, cascade_materialization=True),
+        )
+        for inputs in (world.inputs, cascade):
+            for subset in self._subsets(names, seed):
+                hours = inputs.materialization_hours(subset)
+                assert hours == inputs.plan_for(subset).materialization_hours
+                assert len(hours) == len(subset)
+
+    def test_cascade_builds_share_scans(self, random_world_factory):
+        # At least one generated world builds a view from another, so
+        # the cascade branch is really taken.
+        shared = 0
+        for seed in range(30):
+            world = random_world_factory(seed)
+            full = frozenset(c.name for c in world.candidates)
+            cascade = replace(
+                world.inputs,
+                deployment=replace(world.deployment, cascade_materialization=True),
+            )
+            shared += cascade.materialization_hours(
+                full
+            ) != world.inputs.materialization_hours(full)
+        assert shared > 0
+
+    def test_sorted_name_order_and_unknown_names(self, inputs):
+        names = sorted(c.name for c in inputs.candidates[:3])
+        hours = inputs.materialization_hours(frozenset(names))
+        assert hours == tuple(
+            inputs.view_stats[name].materialization_hours for name in names
+        )
+        with pytest.raises(CostModelError):
+            inputs.materialization_hours({"no-such-view"})
+
+    def test_plan_for_takes_given_build_hours(self, inputs):
+        names = sorted(c.name for c in inputs.candidates[:3])
+        subset = frozenset(names)
+        own = inputs.plan_for(subset)
+        charged = [0.0, own.materialization_hours[1], 0.0]
+        plan = inputs.plan_for(subset, build_hours=charged)
+        assert plan == replace(own, materialization_hours=tuple(charged))
+        with pytest.raises(CostModelError, match="2 build hours for 3 views"):
+            inputs.plan_for(subset, build_hours=charged[:2])
