@@ -40,8 +40,8 @@ import gc
 import time
 
 from repro.explain import ExplainLog, activate
-from repro.simulate import make_policy
-from repro.simulate.presets import async_sales_simulator
+from repro.simulate import BuildConfig, make_policy
+from repro.simulate.presets import drifting_sales_simulator
 
 EPOCHS = 19
 ROWS = 4_000
@@ -59,8 +59,10 @@ MAX_OVERHEAD = 0.05
 
 
 def _fresh_simulator():
-    return async_sales_simulator(
-        n_epochs=EPOCHS, n_rows=ROWS, hours_per_month=HOURS_PER_MONTH
+    return drifting_sales_simulator(
+        n_epochs=EPOCHS,
+        n_rows=ROWS,
+        builds=BuildConfig(hours_per_month=HOURS_PER_MONTH),
     )
 
 

@@ -25,11 +25,7 @@ Run:  python examples/async_lifecycle.py
 
 from __future__ import annotations
 
-from repro.simulate import (
-    async_sales_simulator,
-    drifting_sales_simulator,
-    make_policy,
-)
+from repro.simulate import BuildConfig, drifting_sales_simulator, make_policy
 
 EPOCHS = 19
 ROWS = 8_000
@@ -41,11 +37,10 @@ def main() -> None:
     sync_sim = drifting_sales_simulator(n_epochs=EPOCHS, n_rows=ROWS)
     sync_ledger = sync_sim.run(make_policy(policy))
 
-    instant_sim = async_sales_simulator(
+    instant_sim = drifting_sales_simulator(
         n_epochs=EPOCHS,
         n_rows=ROWS,
-        build_slots=2,
-        hours_per_month=float("inf"),
+        builds=BuildConfig(slots=2, hours_per_month=float("inf")),
     )
     instant_ledger = instant_sim.run(make_policy(policy))
 
@@ -56,11 +51,11 @@ def main() -> None:
     )
     assert parity, "zero-latency async must reproduce the sync ledger"
 
-    slow_sim = async_sales_simulator(
+    slow_sim = drifting_sales_simulator(
         n_epochs=EPOCHS,
         n_rows=ROWS,
-        build_slots=1,
-        hours_per_month=0.5,  # a 1-hour build takes two monthly epochs
+        # A 1-hour build takes two monthly epochs.
+        builds=BuildConfig(slots=1, hours_per_month=0.5),
     )
     slow_ledger = slow_sim.run(make_policy(policy))
 

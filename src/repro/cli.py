@@ -23,9 +23,12 @@ re-selection policies and prints each policy's cost ledger.  With
 workloads share the warehouse, each epoch's bill is attributed into
 per-tenant ledgers, and ``--fair-slack`` adds a soft fairness
 preference to the selection itself (``--slo-hours`` composes a
-per-tenant latency ceiling with it).  ``--tenant-churn`` makes the
-fleet *elastic* — sampled tenants arrive and depart mid-lifecycle,
-billed through onboarding/offboarding events — and ``--shards K``
+per-tenant latency ceiling with it).  ``--generator`` or
+``--tenant-churn`` switches the fleet to sampled drift
+(:func:`repro.simulate.presets.elastic_multi_tenant_simulator`);
+``--tenant-churn`` also makes it *elastic* — sampled tenants arrive
+and depart mid-lifecycle, billed through onboarding/offboarding
+events — and ``--shards K``
 switches to the population-scale path: each epoch's attribution is
 partitioned across K tenant shards (``--jobs`` worker processes) and
 streamed into per-tenant lifetime totals (``--tenant-csv``), byte-
@@ -128,7 +131,6 @@ from .simulate.presets import (
     drifting_sales_simulator,
     elastic_multi_tenant_simulator,
     multi_tenant_sales_simulator,
-    stochastic_multi_tenant_simulator,
     stochastic_sales_simulator,
 )
 from .simulate.stochastic import GENERATOR_PRESETS, FleetChurn
@@ -1015,22 +1017,12 @@ def _run_simulate_tenants(args: argparse.Namespace) -> int:
             "--tenant-csv streams totals from the sharded path; add "
             "--shards K"
         )
-    if churn is not None:
+    if churn is not None or args.generator is not None:
+        # Sampled drift: without --tenant-churn the fleet is fixed.
         simulator = elastic_multi_tenant_simulator(
             n_tenants=args.tenants,
             generator=args.generator or "mixed",
-            churn=churn,
-            n_epochs=args.epochs,
-            n_rows=args.rows,
-            seed=args.seed,
-            attribution=args.attribution or "proportional",
-            market=market,
-            builds=builds,
-        )
-    elif args.generator is not None:
-        simulator = stochastic_multi_tenant_simulator(
-            n_tenants=args.tenants,
-            generator=args.generator,
+            churn=churn if churn is not None else FleetChurn(arrival_rate=0.0),
             n_epochs=args.epochs,
             n_rows=args.rows,
             seed=args.seed,

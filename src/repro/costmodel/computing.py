@@ -45,7 +45,7 @@ def computing_cost(
 
     >>> from repro.pricing import aws_2012
     >>> computing_cost(aws_2012().compute, "small", 50.0, 2)  # Example 2
-    Money('12.00')
+    Money('12.000')
     """
     if processing_hours < 0:
         raise CostModelError("processing time cannot be negative")
@@ -116,9 +116,9 @@ def view_computing_cost(
     ...     maintenance_hours=[5.0],         # Example 8
     ... )
     >>> breakdown.processing_cost, breakdown.materialization_cost
-    (Money('9.60'), Money('0.24'))
+    (Money('9.600'), Money('0.240'))
     >>> breakdown.maintenance_cost, breakdown.total
-    (Money('1.20'), Money('11.04'))
+    (Money('1.200'), Money('11.040'))
     """
     t_processing = _total_hours(query_hours, "query processing")
     t_materialization = _total_hours(materialization_hours, "materialization")

@@ -201,7 +201,7 @@ class StorageTimeline:
 
     >>> timeline = StorageTimeline(512, 12, [(7, 2048)])
     >>> [(i.start_month, i.end_month, i.volume_gb) for i in timeline.intervals()]
-    [(0, 7, 512.0), (7, 12, 2560.0)]
+    [(0.0, 7.0, 512.0), (7.0, 12.0, 2560.0)]
     """
 
     def __init__(

@@ -54,10 +54,11 @@ def storage_cost(pricing: StoragePricing, timeline: StorageTimeline) -> Money:
     >>> from repro.pricing import aws_2012
     >>> timeline = StorageTimeline(512, 12, [(7, 2048)])
     >>> storage_cost(aws_2012().storage, timeline)   # paper's Example 3 setup
-    Money('2101.76')
+    Money('2101.76000')
 
     (The paper prints $2131.76 for this computation; its own formula
-    yields $2101.76 — see EXPERIMENTS.md, "arithmetic discrepancies".)
+    yields $2101.76 — :mod:`repro.experiments.running_example` flags
+    the row.)
     """
     schedule = pricing.schedule
     return Money(
@@ -80,7 +81,7 @@ def storage_cost_with_views(
     >>> from repro.pricing import aws_2012
     >>> base = StorageTimeline(500, 12)
     >>> storage_cost_with_views(aws_2012().storage, base, 50.0)  # Example 9
-    Money('924.00')
+    Money('924.0000')
 
     The views raise the volume stored from month 0, as
     :meth:`~repro.costmodel.params.StorageTimeline.with_extra_volume`

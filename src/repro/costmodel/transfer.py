@@ -49,7 +49,7 @@ def transfer_cost(
 
     >>> from repro.pricing import aws_2012
     >>> transfer_cost(aws_2012().transfer, [10.0])   # the paper's Example 1
-    Money('1.08')
+    Money('1.080')
     """
     total_out = _total(result_sizes_gb, "result")
     return pricing.outbound_cost(total_out)

@@ -7,10 +7,10 @@ thousands of rows) and :class:`LogicalSizeModel` maps row counts to the
 logical gigabytes the cost models bill, via a single declared scale
 factor.
 
-This is the substitution documented in DESIGN.md: view-selection
-decisions depend on *relative* sizes (view rows x view row width vs.
-fact rows x fact row width), which the scale factor preserves exactly
-because it multiplies both sides.
+The substitution is sound: view-selection decisions depend on
+*relative* sizes (view rows x view row width vs. fact rows x fact row
+width), which the scale factor preserves exactly because it
+multiplies both sides.
 """
 
 from __future__ import annotations

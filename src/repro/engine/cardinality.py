@@ -13,7 +13,7 @@ expected distinct keys.  Computed in log-space so it is stable for the
 
 Skewed data has *fewer* distinct groups than Cardenas predicts, so the
 estimate is a (tight, well-understood) upper bound for our generators —
-asserted as a property test and accounted for in EXPERIMENTS.md.
+asserted as a property test.
 """
 
 from __future__ import annotations

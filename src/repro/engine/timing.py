@@ -20,8 +20,8 @@ job:
 
 :func:`paper_cluster` is calibrated so a 10 GB scan-aggregate on five
 single-ECU instances lands at ~0.19 h — the per-query regime implied by
-the paper's MV2 time limits (0.57 h for 3 queries).  DESIGN.md section
-6 records the calibration arithmetic.
+the paper's MV2 time limits (0.57 h for 3 queries); its docstring
+gives the calibration arithmetic.
 """
 
 from __future__ import annotations

@@ -23,7 +23,6 @@ __all__ = [
     "ExperimentError",
     "SimulationError",
     "KernelError",
-    "FixedPointOverflow",
     "ExplainError",
 ]
 
@@ -124,13 +123,4 @@ class ExplainError(ReproError):
     tenant the log never saw, a view no decision ever touched —
     rather than printing an empty report that reads like "nothing
     happened".
-    """
-
-
-class FixedPointOverflow(KernelError):
-    """A Money amount does not fit the kernel's int64 cent grid.
-
-    int64 cents top out at ±$92,233,720,368,547,758.07; amounts beyond
-    that must raise rather than wrap, because a silently wrapped cent
-    count is a wrong bill.
     """

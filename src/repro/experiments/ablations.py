@@ -1,4 +1,4 @@
-"""Ablations over the design choices DESIGN.md calls out.
+"""Ablations over the reproduction's modelling choices.
 
 Each ablation varies exactly one modelling decision and reports its
 effect on the bill and/or the selection:

@@ -14,7 +14,7 @@ world end to end:
   with the paper's dollar axes (budgets of $0.8-$2.4).
 
 Every knob is a constructor parameter so ablations can vary one at a
-time; the defaults are the calibration DESIGN.md documents.
+time; the defaults are the calibrated paper setup.
 """
 
 from __future__ import annotations
@@ -55,7 +55,8 @@ class ExperimentConfig:
     seed: int = 42
     n_instances: int = 5
     instance_type: str = "small"
-    #: Cluster physics (calibrated; see DESIGN.md section 6).
+    #: Cluster physics (calibrated; see
+    #: :func:`repro.engine.timing.paper_cluster`).
     scan_mb_per_s_per_cu: float = 3.6
     job_overhead_s: float = 60.0
     per_group_us: float = 25.0

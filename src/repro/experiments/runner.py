@@ -1,7 +1,7 @@
 """Experiment registry and runner.
 
-Every reproducible artifact has a stable id (the per-experiment index
-in DESIGN.md); :func:`run_experiment` resolves an id to its tables, and
+Every reproducible artifact has a stable id (``python -m repro list``
+prints them); :func:`run_experiment` resolves an id to its tables, and
 :func:`run_all` regenerates everything, optionally writing CSVs.
 """
 

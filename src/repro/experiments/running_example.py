@@ -3,8 +3,7 @@
 Every numbered example in the paper is recomputed with the library's
 pricing and cost-model objects and compared against the value the paper
 prints.  Two of the paper's printed values do not follow from its own
-formulas; those rows carry a note instead of a silent pass (see
-EXPERIMENTS.md, "arithmetic discrepancies").
+formulas; those rows carry a note instead of a silent pass.
 """
 
 from __future__ import annotations

@@ -2,9 +2,9 @@
 
 Each table derives from the corresponding Figure 5 panel and prints the
 measured rate next to the value the paper reports, so a reader can see
-the reproduction band at a glance.  EXPERIMENTS.md discusses where and
-why the measured rates sit above the paper's (our Hadoop-calibrated
-physics reward views more than the paper's illustrative numbers do).
+the reproduction band at a glance.  The measured rates sit above the
+paper's because the Hadoop-calibrated physics reward views more than
+the paper's illustrative numbers do.
 """
 
 from __future__ import annotations

@@ -4,8 +4,7 @@ Prices every query against every candidate view in one pre-factored
 pass per numeric world, then answers any subset as a masked row-min
 plus vector gathers — with ledgers that stay **byte-identical** to the
 exact-Decimal oracle path it accelerates (see
-:mod:`repro.kernel.world` for the contract and
-:mod:`repro.kernel.fixedpoint` for the int64 cent grid).
+:mod:`repro.kernel.world` for the contract).
 
 The kernel is on by default and engages transparently inside
 :meth:`repro.optimizer.problem.SelectionProblem.evaluate`; every
@@ -32,32 +31,18 @@ import os
 from typing import Optional
 
 from .backend import NumpyBackend, PurePythonBackend, make_backend
-from .fixedpoint import (
-    CENTS_MAX,
-    CENTS_MIN,
-    cents_vector,
-    from_cents,
-    to_cents,
-    to_cents_list,
-)
 from .screen import ScreeningWorld
 from .world import KernelWorld
 
 __all__ = [
-    "CENTS_MAX",
-    "CENTS_MIN",
     "KernelWorld",
     "NO_KERNEL_ENV",
     "NumpyBackend",
     "PurePythonBackend",
     "ScreeningWorld",
-    "cents_vector",
-    "from_cents",
     "kernel_enabled",
     "make_backend",
     "set_kernel_enabled",
-    "to_cents",
-    "to_cents_list",
 ]
 
 #: Environment variable that disables the kernel when set truthy.

@@ -1,11 +1,11 @@
-"""Batched cents-only screening: rank subsets without pricing them.
+"""Cents-only screening: rank subsets without pricing them.
 
 The anytime search optimizers (:mod:`repro.optimizer.search`) examine
 orders of magnitude more candidate moves than they can afford to price
 exactly.  A :class:`ScreeningWorld` is the cheap inner loop they rank
 on: it reuses the kernel's factored vectors (the same row-min backend,
 the same materialization/maintenance/size gathers) but replaces every
-Decimal billing call with a pure-float surrogate on the cent grid —
+Decimal billing call with a pure-float surrogate in cents —
 per-band tier rates and instance rates pre-converted to float cents,
 billable-hour round-up applied in float.
 
@@ -30,7 +30,7 @@ pairs on every run and across worker processes.
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Sequence, Tuple
 
 from ..pricing.compute import BillingGranularity
 from ..pricing.tiers import TierMode, TierSchedule
@@ -88,7 +88,6 @@ class ScreeningWorld:
         self._transfer_cents = transfer_cents
         self._bill_memo: Dict[float, float] = {}
         self._storage_memo: Dict[float, float] = {}
-        self.screens = 0
 
     # -- construction ---------------------------------------------------
 
@@ -203,7 +202,6 @@ class ScreeningWorld:
         so they match the priced outcome bit for bit; cents are the
         float surrogate and are for *ranking only*.
         """
-        self.screens += 1
         ordered = sorted(subset)
         idx = [self._vindex[name] for name in ordered]
         min_hours = self._backend.min_hours(idx)
@@ -230,36 +228,3 @@ class ScreeningWorld:
             + self._transfer_cents
         )
         return processing_hours, cents
-
-    def screen_batch(
-        self, subsets: Sequence[FrozenSet[str]]
-    ) -> List[ScreenResult]:
-        """:meth:`screen` over many subsets, in order."""
-        return [self.screen(subset) for subset in subsets]
-
-    def screen_moves(
-        self,
-        base: FrozenSet[str],
-        additions: Sequence[str] = (),
-        removals: Sequence[str] = (),
-    ) -> List[Tuple[FrozenSet[str], ScreenResult]]:
-        """Screen one-view perturbations of ``base``, batched.
-
-        The neighborhood form the search moves use: each addition and
-        each removal becomes a (subset, screen result) pair, in the
-        given order (additions first), so callers can rank the whole
-        neighborhood from one call.
-        """
-        out: List[Tuple[FrozenSet[str], ScreenResult]] = []
-        for name in additions:
-            subset = base | {name}
-            out.append((subset, self.screen(subset)))
-        for name in removals:
-            subset = base - {name}
-            out.append((subset, self.screen(subset)))
-        return out
-
-    @property
-    def candidate_names(self) -> Tuple[str, ...]:
-        """The views this world can screen, sorted."""
-        return tuple(sorted(self._vindex))

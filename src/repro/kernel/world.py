@@ -47,7 +47,7 @@ fallback counts once in ``kernel.fallbacks{reason}``.
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .. import telemetry
 from ..costmodel.computing import ComputingBreakdown
@@ -58,7 +58,6 @@ from ..costmodel.transfer import transfer_cost
 from ..money import Money, ZERO, to_decimal
 from ..pricing.compute import instance_bill
 from .backend import make_backend
-from .fixedpoint import to_cents
 from .screen import ScreeningWorld
 
 __all__ = ["KernelWorld"]
@@ -290,14 +289,6 @@ class KernelWorld:
             processing_hours=processing_hours,
         )
 
-    def total_cents(self, subset: FrozenSet[str]) -> int:
-        """The subset's Formula 1 total on the int64 cent grid, checked.
-
-        The screening form optimizers can rank by without carrying
-        Money objects; overflow raises rather than wraps.
-        """
-        return to_cents(self.evaluate(subset).total)
-
     def screening(self) -> ScreeningWorld:
         """The cents-only screening surrogate sharing this world's vectors.
 
@@ -324,16 +315,3 @@ class KernelWorld:
                 transfer_cents=float(self._transfer.to_cents()),
             )
         return self._screening
-
-    def total_cents_batch(self, subsets: Sequence[FrozenSet[str]]):
-        """:meth:`total_cents` over many subsets.
-
-        Returns an int64 numpy vector when numpy is available, a plain
-        list otherwise — either way every entry is range-checked.
-        """
-        counts = [self.total_cents(subset) for subset in subsets]
-        from ..compat import np
-
-        if np is not None:
-            return np.array(counts, dtype=np.int64)
-        return counts

@@ -30,12 +30,18 @@ from .scenarios import Scenario
 __all__ = ["greedy_select"]
 
 
-def _repair(
+def repair(
     problem: SelectionProblem,
     scenario: Scenario,
     current: FrozenSet[str],
 ) -> FrozenSet[str]:
-    """Add views until feasible, minimizing the constraint violation."""
+    """Add views until feasible, minimizing the constraint violation.
+
+    Each step adds the view that most reduces the violation; when none
+    does, the problem is infeasible from ``current``.  The greedy
+    baseline repairs from the empty set, the anytime searches from
+    their least-violating state.
+    """
     while not scenario.feasible(problem.evaluate(current)):
         best_name: Optional[str] = None
         best_violation = scenario.violation(problem.evaluate(current))
@@ -48,7 +54,7 @@ def _repair(
                 best_name = name
         if best_name is None:
             raise InfeasibleProblemError(
-                f"greedy cannot reach feasibility for {scenario.describe()}"
+                f"cannot reach feasibility for {scenario.describe()}"
             )
         current = current | {best_name}
     return current
@@ -105,7 +111,7 @@ def greedy_select(
     scenario: Scenario,
 ) -> SelectionOutcome:
     """Greedy best-improvement selection under exact pricing."""
-    current = _repair(problem, scenario, frozenset())
+    current = repair(problem, scenario, frozenset())
     while True:
         addition = _best_addition(problem, scenario, current)
         if addition is None:

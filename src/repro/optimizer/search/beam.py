@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import ClassVar, FrozenSet, List, Optional
 
 from ... import telemetry
-from ...errors import InfeasibleProblemError
+from ..greedy import repair
 from ..problem import SelectionOutcome, SelectionProblem
 from ..registry import OptimizerSpec, register
 from ..scenarios import Scenario
@@ -53,34 +53,20 @@ def finish(
     When the budget ran out before any feasible state was priced, the
     least-violating state is repaired greedily with *unbudgeted* exact
     evaluations — a feasible answer beats an on-budget infeasible one,
-    and the repair mirrors what the greedy baseline does from scratch.
+    and the repair is the greedy baseline's own (which raises
+    :class:`~repro.errors.InfeasibleProblemError` when no view helps).
     """
     if evaluator.best is not None:
         return evaluator.best
     held = evaluator.least_violating
     current = held.subset if held is not None else frozenset()
-    while not scenario.feasible(problem.evaluate(current)):
-        best_name: Optional[str] = None
-        best_violation = scenario.violation(problem.evaluate(current))
-        for name in problem.candidate_names:
-            if name in current:
-                continue
-            outcome = problem.evaluate(current | {name})
-            if scenario.violation(outcome) < best_violation:
-                best_violation = scenario.violation(outcome)
-                best_name = name
-        if best_name is None:
-            raise InfeasibleProblemError(
-                f"search cannot reach feasibility for {scenario.describe()}"
-            )
-        current = current | {best_name}
-    return problem.evaluate(current)
+    return problem.evaluate(repair(problem, scenario, current))
 
 
 @register
 @dataclass(frozen=True)
 class BeamSearchSpec(OptimizerSpec):
-    """Anytime beam search, screened on the int64 cent grid.
+    """Anytime beam search, screened in float cents.
 
     ``budget`` caps the search's exact evaluations (the anytime knob);
     ``seed`` fixes the move sampling; ``prune_to`` bounds the candidate

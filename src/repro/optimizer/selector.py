@@ -49,17 +49,10 @@ from .scenarios import BudgetLimit, Scenario, TimeLimit, Tradeoff
 __all__ = [
     "SelectionResult",
     "select_views",
-    "ALGORITHMS",
     "KnapsackSpec",
     "GreedySpec",
     "ExhaustiveSpec",
 ]
-
-#: Legacy spellings of the classic trio.  Kept for compatibility; the
-#: authoritative list is :func:`repro.optimizer.registry.
-#: registered_algorithms`, which also includes the search family.
-ALGORITHMS = ("knapsack", "greedy", "exhaustive")
-
 
 @dataclass(frozen=True)
 class SelectionResult:

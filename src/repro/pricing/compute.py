@@ -109,7 +109,7 @@ class ComputePricing:
     >>> from repro.pricing.providers import aws_2012
     >>> pricing = aws_2012().compute
     >>> pricing.cost("small", hours=50, n_instances=2)
-    Money('12.00')
+    Money('12.000')
     """
 
     def __init__(

@@ -95,7 +95,7 @@ def migration_transfer_cost(
     ...     aws_2012(), flat_cloud(), 10.0
     ... )
     >>> egress
-    Money('1.08')
+    Money('1.080')
     >>> ingress
     Money('0')
     """

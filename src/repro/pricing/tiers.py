@@ -133,7 +133,7 @@ class TierSchedule:
     ...     Tier(None, dollars("0.05")),
     ... ])
     >>> schedule.cost(10.0)            # Example 1 of the paper
-    Money('1.08')
+    Money('1.080')
     """
 
     def __init__(

@@ -91,7 +91,7 @@ class TransferPricing:
 
         >>> from repro.pricing.providers import aws_2012
         >>> aws_2012().transfer.outbound_cost(10.0)
-        Money('1.08')
+        Money('1.080')
         """
         if volume_gb < 0:
             raise PricingError(f"volume cannot be negative: {volume_gb}")

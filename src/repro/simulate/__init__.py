@@ -144,13 +144,12 @@ from .policy import (
 )
 from .presets import (
     DRIFT_MIN_EPOCHS,
-    async_sales_simulator,
     default_market,
     drifting_sales_simulator,
+    elastic_multi_tenant_simulator,
     multi_tenant_min_epochs,
     multi_tenant_sales_simulator,
     sales_deployment,
-    stochastic_multi_tenant_simulator,
     stochastic_sales_simulator,
 )
 from .problems import EpochContext, EpochProblemBuilder
@@ -240,12 +239,12 @@ __all__ = [
     "TrialOutcome",
     "WarehouseState",
     "assess_migration",
-    "async_sales_simulator",
     "compile_timeline",
     "compose_observers",
     "default_market",
     "derive_seed",
     "drifting_sales_simulator",
+    "elastic_multi_tenant_simulator",
     "full_catalogue",
     "generator_preset",
     "make_policy",
@@ -260,7 +259,6 @@ __all__ = [
     "sales_deployment",
     "split_by_scope",
     "spot_repriced",
-    "stochastic_multi_tenant_simulator",
     "stochastic_sales_simulator",
     "tenant_of_query",
     "tile_fractions",

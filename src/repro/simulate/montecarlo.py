@@ -46,7 +46,6 @@ from .policy import POLICY_NAMES, ReselectionPolicy, make_policy
 from .presets import (
     default_market,
     elastic_multi_tenant_simulator,
-    stochastic_multi_tenant_simulator,
     stochastic_sales_simulator,
 )
 from .stochastic import FleetChurn, derive_seed, generator_preset
@@ -169,7 +168,6 @@ class MonteCarloConfig:
     policies: Tuple[PolicySpec, ...] = field(
         default_factory=_default_policies
     )
-    charge_teardown_egress: bool = True
     #: Build-queue concurrency for the trials' simulators; 0 keeps the
     #: classic synchronous execution (a decided view is a live view).
     build_slots: int = 0
@@ -331,38 +329,19 @@ def run_trial(config: MonteCarloConfig, trial: int) -> Tuple[TrialOutcome, ...]:
     market = default_market() if config.quotes_market else None
     builds = config.builds
     if config.n_tenants:
-        if config.tenant_churn:
-            simulator = elastic_multi_tenant_simulator(
-                n_tenants=config.n_tenants,
-                generator=config.generator,
-                churn=FleetChurn(
-                    arrival_rate=config.tenant_churn,
-                    mean_stay=config.tenant_stay,
-                ),
-                n_epochs=config.n_epochs,
-                n_rows=config.n_rows,
-                seed=config.seed,
-                drift_seed=drift_seed,
-                dataset_gb=config.dataset_gb,
-                attribution=config.attribution,
-                charge_teardown_egress=config.charge_teardown_egress,
-                market=market,
-                builds=builds,
-            )
-        else:
-            simulator = stochastic_multi_tenant_simulator(
-                n_tenants=config.n_tenants,
-                generator=config.generator,
-                n_epochs=config.n_epochs,
-                n_rows=config.n_rows,
-                seed=config.seed,
-                drift_seed=drift_seed,
-                dataset_gb=config.dataset_gb,
-                attribution=config.attribution,
-                charge_teardown_egress=config.charge_teardown_egress,
-                market=market,
-                builds=builds,
-            )
+        simulator = elastic_multi_tenant_simulator(
+            n_tenants=config.n_tenants,
+            generator=config.generator,
+            churn=FleetChurn(config.tenant_churn, config.tenant_stay),
+            n_epochs=config.n_epochs,
+            n_rows=config.n_rows,
+            seed=config.seed,
+            drift_seed=drift_seed,
+            dataset_gb=config.dataset_gb,
+            attribution=config.attribution,
+            market=market,
+            builds=builds,
+        )
         # Under churn the sampled tenants differ per trial, so
         # per-tenant metric columns cover only the founding tenants —
         # the names every trial shares.
@@ -383,7 +362,6 @@ def run_trial(config: MonteCarloConfig, trial: int) -> Tuple[TrialOutcome, ...]:
             seed=config.seed,
             drift_seed=drift_seed,
             dataset_gb=config.dataset_gb,
-            charge_teardown_egress=config.charge_teardown_egress,
             market=market,
             builds=builds,
         )

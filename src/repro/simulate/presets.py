@@ -25,28 +25,34 @@ and intensity and whose dashboard drift arrives staggered (tenant
 growth/repricing backdrop.  It is the preset behind
 ``python -m repro simulate --tenants N``.
 
-:func:`stochastic_sales_simulator` and
-:func:`stochastic_multi_tenant_simulator` replace the hand-written
-drift with sampled drift (:mod:`repro.simulate.stochastic`): the same
-base warehouse, but the future is drawn from a seeded generator bundle
-— Poisson query churn, seasonal frequency waves, noisy growth, a
+:func:`stochastic_sales_simulator` replaces the hand-written drift
+with sampled drift (:mod:`repro.simulate.stochastic`): the same base
+warehouse, but the future is drawn from a seeded generator bundle —
+Poisson query churn, seasonal frequency waves, noisy growth, a
 spot-price walk.  ``seed`` fixes the starting world; ``drift_seed``
 (default: ``seed``) fixes the sampled future, so a Monte Carlo harness
 can hold the world constant while varying the future per trial.
 
-:func:`elastic_multi_tenant_simulator` adds the fleet's *population*
-to the sampled future: on top of the stochastic multi-tenant base, a
-seeded churn process (:func:`repro.simulate.stochastic.
-sample_fleet_churn`) draws tenants that arrive and depart
+:func:`elastic_multi_tenant_simulator` is its fleet: founding tenants,
+each drifting under its own sampled streams over a shared sampled
+backdrop, joined by a seeded churn process (:func:`repro.simulate.
+stochastic.sample_fleet_churn`) whose tenants arrive and depart
 mid-lifecycle — billed through
 :class:`~repro.simulate.events.TenantArrival` /
 :class:`~repro.simulate.events.TenantDeparture` — each with its own
-sampled drift over its active window.
+sampled drift over its active window.  A churn process with
+``arrival_rate=0.0`` samples no newcomers: that is the fixed sampled
+fleet.
 
 :func:`population_fleet_simulator` pushes the tenant *count* instead:
 10³–10⁵ single-query tenants over a deliberately small world and
 catalogue, sized for :meth:`~repro.simulate.tenants.
 MultiTenantSimulator.run_sharded`'s streaming, sharded attribution.
+
+Every preset but the population fleet takes ``builds=`` (a
+:class:`~repro.simulate.builds.BuildConfig`): decided views then enter
+a build queue and land only after their materialization hours have
+elapsed on the wall clock.
 """
 
 from __future__ import annotations
@@ -58,6 +64,7 @@ from dataclasses import replace
 from ..costmodel.params import DeploymentSpec
 from ..cube.candidates import candidates_from_workload
 from ..cube.lattice import CuboidLattice
+from ..data.generator import Dataset
 from ..data.sales_generator import generate_sales
 from ..errors import SimulationError
 from ..engine.timing import ClusterTimingModel
@@ -79,6 +86,7 @@ from .events import (
     GrowFactTable,
     PriceChange,
     ReweightQueries,
+    SimulationEvent,
 )
 from .builds import BuildConfig
 from .simulator import LifecycleSimulator
@@ -96,7 +104,6 @@ from .tenants import MultiTenantSimulator, Tenant, TenantFleet
 
 __all__ = [
     "DRIFT_MIN_EPOCHS",
-    "async_sales_simulator",
     "default_market",
     "drifting_sales_simulator",
     "elastic_multi_tenant_simulator",
@@ -104,7 +111,6 @@ __all__ = [
     "multi_tenant_sales_simulator",
     "population_fleet_simulator",
     "sales_deployment",
-    "stochastic_multi_tenant_simulator",
     "stochastic_sales_simulator",
 ]
 
@@ -148,12 +154,18 @@ def sales_deployment(n_instances: int = 5) -> DeploymentSpec:
     )
 
 
+def _day_query(schema, name: str, geo_level: str, frequency: float) -> AggregateQuery:
+    """A dashboard query: day-level time at ``geo_level`` geography."""
+    return AggregateQuery.per(
+        schema, name, {"time": "day", "geography": geo_level}, frequency=frequency
+    )
+
+
 def drifting_sales_simulator(
     n_epochs: int = 24,
     n_rows: int = 60_000,
     seed: int = 42,
     dataset_gb: float = 10.0,
-    charge_teardown_egress: bool = True,
     cache: "SubsetEvaluationCache | None" = None,
     market: "tuple[Provider, ...] | None" = None,
     builds: "BuildConfig | None" = None,
@@ -165,6 +177,13 @@ def drifting_sales_simulator(
     monthly billing periods.  ``market`` (e.g. :func:`default_market`)
     quotes candidate provider books to migration-aware policies;
     ``None`` keeps the classic single-provider world.
+
+    ``builds`` (e.g. ``BuildConfig(slots=2, discipline="shortest")``)
+    queues decided builds on the wall clock: a view lands only after
+    its materialization hours have elapsed and is billed by
+    partial-period proration from that instant.  Instant builds
+    (``hours_per_month=float("inf")``) reproduce the ``None`` ledgers
+    byte-identically — the sync-parity invariant.
     """
     if n_epochs < DRIFT_MIN_EPOCHS:
         raise SimulationError(
@@ -172,9 +191,7 @@ def drifting_sales_simulator(
             f"{DRIFT_MIN_EPOCHS - 1}; n_epochs must be >= "
             f"{DRIFT_MIN_EPOCHS}, got {n_epochs}"
         )
-    dataset = generate_sales(
-        n_rows=n_rows, seed=seed, target_gb=dataset_gb
-    )
+    dataset = generate_sales(n_rows=n_rows, seed=seed, target_gb=dataset_gb)
     schema = dataset.schema
     workload = paper_sales_workload(schema, 5)
     initial = WarehouseState(
@@ -184,22 +201,14 @@ def drifting_sales_simulator(
         market=market if market is not None else (),
     )
 
-    def day_query(name: str, geo_level: str, frequency: float) -> AggregateQuery:
-        return AggregateQuery.per(
-            schema,
-            name,
-            {"time": "day", "geography": geo_level},
-            frequency=frequency,
-        )
-
     events = [
         # A dashboard team arrives: day-level queries, refreshed often.
         AddQueries(
             epoch=5,
             queries=(
-                day_query("D1", "country", 3.0),
-                day_query("D2", "region", 3.0),
-                day_query("D3", "department", 2.0),
+                _day_query(schema, "D1", "country", 3.0),
+                _day_query(schema, "D2", "region", 3.0),
+                _day_query(schema, "D3", "department", 2.0),
             ),
         ),
         # The data keeps landing: +30% fact volume.
@@ -223,7 +232,6 @@ def drifting_sales_simulator(
         clock=SimulationClock(n_epochs),
         events=events,
         cache=cache,
-        charge_teardown_egress=charge_teardown_egress,
         builds=builds,
     )
 
@@ -238,6 +246,36 @@ def multi_tenant_min_epochs(n_tenants: int) -> int:
     return max(17, 9 + 2 * (n_tenants - 1) + 1)
 
 
+def _mixed_tenant_workload(schema, serial: int) -> "tuple[Workload, float]":
+    """Tenant ``serial``'s ``(workload, intensity)`` in the fleet mix:
+    the first 3, 5 or 4 paper queries at 1x, 2x or 0.5x (cycling)."""
+    base = paper_sales_workload(schema, (3, 5, 4)[serial % 3])
+    intensity = (1.0, 2.0, 0.5)[serial % 3]
+    workload = base.reweighted({q.name: q.frequency * intensity for q in base})
+    return workload, intensity
+
+
+def _fleet_simulator(
+    tenants: "list[Tenant]",
+    dataset: Dataset,
+    n_epochs: int,
+    shared_events: "tuple[SimulationEvent, ...]" = (),
+    market: "tuple[Provider, ...] | None" = None,
+    deployment: "DeploymentSpec | None" = None,
+    **run,
+) -> MultiTenantSimulator:
+    """Merge ``tenants`` onto one warehouse; ``run`` configures the
+    :class:`~repro.simulate.tenants.MultiTenantSimulator` around it."""
+    fleet = TenantFleet(
+        tenants,
+        dataset=dataset,
+        deployment=deployment if deployment is not None else sales_deployment(),
+        shared_events=shared_events,
+        market=market if market is not None else (),
+    )
+    return MultiTenantSimulator(fleet, clock=SimulationClock(n_epochs), **run)
+
+
 def multi_tenant_sales_simulator(
     n_tenants: int = 3,
     n_epochs: int = 24,
@@ -245,7 +283,6 @@ def multi_tenant_sales_simulator(
     seed: int = 42,
     dataset_gb: float = 10.0,
     attribution: str = "proportional",
-    charge_teardown_egress: bool = True,
     cache: "SubsetEvaluationCache | None" = None,
     market: "tuple[Provider, ...] | None" = None,
     builds: "BuildConfig | None" = None,
@@ -265,9 +302,7 @@ def multi_tenant_sales_simulator(
     :mod:`repro.simulate.attribution`).
     """
     if n_tenants < 1:
-        raise SimulationError(
-            f"the fleet needs at least one tenant, got {n_tenants}"
-        )
+        raise SimulationError(f"the fleet needs at least one tenant, got {n_tenants}")
     needed = multi_tenant_min_epochs(n_tenants)
     if n_epochs < needed:
         raise SimulationError(
@@ -278,65 +313,41 @@ def multi_tenant_sales_simulator(
     dataset = generate_sales(n_rows=n_rows, seed=seed, target_gb=dataset_gb)
     schema = dataset.schema
 
-    def day_query(name: str, geo_level: str, frequency: float) -> AggregateQuery:
-        return AggregateQuery.per(
-            schema,
-            name,
-            {"time": "day", "geography": geo_level},
-            frequency=frequency,
-        )
-
-    sizes = (3, 5, 4)
-    intensities = (1.0, 2.0, 0.5)
     geo_levels = ("country", "region", "department")
     tenants = []
     for i in range(n_tenants):
-        base = paper_sales_workload(schema, sizes[i % len(sizes)])
-        intensity = intensities[i % len(intensities)]
-        workload = base.reweighted(
-            {q.name: q.frequency * intensity for q in base}
-        )
+        workload, intensity = _mixed_tenant_workload(schema, i)
         events = (
             # The tenant's dashboard team arrives, out of phase with
             # its neighbours'.
             AddQueries(
                 epoch=4 + 2 * i,
                 queries=(
-                    day_query("D1", geo_levels[i % len(geo_levels)], 3.0),
-                    day_query("D2", "country", 2.0),
+                    _day_query(schema, "D1", geo_levels[i % len(geo_levels)], 3.0),
+                    _day_query(schema, "D2", "country", 2.0),
                 ),
             ),
             # Dashboards get hot, the oldest report cools.
             ReweightQueries(
                 epoch=9 + 2 * i,
-                frequencies=(
-                    ("D1", 6.0),
-                    ("Q1", 0.25 * intensity),
-                ),
+                frequencies=(("D1", 6.0), ("Q1", 0.25 * intensity)),
             ),
         )
-        tenants.append(
-            Tenant(name=f"t{i + 1}", workload=workload, events=events)
-        )
+        tenants.append(Tenant(name=f"t{i + 1}", workload=workload, events=events))
 
     shared = (
         GrowFactTable(epoch=8, factor=1.3),
         PriceChange(epoch=12, provider=flat_cloud()),
         GrowFactTable(epoch=16, factor=1.2),
     )
-    fleet = TenantFleet(
+    return _fleet_simulator(
         tenants,
-        dataset=dataset,
-        deployment=sales_deployment(),
+        dataset,
+        n_epochs,
         shared_events=shared,
-        market=market if market is not None else (),
-    )
-    return MultiTenantSimulator(
-        fleet,
-        clock=SimulationClock(n_epochs),
+        market=market,
         attribution=attribution,
         cache=cache,
-        charge_teardown_egress=charge_teardown_egress,
         builds=builds,
     )
 
@@ -357,7 +368,6 @@ def stochastic_sales_simulator(
     seed: int = 42,
     drift_seed: "int | None" = None,
     dataset_gb: float = 10.0,
-    charge_teardown_egress: bool = True,
     cache: "SubsetEvaluationCache | None" = None,
     market: "tuple[Provider, ...] | None" = None,
     builds: "BuildConfig | None" = None,
@@ -397,97 +407,6 @@ def stochastic_sales_simulator(
         clock=SimulationClock(n_epochs),
         timeline=timeline,
         cache=cache,
-        charge_teardown_egress=charge_teardown_egress,
-        builds=builds,
-    )
-
-
-def stochastic_multi_tenant_simulator(
-    n_tenants: int = 3,
-    generator: str = "mixed",
-    n_epochs: int = 24,
-    n_rows: int = 60_000,
-    seed: int = 42,
-    drift_seed: "int | None" = None,
-    dataset_gb: float = 10.0,
-    attribution: str = "proportional",
-    charge_teardown_egress: bool = True,
-    cache: "SubsetEvaluationCache | None" = None,
-    market: "tuple[Provider, ...] | None" = None,
-    builds: "BuildConfig | None" = None,
-) -> MultiTenantSimulator:
-    """*n* tenants, one warehouse, every tenant's future sampled.
-
-    Tenants start from the same size/intensity mix as
-    :func:`multi_tenant_sales_simulator`.  The generator preset is
-    split by scope: each tenant gets its own workload-scoped streams
-    (churn, seasonal waves) drawn from a per-tenant child seed, and the
-    warehouse-scoped streams (growth, spot-price walk) run once, on
-    the shared world — so tenants drift independently over a common
-    market backdrop.
-    """
-    if n_tenants < 1:
-        raise SimulationError(
-            f"the fleet needs at least one tenant, got {n_tenants}"
-        )
-    dataset = _cached_sales_dataset(n_rows, seed, dataset_gb)
-    schema = dataset.schema
-    deployment = sales_deployment()
-    base_seed = seed if drift_seed is None else drift_seed
-    workload_gens, warehouse_gens = split_by_scope(
-        generator_preset(generator)
-    )
-
-    sizes = (3, 5, 4)
-    intensities = (1.0, 2.0, 0.5)
-    tenants = []
-    for i in range(n_tenants):
-        base = paper_sales_workload(schema, sizes[i % len(sizes)])
-        intensity = intensities[i % len(intensities)]
-        workload = base.reweighted(
-            {q.name: q.frequency * intensity for q in base}
-        )
-        timeline = compile_timeline(
-            workload_gens,
-            derive_seed(base_seed, f"tenant:{i}"),
-            GeneratorContext(
-                schema=schema,
-                base_workload=workload,
-                provider=deployment.provider,
-                n_epochs=n_epochs,
-            ),
-        )
-        tenants.append(
-            Tenant(
-                name=f"t{i + 1}",
-                workload=workload,
-                events=tuple(timeline),
-            )
-        )
-
-    shared_timeline = compile_timeline(
-        warehouse_gens,
-        derive_seed(base_seed, "shared"),
-        GeneratorContext(
-            schema=schema,
-            base_workload=tenants[0].workload,
-            provider=deployment.provider,
-            n_epochs=n_epochs,
-        ),
-    )
-    fleet = TenantFleet(
-        tenants,
-        dataset=dataset,
-        deployment=deployment,
-        shared_events=tuple(shared_timeline),
-        market=market if market is not None else (),
-    )
-    return MultiTenantSimulator(
-        fleet,
-        clock=SimulationClock(n_epochs),
-        attribution=attribution,
-        cache=cache,
-        charge_teardown_egress=charge_teardown_egress,
         builds=builds,
     )
 
@@ -502,24 +421,26 @@ def elastic_multi_tenant_simulator(
     drift_seed: "int | None" = None,
     dataset_gb: float = 10.0,
     attribution: str = "proportional",
-    charge_teardown_egress: bool = True,
     cache: "SubsetEvaluationCache | None" = None,
     market: "tuple[Provider, ...] | None" = None,
     builds: "BuildConfig | None" = None,
 ) -> MultiTenantSimulator:
-    """The stochastic fleet with a *sampled population*.
+    """*n* tenants, one warehouse, every tenant's future sampled.
 
-    Starts from :func:`stochastic_multi_tenant_simulator`'s world —
-    ``n_tenants`` founding tenants with sampled drift over a shared
-    sampled backdrop — and layers a seeded churn process on top:
-    :func:`~repro.simulate.stochastic.sample_fleet_churn` draws
-    tenants (``c0``, ``c1``, ...) that arrive mid-lifecycle and may
-    depart before the horizon.  Each churned tenant brings a small
-    paper-workload prefix at its own intensity and drifts under its
-    own child-seeded generator streams, compiled over its active
-    window; the fleet bills its onboarding and settlement through
-    :class:`~repro.simulate.events.TenantArrival` /
-    :class:`~repro.simulate.events.TenantDeparture`.
+    Founding tenants ``t1`` ... ``tn`` start from the same
+    size/intensity mix as :func:`multi_tenant_sales_simulator`.  The
+    generator preset is split by scope: each tenant gets its own
+    workload-scoped streams (churn, seasonal waves) drawn from a
+    per-tenant child seed, and the warehouse-scoped streams (growth,
+    spot-price walk) run once, on the shared world.
+
+    ``churn`` (default ``FleetChurn()``; see
+    :func:`~repro.simulate.stochastic.sample_fleet_churn`) draws
+    tenants ``c0``, ``c1``, ... that arrive mid-lifecycle and may
+    depart before the horizon, each drifting under its own streams
+    over its active window and billed on arrival and departure.
+    ``churn=FleetChurn(arrival_rate=0.0)`` draws nobody: the fixed
+    sampled fleet.
 
     Founders never depart, so the warehouse is occupied at every
     epoch (a :class:`~repro.simulate.tenants.MultiTenantSimulator`
@@ -535,12 +456,7 @@ def elastic_multi_tenant_simulator(
     schema = dataset.schema
     deployment = sales_deployment()
     base_seed = seed if drift_seed is None else drift_seed
-    workload_gens, warehouse_gens = split_by_scope(
-        generator_preset(generator)
-    )
-
-    sizes = (3, 5, 4)
-    intensities = (1.0, 2.0, 0.5)
+    workload_gens, warehouse_gens = split_by_scope(generator_preset(generator))
 
     def sampled_tenant(
         name: str,
@@ -549,31 +465,30 @@ def elastic_multi_tenant_simulator(
         arrival: int = 0,
         departure: "int | None" = None,
     ) -> Tenant:
-        base = paper_sales_workload(schema, sizes[serial % len(sizes)])
-        intensity = intensities[serial % len(intensities)]
-        workload = base.reweighted(
-            {q.name: q.frequency * intensity for q in base}
-        )
+        workload, _ = _mixed_tenant_workload(schema, serial)
         # Drift is compiled over the tenant's active window and
         # shifted to it, so a late arrival drifts relative to its own
         # onboarding, not the fleet's epoch 0.
         window = (departure if departure is not None else n_epochs) - arrival
         events: "tuple[SimulationEvent, ...]" = ()
         if window >= 2:
-            timeline = compile_timeline(
-                workload_gens,
-                derive_seed(base_seed, drift_label),
-                GeneratorContext(
-                    schema=schema,
-                    base_workload=workload,
-                    provider=deployment.provider,
-                    n_epochs=window,
-                ),
-            )
             events = tuple(
-                replace(event, epoch=event.epoch + arrival)
-                for event in timeline
+                compile_timeline(
+                    workload_gens,
+                    derive_seed(base_seed, drift_label),
+                    GeneratorContext(
+                        schema=schema,
+                        base_workload=workload,
+                        provider=deployment.provider,
+                        n_epochs=window,
+                    ),
+                )
             )
+            if arrival:
+                events = tuple(
+                    replace(event, epoch=event.epoch + arrival)
+                    for event in events
+                )
         return Tenant(
             name=name,
             workload=workload,
@@ -586,6 +501,19 @@ def elastic_multi_tenant_simulator(
         sampled_tenant(f"t{i + 1}", i, f"tenant:{i}")
         for i in range(n_tenants)
     ]
+    # The backdrop compiles before the churn process samples, so a
+    # horizon too short to drift over fails on the drift floor, even
+    # for a fleet that asked for no churn.
+    shared_timeline = compile_timeline(
+        warehouse_gens,
+        derive_seed(base_seed, "shared"),
+        GeneratorContext(
+            schema=schema,
+            base_workload=tenants[0].workload,
+            provider=deployment.provider,
+            n_epochs=n_epochs,
+        ),
+    )
     process = churn if churn is not None else FleetChurn()
     for index, lifecycle in enumerate(
         sample_fleet_churn(
@@ -601,30 +529,15 @@ def elastic_multi_tenant_simulator(
                 departure=lifecycle.departure_epoch,
             )
         )
-
-    shared_timeline = compile_timeline(
-        warehouse_gens,
-        derive_seed(base_seed, "shared"),
-        GeneratorContext(
-            schema=schema,
-            base_workload=tenants[0].workload,
-            provider=deployment.provider,
-            n_epochs=n_epochs,
-        ),
-    )
-    fleet = TenantFleet(
+    return _fleet_simulator(
         tenants,
-        dataset=dataset,
-        deployment=deployment,
+        dataset,
+        n_epochs,
         shared_events=tuple(shared_timeline),
-        market=market if market is not None else (),
-    )
-    return MultiTenantSimulator(
-        fleet,
-        clock=SimulationClock(n_epochs),
+        market=market,
+        deployment=deployment,
         attribution=attribution,
         cache=cache,
-        charge_teardown_egress=charge_teardown_egress,
         builds=builds,
     )
 
@@ -686,80 +599,16 @@ def population_fleet_simulator(
             Tenant(
                 name=f"p{i}",
                 workload=Workload(
-                    schema,
-                    (
-                        replace(
-                            query,
-                            frequency=query.frequency * intensity,
-                        ),
-                    ),
+                    schema, (replace(query, frequency=query.frequency * intensity),)
                 ),
                 arrival_epoch=arrival,
                 departure_epoch=departure,
             )
         )
 
-    lattice = CuboidLattice(schema)
     catalogue = candidates_from_workload(
-        lattice, Workload(schema, pool)
+        CuboidLattice(schema), Workload(schema, pool)
     )
-    fleet = TenantFleet(
-        tenants,
-        dataset=dataset,
-        deployment=sales_deployment(),
-    )
-    return MultiTenantSimulator(
-        fleet,
-        clock=SimulationClock(n_epochs),
-        attribution=attribution,
-        catalogue=catalogue,
-        cache=cache,
-    )
-
-
-def async_sales_simulator(
-    n_epochs: int = 24,
-    n_rows: int = 60_000,
-    seed: int = 42,
-    dataset_gb: float = 10.0,
-    build_slots: int = 1,
-    build_discipline: str = "fifo",
-    hours_per_month: "float | None" = None,
-    charge_teardown_egress: bool = True,
-    cache: "SubsetEvaluationCache | None" = None,
-    market: "tuple[Provider, ...] | None" = None,
-) -> LifecycleSimulator:
-    """The drifting-warehouse scenario with wall-clock builds.
-
-    Exactly :func:`drifting_sales_simulator`, except decided builds
-    enter a :class:`~repro.simulate.builds.BuildQueue` with
-    ``build_slots`` concurrent slots under ``build_discipline``
-    (``fifo`` / ``shortest``), land only after their materialization
-    hours have elapsed on the wall clock, and are billed by
-    partial-period proration from the moment they land.
-
-    ``hours_per_month`` overrides the wall-clock conversion (default
-    :data:`repro.units.HOURS_PER_MONTH`); pass ``float("inf")`` for
-    instant builds, under which this preset reproduces
-    :func:`drifting_sales_simulator`'s ledgers byte-identically — the
-    sync-parity invariant.
-    """
-    config = (
-        BuildConfig(slots=build_slots, discipline=build_discipline)
-        if hours_per_month is None
-        else BuildConfig(
-            slots=build_slots,
-            discipline=build_discipline,
-            hours_per_month=hours_per_month,
-        )
-    )
-    return drifting_sales_simulator(
-        n_epochs=n_epochs,
-        n_rows=n_rows,
-        seed=seed,
-        dataset_gb=dataset_gb,
-        charge_teardown_egress=charge_teardown_egress,
-        cache=cache,
-        market=market,
-        builds=config,
+    return _fleet_simulator(
+        tenants, dataset, n_epochs, attribution=attribution, catalogue=catalogue, cache=cache
     )

@@ -229,7 +229,6 @@ class LifecycleSimulator:
         events: Sequence[SimulationEvent] = (),
         catalogue: Optional[Sequence[CandidateView]] = None,
         cache: Optional[SubsetEvaluationCache] = None,
-        charge_teardown_egress: bool = True,
         builds: Optional[BuildConfig] = None,
     ) -> None:
         if timeline is not None and events:
@@ -257,7 +256,6 @@ class LifecycleSimulator:
                 CuboidLattice(initial.workload.schema)
             )
         self._builder = EpochProblemBuilder(catalogue, cache)
-        self._charge_teardown = charge_teardown_egress
         self._builds = builds
 
     # -- accessors ------------------------------------------------------
@@ -898,7 +896,7 @@ class LifecycleSimulator:
                     )
                 )
             build_cost = self._compute_bill(inputs.deployment, landed_hours)
-        if dropped and self._charge_teardown:
+        if dropped:
             dropped_gb = sum(
                 inputs.view_stats[name].size_gb for name in dropped
             )

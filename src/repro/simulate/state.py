@@ -268,21 +268,6 @@ class WarehouseState:
             market=self._market_with(provider),
         )
 
-    def with_market(self, market: "tuple[Provider, ...]") -> "WarehouseState":
-        """The same warehouse with a different set of quoted books.
-
-        Parameters
-        ----------
-        market:
-            The new quotes (at most one book per provider family).
-
-        Returns
-        -------
-        WarehouseState
-            A new state quoting ``market``.
-        """
-        return replace(self, market=tuple(market))
-
     def with_holdings(self, holdings: Holdings) -> "WarehouseState":
         """The same warehouse with its live/pending views restated.
 

@@ -483,7 +483,6 @@ class MultiTenantSimulator:
         attribution: str = "proportional",
         catalogue: Optional[Sequence[CandidateView]] = None,
         cache: Optional[SubsetEvaluationCache] = None,
-        charge_teardown_egress: bool = True,
         builds: "Optional[BuildConfig]" = None,
     ) -> None:
         self._fleet = fleet
@@ -507,7 +506,6 @@ class MultiTenantSimulator:
             events=fleet.events(),
             catalogue=catalogue,
             cache=cache,
-            charge_teardown_egress=charge_teardown_egress,
             builds=builds,
         )
 

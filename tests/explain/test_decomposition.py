@@ -26,10 +26,9 @@ from repro.explain import (
 )
 from repro.money import Money
 from repro.optimizer.problem import SubsetEvaluationCache
-from repro.simulate import NeverReselect, make_policy
+from repro.simulate import BuildConfig, NeverReselect, make_policy
 from repro.simulate.presets import (
     DRIFT_MIN_EPOCHS,
-    async_sales_simulator,
     default_market,
     drifting_sales_simulator,
     multi_tenant_sales_simulator,
@@ -98,8 +97,11 @@ class TestPresetRegimes:
         assert triggers[0].trigger == "initial"
 
     def test_async_builds(self):
-        simulator = async_sales_simulator(
-            n_epochs=DRIFT_MIN_EPOCHS, n_rows=8_000, dataset_gb=2.0
+        simulator = drifting_sales_simulator(
+            n_epochs=DRIFT_MIN_EPOCHS,
+            n_rows=8_000,
+            dataset_gb=2.0,
+            builds=BuildConfig(),
         )
         with activate(ExplainLog()) as log:
             ledger = simulator.run(make_policy("periodic", period=4))

@@ -19,10 +19,9 @@ Two directions:
 from __future__ import annotations
 
 from repro.explain import ExplainLog, activate
-from repro.simulate import NeverReselect, make_policy
+from repro.simulate import BuildConfig, NeverReselect, make_policy
 from repro.simulate.presets import (
     DRIFT_MIN_EPOCHS,
-    async_sales_simulator,
     drifting_sales_simulator,
     multi_tenant_sales_simulator,
 )
@@ -53,12 +52,18 @@ class TestEnabledNeverPerturbs:
         assert recorded.summary() == baseline.summary()
 
     def test_async_ledger_is_byte_identical(self):
-        baseline = async_sales_simulator(
-            n_epochs=DRIFT_MIN_EPOCHS, n_rows=8_000, dataset_gb=2.0
+        baseline = drifting_sales_simulator(
+            n_epochs=DRIFT_MIN_EPOCHS,
+            n_rows=8_000,
+            dataset_gb=2.0,
+            builds=BuildConfig(),
         ).run(make_policy("periodic", period=4))
         with activate(ExplainLog()):
-            recorded = async_sales_simulator(
-                n_epochs=DRIFT_MIN_EPOCHS, n_rows=8_000, dataset_gb=2.0
+            recorded = drifting_sales_simulator(
+                n_epochs=DRIFT_MIN_EPOCHS,
+                n_rows=8_000,
+                dataset_gb=2.0,
+                builds=BuildConfig(),
             ).run(make_policy("periodic", period=4))
         assert _billed_view(recorded) == _billed_view(baseline)
 

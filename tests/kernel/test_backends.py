@@ -70,20 +70,3 @@ def test_pure_python_backend_runs_without_numpy(random_world_factory):
     if not HAVE_NUMPY:
         assert problem._kernel_world.backend_name == "python"
 
-
-def test_total_cents_batch(random_world_factory):
-    from repro.kernel import to_cents
-
-    world = random_world_factory(7)
-    from repro.costmodel.total import CloudCostModel
-
-    kernel = KernelWorld.build(world.inputs, CloudCostModel(world.deployment))
-    assert kernel is not None
-    subsets = [frozenset(), frozenset(c.name for c in world.candidates)]
-    batch = kernel.total_cents_batch(subsets)
-    expected = [to_cents(kernel.evaluate(s).total) for s in subsets]
-    assert list(batch) == expected
-    if HAVE_NUMPY:
-        import numpy as np
-
-        assert batch.dtype == np.int64

@@ -15,7 +15,6 @@ from repro.simulate import (
     PolicySpec,
     ReselectionPolicy,
     WarehouseState,
-    async_sales_simulator,
     default_market,
     drifting_sales_simulator,
     full_catalogue,
@@ -53,12 +52,7 @@ class TestSyncParity:
     @pytest.mark.parametrize("name", ["never", "periodic", "regret"])
     def test_drifting_preset_parity(self, name):
         sync = sync_simulator().run(make_policy(name))
-        instant = async_sales_simulator(
-            n_epochs=EPOCHS,
-            n_rows=ROWS,
-            build_slots=4,
-            hours_per_month=float("inf"),
-        ).run(make_policy(name))
+        instant = sync_simulator(builds=INSTANT).run(make_policy(name))
         assert instant.records == sync.records
         assert instant.render() == sync.render()
 

@@ -9,6 +9,12 @@ fleet) and a slow build queue whose epochs split at landings.
 
 The digests were recorded while each regime still had a loop of its
 own, so they hold the one loop to the bytes those two loops produced.
+Two cases were recorded through presets that are gone:
+``fixed-fleet`` through a dedicated fixed sampled-fleet preset (now
+the zero-churn elastic fleet) and ``async-shortest`` through an async
+wrapper (now ``builds=``).  ``scripted-fleet``, recorded with them,
+pins the hand-scripted fleet.
+
 They are also the cross-backend check: every case must give the same
 digests with the kernel as shipped, forced onto its pure-Python
 backend (what a numpy-less install runs), and switched off (the exact
@@ -32,12 +38,14 @@ from repro.simulate import (
     default_market,
     drifting_sales_simulator,
     make_policy,
+    multi_tenant_sales_simulator,
     stochastic_sales_simulator,
 )
 from repro.simulate.presets import (
     elastic_multi_tenant_simulator,
     population_fleet_simulator,
 )
+from repro.simulate.stochastic import FleetChurn
 
 ROWS = 2_000
 
@@ -117,9 +125,35 @@ CASES = {
         ),
         make_policy("periodic"),
     ),
+    "fixed-fleet": lambda: _fleet(
+        elastic_multi_tenant_simulator(
+            n_tenants=3,
+            churn=FleetChurn(arrival_rate=0.0),
+            n_epochs=12,
+            n_rows=ROWS,
+            seed=11,
+        ),
+        make_policy("regret"),
+    ),
+    "scripted-fleet": lambda: _fleet(
+        multi_tenant_sales_simulator(n_tenants=3, n_epochs=17, n_rows=ROWS),
+        make_policy("periodic"),
+    ),
+    "async-shortest": lambda: _single(
+        drifting_sales_simulator(
+            n_epochs=19,
+            n_rows=ROWS,
+            builds=BuildConfig(slots=2, discipline="shortest", hours_per_month=2.0),
+        ),
+        make_policy("regret"),
+    ),
 }
 
 GOLDEN = {
+    "async-shortest": {
+        "explain": "372a2e2fd2533f9fe148390318e0cac96aa5ba570210ae4df95ae038fa104d7d",
+        "render": "e76338ec044153ecd5ccc9be5760959daff59976a5c589b26d817fee9ca27835",
+    },
     "drifting-never": {
         "explain": "87c3f80e19acc29e87bae28e687dafd55a37cb5a53451710e9d8d358aaafda9c",
         "render": "decb42a5100d109e8eabfcc4eddf391a696ba60c5d452c306fb8f1b10e164c63",
@@ -144,10 +178,24 @@ GOLDEN = {
         "tenant:t2": "b86ae3659d14c1dd9f08b1f101155dcf666e4b2f2c94fa8b38d1d7756c1b0685",
         "tenant:t3": "0709c537d8ec5e409c0bd8a92eee67f749db15ac28465b7dfbf212945a6e75e8",
     },
+    "fixed-fleet": {
+        "explain": "ae6615ba794da603321ce3bf4210c243bf248629d7dab2dfc0756e31b14e92d1",
+        "render": "13c8285b2d67d4fb38e308af58c00718a2860ad233bed30a76603f45e971006a",
+        "tenant:t1": "8c6426dfe143846166a38e661b14cb8a4a58da8dff61ddcbdb2e631b284dab34",
+        "tenant:t2": "f04185425534ea701eb0092a08344b503a9e2310df67be375f120afdd4df709a",
+        "tenant:t3": "d99b598380e9f34a5fe31c57928ed6b992fc4e81563158eec4cd5804285472e9",
+    },
     "population-sharded": {
         "csv": "02a50a514d6f0e89bd8bded62d604a4daf0826de70aaf44e0afeb51553f7b227",
         "explain": "d3fcc61f72098e6dc9eaa2effd1880749d731f2bc066287aee5d329fef3b082a",
         "render": "965a582b023809c93d7d12e2fef88258a6b64f88f992137769b855cbefddab5a",
+    },
+    "scripted-fleet": {
+        "explain": "ad9f32369926e8a58e1b06bb7aca7be4b45c96effa7dacabae582632a31b6293",
+        "render": "ef3bf4a400b805f12c0a4988ae44284785b6441f1530a6e71118f48d819cf937",
+        "tenant:t1": "6e56f998f8eeb75c0f57d1b3e107b2a53ea0a43ef614cee4a9ac5981f53dac6a",
+        "tenant:t2": "44f560570142bc4d93ff8743aae5ef046abe5840bb60f801e15f185f17dfd3ff",
+        "tenant:t3": "4ecd3219223a1da2c728b9122266f31f99c27f7468e87ba457abe878543a2ad2",
     },
     "slow-async": {
         "explain": "1cc5a331a239f2fef386c94b6dc70e2f716d17b169902106d15a316173044863",
@@ -209,8 +257,9 @@ def test_the_cases_reach_the_paths_they_pin():
     # A pinned digest proves nothing about a path the case never takes.
     arbitrage, _ = _outcome("stochastic-arbitrage")
     assert any(record.migrated_to for record in arbitrage)
-    slow, _ = _outcome("slow-async")
-    assert any(record.segments for record in slow)
+    for case in ("slow-async", "async-shortest"):
+        slow, _ = _outcome(case)
+        assert any(record.segments for record in slow)
     fleet, _ = _outcome("elastic-fleet")
     assert any(record.arrivals for record in fleet)
     assert any(record.departures for record in fleet)

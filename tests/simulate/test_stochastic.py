@@ -22,12 +22,13 @@ from repro.simulate import (
     SpotPriceWalk,
     compile_timeline,
     derive_seed,
+    elastic_multi_tenant_simulator,
     generator_preset,
     split_by_scope,
     spot_repriced,
-    stochastic_multi_tenant_simulator,
     stochastic_sales_simulator,
 )
+from repro.simulate.stochastic import FleetChurn
 from repro.workload import paper_sales_workload
 
 
@@ -39,6 +40,10 @@ def context(sales_dataset_10gb):
         provider=aws_2012(),
         n_epochs=12,
     )
+
+
+#: A fixed sampled fleet: tenants drift, nobody arrives or leaves.
+FIXED = FleetChurn(arrival_rate=0.0)
 
 
 def _timeline_signature(timeline):
@@ -217,22 +222,45 @@ class TestStochasticPresets:
     def test_multi_tenant_fleet_attributes_exactly(self):
         from repro.simulate import make_policy
 
-        simulator = stochastic_multi_tenant_simulator(
-            n_tenants=2, n_epochs=6, n_rows=4_000, seed=3
+        simulator = elastic_multi_tenant_simulator(
+            n_tenants=2, churn=FIXED, n_epochs=6, n_rows=4_000, seed=3
         )
         fleet_ledger = simulator.run(make_policy("never"))
         fleet_ledger.verify_attribution()  # books must balance exactly
         assert set(fleet_ledger.tenants) == {"t1", "t2"}
 
     def test_tenants_sample_independent_futures(self):
-        simulator = stochastic_multi_tenant_simulator(
-            n_tenants=2, n_epochs=8, n_rows=4_000, seed=3, generator="churn"
+        simulator = elastic_multi_tenant_simulator(
+            n_tenants=2,
+            churn=FIXED,
+            n_epochs=8,
+            n_rows=4_000,
+            seed=3,
+            generator="churn",
         )
         by_tenant = {"t1": [], "t2": []}
         for tenant in simulator.fleet.tenants:
             for event in tenant.events:
                 by_tenant[tenant.name].append((event.epoch, event.describe()))
         assert by_tenant["t1"] != by_tenant["t2"]
+
+    def test_short_sampled_fleet_fails_at_the_drift_floor(self, capsys):
+        # One epoch leaves no room for drift: the preset, the Monte
+        # Carlo harness and the CLI each refuse it with the drift
+        # floor's message, not a churn-process one.
+        from repro.cli import main
+        from repro.simulate import MonteCarloConfig, run_monte_carlo
+
+        floor = "stochastic drift needs at least 2 epochs"
+        with pytest.raises(SimulationError, match=floor):
+            elastic_multi_tenant_simulator(
+                n_tenants=2, churn=FIXED, n_epochs=1, n_rows=4_000
+            )
+        with pytest.raises(SimulationError, match=floor):
+            run_monte_carlo(MonteCarloConfig(n_tenants=2, n_epochs=1, n_rows=4_000))
+        argv = ["simulate", "--tenants", "2", "--generator", "mixed", "--epochs", "1"]
+        assert main(argv + ["--rows", "4000", "--quiet"]) == 1
+        assert floor in capsys.readouterr().err
 
 
 class TestPoissonSampler:

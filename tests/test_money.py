@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from decimal import Decimal
 
 import pytest
@@ -89,6 +90,72 @@ class TestRounding:
 
     def test_format_with_spec_uses_float(self):
         assert f"{Money('1.5'):.1f}" == "1.5"
+
+
+#: The int64 range, where the largest cent counts a bill could plausibly
+#: reach live; ``to_cents`` returns Python ints, so nothing bounds it there.
+INT64_MAX = 2**63 - 1
+
+
+def _random_cents(rng: random.Random) -> int:
+    """Cent counts across the int64 range, biased toward the edges."""
+    magnitude = rng.choice(
+        [
+            rng.randint(0, 10_000),
+            rng.randint(0, 10**9),
+            rng.randint(0, INT64_MAX),
+            INT64_MAX - rng.randint(0, 3),
+        ]
+    )
+    return -magnitude if rng.random() < 0.5 else magnitude
+
+
+class TestCentGrid:
+    """``to_cents`` and ``cents``: the knapsack's integer weights.
+
+    The knapsack prices each view's weight and the budget's capacity as
+    ``Money.to_cents()``, so a cent-representable amount must come back
+    from the grid exactly, and rounding onto it must be half-up on both
+    signs.
+    """
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_cent_grid_round_trip_is_exact(self, seed):
+        rng = random.Random(seed)
+        for _ in range(500):
+            count = _random_cents(rng)
+            assert cents(count).to_cents() == count
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_cent_representable_money_survives_round_trip(self, seed):
+        rng = random.Random(1000 + seed)
+        for _ in range(300):
+            base = Decimal(_random_cents(rng)).scaleb(-2)
+            # Several spellings of the same amount: plain, a trailing
+            # zero, and normalized (exponent form for round dollars).
+            for spelling in (base, Decimal(str(base) + "0"), base.normalize()):
+                money = Money(spelling)
+                assert cents(money.to_cents()) == money
+
+    @pytest.mark.parametrize(
+        "amount, expected",
+        [
+            ("10.005", 1001),
+            ("-10.005", -1001),
+            ("0.004", 0),
+            ("-0.005", -1),
+            ("1.999", 200),
+        ],
+    )
+    def test_to_cents_rounds_half_up_on_both_signs(self, amount, expected):
+        assert Money(amount).to_cents() == expected
+        assert Money(amount).quantized() == cents(expected)
+
+    def test_counts_past_int64_do_not_wrap(self):
+        for count in (INT64_MAX, INT64_MAX + 1, -INT64_MAX - 1, -INT64_MAX - 2):
+            weight = cents(count).to_cents()
+            assert type(weight) is int
+            assert weight == count
 
 
 class TestOrderingAndHashing:
