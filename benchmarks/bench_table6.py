@@ -4,7 +4,8 @@ Prints measured IP rates beside the paper's (25/36/60%).  In the
 steady-state billing regime views amortize so well they self-pay, so
 measured rates sit near the physics cap rather than the paper's
 budget-bound values; the tight-budget ablation bench reproduces the
-paper's shape.  EXPERIMENTS.md discusses the gap.
+paper's shape.  The ``repro.experiments.tables`` docstring explains the
+gap.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 Shape requirement: both weights improve with views at every workload
 size.  (The paper's alpha-ordering — 0.3 rates above 0.7 rates —
 reflects its regime of modest view speedups; ours inverts because the
-measured time gains exceed the cost gains.  EXPERIMENTS.md, Table 8
-discussion.)
+measured time gains exceed the cost gains; see the
+``repro.experiments.tables`` docstring.)
 """
 
 from __future__ import annotations

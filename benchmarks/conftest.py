@@ -2,8 +2,9 @@
 
 Every benchmark regenerating a paper artifact writes its table to
 ``benchmarks/results/<name>.txt`` (rendered) and ``.csv`` (data), so the
-paper-vs-measured comparison in EXPERIMENTS.md can be re-checked from
-artifacts rather than scrollback.
+paper-vs-measured comparison (``PAPER_RATES`` in
+``repro.experiments.tables``) can be re-checked from artifacts rather
+than scrollback.
 
 Benchmarks on the telemetry-instrumented lifecycle stack can also
 record a **per-phase wall-clock breakdown** (``phase_breakdown``): one

@@ -860,8 +860,6 @@ def _export_explain(log: ExplainLog, args: argparse.Namespace) -> None:
 def _run_simulate(args: argparse.Namespace) -> int:
     collector = _telemetry_collector(args)
     log = None if args.explain_out is None else ExplainLog()
-    if collector is None and log is None:
-        return _dispatch_simulate(args)
     with ExitStack() as stack:
         if collector is not None:
             stack.enter_context(activate(collector))

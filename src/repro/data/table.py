@@ -202,13 +202,6 @@ class GrainTable:
     # -- size accounting ----------------------------------------------
 
     @property
-    def physical_nbytes(self) -> int:
-        """In-memory numpy bytes (not the billing size; see sizing)."""
-        total = sum(col.nbytes for col in self._dim_codes.values())
-        total += sum(col.nbytes for col in self._measures.values())
-        return total
-
-    @property
     def row_logical_bytes(self) -> int:
         """Logical stored width of one row at this table's grain."""
         return self._schema.row_logical_bytes(self._grain)

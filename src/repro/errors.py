@@ -22,7 +22,6 @@ __all__ = [
     "InfeasibleProblemError",
     "ExperimentError",
     "SimulationError",
-    "KernelError",
     "ExplainError",
 ]
 
@@ -104,14 +103,6 @@ class SimulationError(ReproError):
     Raised for empty clocks, events scheduled past the horizon, unknown
     re-selection policies, or event parameters that cannot be applied
     to the warehouse state.
-    """
-
-
-class KernelError(ReproError):
-    """The vectorized evaluation kernel was misused.
-
-    Raised for inputs the kernel cannot represent (rather than
-    silently producing numbers that differ from the Decimal oracle).
     """
 
 

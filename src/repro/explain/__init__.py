@@ -5,10 +5,10 @@ every policy trigger, optimizer solve, arbitrage assessment, and
 build outcome emits a frozen decision record, and a ledger-diff
 engine decomposes each epoch's cost change into exact ``Money`` terms
 that sum byte-exactly to the ledger delta (fleet and per-tenant).
-Off by default behind the same ambient-null seam as
-:mod:`repro.telemetry`; see :mod:`repro.explain.core` for the seam,
-:mod:`repro.explain.delta` for the exactness argument, and
-``docs/EXPLAIN.md`` for the operator's tour.
+Off by default behind the ambient seam it shares with
+:mod:`repro.telemetry` (:mod:`repro.ambient`; described in
+``docs/TELEMETRY.md``); see :mod:`repro.explain.delta` for the
+exactness argument and ``docs/EXPLAIN.md`` for the operator's tour.
 """
 
 from .core import NULL, ExplainLog, NullExplain, activate, current, install

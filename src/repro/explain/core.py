@@ -1,7 +1,8 @@
 """The explain front end: ambient ``ExplainLog`` objects and scopes.
 
-The provenance layer mirrors :mod:`repro.telemetry.core`'s ambient
-seam exactly:
+The provenance layer reaches the code through the same ambient seam as
+:mod:`repro.telemetry.core` (``docs/TELEMETRY.md``, "The ambient
+seam"), with a slot of its own:
 
 * :data:`NULL` — the no-op singleton active by default.  ``emit()``
   is a ``pass`` and ``scope()`` hands back a shared reusable context
@@ -23,13 +24,11 @@ The active object is ambient — :func:`current` reads it,
         simulator.run(policy)
         print(len(log.records))
 
-Instrumented classes capture :func:`current` at the start of a run
-and use that handle throughout, keeping the hot path free of global
-lookups.  Multiprocessing follows the telemetry story: a worker
-installs a fresh ``ExplainLog``, runs its trial, and ships
-:meth:`ExplainLog.snapshot` back to the parent, which folds
-snapshots in trial order via :meth:`ExplainLog.merge` — so the merged
-log is a pure function of the trial set, never of worker scheduling.
+Instrumented classes capture :func:`current` at the start of a run.  A
+Monte Carlo trial ships its log's :meth:`ExplainLog.snapshot` to the
+parent, which folds the snapshots in trial order via
+:meth:`ExplainLog.merge` — so the merged log is a pure function of the
+trial set, never of worker scheduling.
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Callable, Iterator, List, Optional, Tuple, Union
 
+from ..ambient import NULL_CONTEXT, AmbientSlot, NullContext
 from .records import record_to_json
 
 __all__ = [
@@ -47,21 +47,6 @@ __all__ = [
     "current",
     "install",
 ]
-
-
-class _NullScope:
-    """The reusable context manager ``NullExplain.scope`` hands out."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullScope":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        return None
-
-
-_NULL_SCOPE = _NullScope()
 
 
 class _Deferred:
@@ -103,9 +88,18 @@ class NullExplain:
     def emit_deferred(self, thunk: Callable[[], object]) -> None:
         """No-op — the thunk is dropped, never called."""
 
-    def scope(self, epoch: int, policy: str) -> _NullScope:
+    def scope(self, epoch: int, policy: str) -> NullContext:
         """A shared do-nothing context manager."""
-        return _NULL_SCOPE
+        return NULL_CONTEXT
+
+    def snapshot(self) -> None:
+        """Nothing to ship: a disabled run records nothing."""
+        return None
+
+    def merge(
+        self, snapshot: Optional[List[dict]], trial: Optional[int] = None
+    ) -> None:
+        """No-op."""
 
 
 class ExplainLog:
@@ -236,39 +230,14 @@ class ExplainLog:
 #: The process-wide no-op singleton.
 NULL = NullExplain()
 
-_ACTIVE: Union[ExplainLog, NullExplain] = NULL
+_SLOT: AmbientSlot[Union[ExplainLog, NullExplain]] = AmbientSlot(
+    NULL, ExplainLog
+)
 
-
-def current() -> Union[ExplainLog, NullExplain]:
-    """The ambient explain object (:data:`NULL` unless installed)."""
-    return _ACTIVE
-
-
-def install(
-    log: Optional[Union[ExplainLog, NullExplain]],
-) -> Union[ExplainLog, NullExplain]:
-    """Replace the ambient explain object; returns the previous one.
-
-    ``None`` restores :data:`NULL`.  Prefer :func:`activate` in tests —
-    it restores the previous object on exit.
-    """
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = log if log is not None else NULL
-    return previous
-
-
-@contextmanager
-def activate(
-    log: Optional[Union[ExplainLog, NullExplain]] = None,
-) -> Iterator[Union[ExplainLog, NullExplain]]:
-    """Scoped :func:`install`: ambient inside the block, restored after.
-
-    With no argument, activates a fresh :class:`ExplainLog`.
-    """
-    active = log if log is not None else ExplainLog()
-    previous = install(active)
-    try:
-        yield active
-    finally:
-        install(previous)
+#: The ambient explain object (:data:`NULL` unless one is installed).
+current = _SLOT.current
+#: Replace the ambient object, returning the previous one (``None`` restores
+#: :data:`NULL`).
+install = _SLOT.install
+#: Scoped :func:`install`; with no argument, a fresh :class:`ExplainLog`.
+activate = _SLOT.activate

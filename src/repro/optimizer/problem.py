@@ -313,14 +313,6 @@ class SelectionProblem:
         """The outcome of materializing exactly one view."""
         return self.evaluate(frozenset({view_name}))
 
-    def marginal_cost(self, view_name: str) -> Money:
-        """C({v}) - C(∅): the view's standalone net dollar impact.
-
-        Negative means the view pays for itself in compute savings —
-        these are the items the knapsack pre-accepts.
-        """
-        return self.singleton(view_name).total_cost - self.baseline().total_cost
-
     def marginal_saving_hours(self, view_name: str) -> float:
         """T(∅) - T({v}): the view's standalone time saving (>= 0)."""
         return (

@@ -205,12 +205,6 @@ class TierSchedule:
             raise PricingError(f"volume cannot be negative: {volume_gb}")
         return Money(tier_cost(self._table, self._mode, volume_gb))
 
-    def average_rate(self, volume_gb: float) -> Money:
-        """Effective per-GB rate at ``volume_gb`` (cost / volume)."""
-        if volume_gb <= 0:
-            raise PricingError("average rate needs a positive volume")
-        return self.cost(volume_gb) / volume_gb
-
     # -- convenience constructors -------------------------------------
 
     @classmethod

@@ -45,11 +45,6 @@ class TransferPricing:
         return self._outbound
 
     @property
-    def inbound_schedule(self) -> Optional[TierSchedule]:
-        """The inbound schedule, or ``None`` if ingress is free."""
-        return self._inbound
-
-    @property
     def inbound_is_free(self) -> bool:
         """Whether this provider charges nothing for ingress."""
         return self._inbound is None

@@ -32,13 +32,10 @@ import multiprocessing
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from .. import explain, telemetry
 from ..errors import SimulationError
-from ..explain import ExplainLog
-from ..explain import activate as activate_explain
-from ..explain import current as current_explain
 from ..money import Money
 from ..optimizer.registry import OptimizerSpec
-from ..telemetry import Telemetry, activate, current as current_telemetry
 from .arbitrage import ArbitrageAware
 from .builds import BUILD_DISCIPLINES, BuildConfig
 from .ledger import SimulationLedger
@@ -393,45 +390,42 @@ def _trial_with_snapshot(
     config: MonteCarloConfig,
     trial: int,
     collect: bool,
-    collect_explain: bool = False,
+    collect_explain: bool,
 ):
-    """Run one trial, optionally under fresh telemetry/explain collectors.
+    """Run one trial under fresh telemetry/explain collectors.
 
-    Returns ``(outcomes, snapshot, explain_snapshot)`` where
-    ``snapshot`` is the trial's own registry snapshot and
-    ``explain_snapshot`` the trial's explain-log snapshot (each
-    ``None`` when its collection flag is false).  Every trial — serial
-    or pooled — records into *fresh* collectors whose snapshots the
-    parent merges in trial order, so the merged telemetry and the
-    merged provenance are byte-identical for any ``jobs``: the serial
-    path must not write straight into the parent collectors, or its
-    fold order would differ from the pooled path's.  The flags travel
-    as arguments rather than being read ambiently so spawn-start
-    pools (whose workers reset the ambient objects to the no-op
-    singletons) behave exactly like fork-start ones.
+    Returns ``(outcomes, snapshot, explain_snapshot)``: the trial's
+    registry and explain-log snapshots, each ``None`` when its
+    collection flag is false and the layer's ``NULL`` ran the trial.
+    Every trial — serial or pooled — records into *fresh* collectors
+    whose snapshots the parent merges in trial order, so the merged
+    telemetry and the merged provenance are byte-identical for any
+    ``jobs``: the serial path must not write straight into the parent
+    collectors, or its fold order would differ from the pooled path's.
+    The flags travel as arguments rather than being read ambiently so
+    spawn-start pools (whose workers reset the ambient objects to the
+    no-op singletons) behave exactly like fork-start ones.
+
+    Order matters: the registry snapshot is taken inside the telemetry
+    scope, the log's after that scope closes.  Pricing done while the
+    log resolves its deferred records therefore lands in the caller's
+    collector (at ``jobs=1``; a worker's is discarded), so with both
+    layers on the merged metrics still depend on ``jobs``.  Taking the
+    log's snapshot first removes that and moves the pinned metrics.
     """
-    explain_snapshot = None
-    if collect_explain:
-        with activate_explain(ExplainLog()) as log:
-            if not collect:
+    with explain.activate(
+        explain.ExplainLog() if collect_explain else explain.NULL
+    ) as log:
+        with telemetry.activate(
+            telemetry.Telemetry() if collect else telemetry.NULL
+        ) as collector:
+            with collector.span("montecarlo.trial", trial=trial):
                 outcomes = run_trial(config, trial)
-                return outcomes, None, log.snapshot()
-            with activate(Telemetry()) as telemetry:
-                with telemetry.span("montecarlo.trial", trial=trial):
-                    outcomes = run_trial(config, trial)
-                telemetry.inc("montecarlo.trials")
-                telemetry.inc("montecarlo.outcomes", len(outcomes))
-                registry_snapshot = telemetry.registry.snapshot()
-            explain_snapshot = log.snapshot()
-        return outcomes, registry_snapshot, explain_snapshot
-    if not collect:
-        return run_trial(config, trial), None, None
-    with activate(Telemetry()) as telemetry:
-        with telemetry.span("montecarlo.trial", trial=trial):
-            outcomes = run_trial(config, trial)
-        telemetry.inc("montecarlo.trials")
-        telemetry.inc("montecarlo.outcomes", len(outcomes))
-        return outcomes, telemetry.registry.snapshot(), None
+            collector.inc("montecarlo.trials")
+            collector.inc("montecarlo.outcomes", len(outcomes))
+            snapshot = collector.snapshot()
+        explain_snapshot = log.snapshot()
+    return outcomes, snapshot, explain_snapshot
 
 
 # ---------------------------------------------------------------------------
@@ -706,10 +700,10 @@ def run_monte_carlo(
     """
     if jobs < 1:
         raise SimulationError(f"jobs must be >= 1, got {jobs}")
-    telemetry = current_telemetry()
-    explain = current_explain()
-    collect = telemetry.enabled
-    collect_explain = explain.enabled
+    collector = telemetry.current()
+    log = explain.current()
+    collect = collector.enabled
+    collect_explain = log.enabled
     trials = range(config.n_trials)
     if jobs == 1 or config.n_trials == 1:
         bundles = []
@@ -728,16 +722,13 @@ def run_monte_carlo(
                     for trial in trials
                 ],
             )
-    if collect:
-        # Fold the per-trial registries in trial order — the one order
-        # both execution paths share — so the merged telemetry is
-        # byte-identical whatever the worker count.
-        for _, snapshot, _explain in bundles:
-            telemetry.registry.merge(snapshot)
-    if collect_explain:
-        # Same discipline for provenance: each trial's explain log is
-        # folded in trial order, stamped with its trial index.
-        for trial, (_, _snapshot, explain_snapshot) in zip(trials, bundles):
-            explain.merge(explain_snapshot, trial=trial)
-    flat = [outcome for outcomes, _, _ in bundles for outcome in outcomes]
+    # Fold the per-trial snapshots in trial order — the one order both
+    # execution paths share — so the merged telemetry and provenance
+    # are byte-identical whatever the worker count.  Explain entries
+    # are stamped with their trial index.
+    flat = []
+    for trial, (outcomes, snapshot, explain_snapshot) in zip(trials, bundles):
+        collector.merge(snapshot)
+        log.merge(explain_snapshot, trial=trial)
+        flat.extend(outcomes)
     return MonteCarloResult(config, flat)

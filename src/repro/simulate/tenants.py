@@ -543,7 +543,7 @@ class MultiTenantSimulator:
         policy: ReselectionPolicy,
         route: Callable[..., Iterable],
         sink: Callable,
-        observer: Optional[EpochObserver],
+        observer: Optional[EpochObserver] = None,
     ) -> SimulationLedger:
         """The one attribution observer behind :meth:`run` and
         :meth:`run_sharded`; returns the fleet's own ledger.
@@ -619,7 +619,6 @@ class MultiTenantSimulator:
         policy: ReselectionPolicy,
         shards: int = 1,
         jobs: int = 1,
-        observer: Optional[EpochObserver] = None,
     ) -> FleetSummary:
         """Simulate the fleet with sharded, streaming attribution.
 
@@ -644,7 +643,6 @@ class MultiTenantSimulator:
                 policy,
                 sharded.attribute_streaming,
                 lambda share: totals[share.tenant].fold(share),
-                observer,
             )
         finally:
             sharded.close()

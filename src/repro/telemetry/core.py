@@ -13,7 +13,8 @@ Everything in the lifecycle stack reports through one of two objects:
   an in-memory trace buffer of completed spans for the ``--trace-out``
   JSON-lines exporter.
 
-The active object is ambient: :func:`current` reads it,
+The active object is ambient, held in this layer's
+:class:`~repro.ambient.AmbientSlot`: :func:`current` reads it,
 :func:`install` replaces it, and :func:`activate` is the scoped form::
 
     from repro import telemetry
@@ -22,20 +23,19 @@ The active object is ambient: :func:`current` reads it,
         simulator.run(policy)
         print(t.registry.counter("epochs.total"))
 
-Instrumented classes capture :func:`current` **at construction** and
-use that captured handle for their lifetime.  That keeps the hot path
-free of global lookups and gives multiprocessing a clean story: a
-worker process installs a fresh ``Telemetry`` before building its
-simulator, runs, and ships ``registry.snapshot()`` back to the parent
-for deterministic merging.
+``docs/TELEMETRY.md`` ("The ambient seam") describes the seam that
+this layer and :mod:`repro.explain` share: instrumented classes capture
+:func:`current` at construction, and a Monte Carlo trial ships its
+collector's :meth:`~Telemetry.snapshot` to the parent, which merges the
+snapshots in trial order.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
+from ..ambient import NULL_CONTEXT, AmbientSlot, NullContext
 from .registry import MetricsRegistry, _Observable
 
 __all__ = [
@@ -46,21 +46,6 @@ __all__ = [
     "current",
     "install",
 ]
-
-
-class _NullSpan:
-    """The reusable context manager ``NullTelemetry.span`` hands out."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        return None
-
-
-_NULL_SPAN = _NullSpan()
 
 
 class NullTelemetry:
@@ -85,7 +70,7 @@ class NullTelemetry:
     def observe(self, name: str, value: _Observable, **labels: str) -> None:
         """No-op."""
 
-    def span(self, name: str, **attrs: object) -> _NullSpan:
+    def span(self, name: str, **attrs: object) -> NullContext:
         """A shared do-nothing context manager.
 
         Args:
@@ -93,9 +78,16 @@ class NullTelemetry:
             **attrs: Ignored.
 
         Returns:
-            The shared :class:`_NullSpan` singleton.
+            The shared :data:`~repro.ambient.NULL_CONTEXT`.
         """
-        return _NULL_SPAN
+        return NULL_CONTEXT
+
+    def snapshot(self) -> None:
+        """Nothing to ship: a disabled run collects no metrics."""
+        return None
+
+    def merge(self, snapshot: Optional[Dict[str, object]]) -> None:
+        """No-op."""
 
 
 class _Span:
@@ -132,13 +124,8 @@ class Telemetry:
 
     enabled = True
 
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        *,
-        trace: bool = False,
-    ) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
+    def __init__(self, *, trace: bool = False) -> None:
+        self.registry = MetricsRegistry()
         self.trace_events: List[Dict[str, object]] = []
         self._trace = trace
         self._origin = time.perf_counter()
@@ -190,6 +177,14 @@ class Telemetry:
         """
         return _Span(self, name, attrs)
 
+    def snapshot(self) -> Dict[str, object]:
+        """The registry as plain data, for shipping across processes."""
+        return self.registry.snapshot()
+
+    def merge(self, snapshot: Dict[str, object]) -> None:
+        """Fold another collector's :meth:`snapshot` into the registry."""
+        self.registry.merge(snapshot)
+
     def _finish_span(self, span: _Span, elapsed: float) -> None:
         self.registry.record_span(span.name, elapsed)
         if self._trace:
@@ -206,55 +201,14 @@ class Telemetry:
 #: The process-wide no-op singleton.
 NULL = NullTelemetry()
 
-_ACTIVE: Union[Telemetry, NullTelemetry] = NULL
+_SLOT: AmbientSlot[Union[Telemetry, NullTelemetry]] = AmbientSlot(
+    NULL, Telemetry
+)
 
-
-def current() -> Union[Telemetry, NullTelemetry]:
-    """The ambient telemetry object.
-
-    Returns:
-        The installed collector, or :data:`NULL` when none is.
-    """
-    return _ACTIVE
-
-
-def install(
-    telemetry: Optional[Union[Telemetry, NullTelemetry]],
-) -> Union[Telemetry, NullTelemetry]:
-    """Replace the ambient telemetry object.
-
-    Prefer :func:`activate` in tests — it restores the previous object
-    on exit.
-
-    Args:
-        telemetry: The collector to install; ``None`` restores
-            :data:`NULL`.
-
-    Returns:
-        The previously ambient object, for later reinstallation.
-    """
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = telemetry if telemetry is not None else NULL
-    return previous
-
-
-@contextmanager
-def activate(
-    telemetry: Optional[Union[Telemetry, NullTelemetry]] = None,
-) -> Iterator[Union[Telemetry, NullTelemetry]]:
-    """Scoped :func:`install`: ambient inside the block, restored after.
-
-    Args:
-        telemetry: The collector to activate; ``None`` activates a
-            fresh :class:`Telemetry`.
-
-    Yields:
-        The activated object (handy for reading metrics afterwards).
-    """
-    active = telemetry if telemetry is not None else Telemetry()
-    previous = install(active)
-    try:
-        yield active
-    finally:
-        install(previous)
+#: The ambient telemetry object (:data:`NULL` unless one is installed).
+current = _SLOT.current
+#: Replace the ambient object, returning the previous one (``None`` restores
+#: :data:`NULL`).
+install = _SLOT.install
+#: Scoped :func:`install`; with no argument, a fresh :class:`Telemetry`.
+activate = _SLOT.activate

@@ -50,8 +50,8 @@ class TestShape:
 
 class TestCalibration:
     def test_ten_gb_scan_lands_near_paper_regime(self):
-        # DESIGN.md section 6: ~0.19-0.20 h per 10 GB aggregate on the
-        # paper's five instances.
+        # paper_cluster's docstring gives the calibration: ~0.19-0.20 h
+        # per 10 GB aggregate on the paper's five instances.
         hours = paper_cluster().job_hours(10.0, 150, 5, 1.0)
         assert 0.17 <= hours <= 0.22
 

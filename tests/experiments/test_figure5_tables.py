@@ -3,8 +3,8 @@
 The paper's headline conclusion is that "cloud view materialization is
 always desirable"; these tests pin that shape (views win every
 comparison) plus the structural relations between the panels, without
-over-fitting the exact percentages (EXPERIMENTS.md discusses the
-quantitative bands).
+over-fitting the exact percentages (``repro.experiments.tables`` prints
+each measured rate beside the paper's and says why they differ).
 """
 
 from __future__ import annotations
