@@ -2,8 +2,8 @@
 
 The kernel's honest speedup lives here, measured at the layer it
 changes — subset pricing — not buried inside simulation runs where
-the :class:`~repro.optimizer.problem.SubsetEvaluationCache` already
-absorbs most repeat pricings.  Three claims are kept honest:
+the simulator's problem cache already absorbs most repeat pricings.
+Three claims are kept honest:
 
 * on the paper's own world, pricing a fresh problem's subset sweep
   through the kernel beats the oracle even counting the build,

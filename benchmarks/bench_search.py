@@ -9,8 +9,9 @@ search rollout is asserted inline every run:
 * cold beam and local search land within 5% of greedy's scenario key
   spending at most 10% of greedy's subset evaluations (the 1,000-view
   acceptance lattice);
-* warm-started re-selection of an unchanged epoch is nearly free:
-  every evaluation is a shared-cache hit, zero new pricings;
+* warm-started re-selection of an unchanged epoch (the same problem,
+  which is what the simulator's builder hands back) is nearly free:
+  every evaluation is a memo hit, zero new pricings;
 * the selections are deterministic per seed — each benchmark round
   returns the same subset (a drifting round would be measuring a bug).
 """
@@ -21,7 +22,6 @@ import pytest
 
 from repro.cube import generate_lattice_inputs
 from repro.optimizer import SelectionProblem, mv1, select_views
-from repro.optimizer.problem import SubsetEvaluationCache
 
 
 @pytest.fixture(scope="module")
@@ -118,18 +118,17 @@ def test_local_cold_100x(benchmark, world_100x, greedy_100x):
 
 
 def test_beam_warm_reselect_100x(benchmark, world_100x):
-    """Warm re-selection of an unchanged epoch: all cache hits."""
+    """Warm re-selection of an unchanged epoch: all memo hits."""
     scenario = _scenario(world_100x)
-    cache = SubsetEvaluationCache()
-    cold_problem = SelectionProblem(world_100x.inputs, cache=cache)
-    cold = select_views(cold_problem, scenario, "beam")
+    problem = SelectionProblem(world_100x.inputs)
+    cold = select_views(problem, scenario, "beam")
+    priced_cold = problem.stats.priced
 
     def run():
-        problem = SelectionProblem(world_100x.inputs, cache=cache)
-        return problem, select_views(
+        return select_views(
             problem, scenario, "beam", warm_start=cold.outcome.subset
         )
 
-    problem, warm = benchmark(run)
+    warm = benchmark(run)
     assert warm.outcome.subset == cold.outcome.subset
-    assert problem.stats.priced == 0
+    assert problem.stats.priced - priced_cold == 0

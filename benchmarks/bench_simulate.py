@@ -4,15 +4,12 @@ Two claims are kept honest here:
 
 * a multi-epoch, multi-policy sweep completes in interactive time on
   the paper-scale scenario, and
-* the subset-evaluation cache + incremental problem building do real
-  work — a warm sweep re-prices (almost) nothing, and a shared cache
-  lets a *second* simulator skip the pricing a cold one had to do.
+* the problem cache + incremental problem building do real work — a
+  warm re-run over the same simulator re-prices nothing.
 """
 
 from __future__ import annotations
 
-
-from repro.optimizer import SubsetEvaluationCache
 from repro.simulate import drifting_sales_simulator, make_policy
 
 EPOCHS = 24
@@ -51,25 +48,3 @@ def test_repeat_policy_run_is_cached(benchmark):
     stats = simulator.builder.evaluation_stats()
     # The warmed run must not have priced any new subset.
     assert stats.priced == warmed.priced
-
-
-def test_shared_cache_skips_pricing_across_simulators(benchmark):
-    """A second simulator on a shared cache prices zero subsets."""
-    cache = SubsetEvaluationCache()
-    cold = drifting_sales_simulator(n_epochs=EPOCHS, n_rows=ROWS, cache=cache)
-    cold.compare(_policies())
-    cold_stats = cold.builder.evaluation_stats()
-    assert cold_stats.priced > 0
-
-    def warm_sweep():
-        warm = drifting_sales_simulator(
-            n_epochs=EPOCHS, n_rows=ROWS, cache=cache
-        )
-        warm.compare(_policies())
-        return warm
-
-    warm = benchmark(warm_sweep)
-    warm_stats = warm.builder.evaluation_stats()
-    # Same states, same subsets: everything is a shared-cache hit.
-    assert warm_stats.priced == 0
-    assert warm_stats.shared_hits > 0

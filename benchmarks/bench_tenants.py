@@ -1,14 +1,10 @@
 """Bench: multi-tenant simulation and shared-cost attribution.
 
-Three claims are kept honest here:
+Two claims are kept honest here:
 
 * a 3-tenant lifecycle sweep stays interactive at paper scale — the
-  attribution layer rides the same subset-evaluation caches as the
-  single-tenant simulator;
-* attribution itself is cheap: re-running the same fleet under the
-  other attribution mode re-prices (almost) nothing, because the mode
-  only changes how charges are *split*, never which subsets are
-  priced;
+  attribution layer rides the same problem cache as the single-tenant
+  simulator;
 * the books always balance — every benchmarked run re-verifies that
   per-tenant ledgers sum exactly to the fleet ledger.
 """
@@ -16,7 +12,6 @@ Three claims are kept honest here:
 from __future__ import annotations
 
 from repro.money import ZERO
-from repro.optimizer import SubsetEvaluationCache
 from repro.simulate import make_policy, multi_tenant_sales_simulator
 
 EPOCHS = 24
@@ -45,35 +40,3 @@ def test_three_tenant_sweep_cold(benchmark):
     ledgers = benchmark(sweep)
     assert len(ledgers) == 3
     assert all(_exactly_balanced(ledger) for ledger in ledgers.values())
-
-
-def test_attribution_mode_rerun_prices_nothing(benchmark):
-    """Re-attributing under the other mode is pure cache hits.
-
-    The attribution mode never influences which subsets are evaluated,
-    so a second simulator sharing the cache prices zero subsets — the
-    whole re-run is splitting arithmetic.
-    """
-    cache = SubsetEvaluationCache()
-    cold = multi_tenant_sales_simulator(
-        n_tenants=TENANTS, n_epochs=EPOCHS, n_rows=ROWS, cache=cache
-    )
-    cold.run(make_policy("regret"))
-    assert cold.builder.evaluation_stats().priced > 0
-
-    def re_attribute():
-        warm = multi_tenant_sales_simulator(
-            n_tenants=TENANTS,
-            n_epochs=EPOCHS,
-            n_rows=ROWS,
-            attribution="even",
-            cache=cache,
-        )
-        ledger = warm.run(make_policy("regret"))
-        return warm, ledger
-
-    warm, ledger = benchmark(re_attribute)
-    stats = warm.builder.evaluation_stats()
-    assert stats.priced == 0
-    assert stats.shared_hits > 0
-    assert _exactly_balanced(ledger)

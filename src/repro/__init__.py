@@ -76,7 +76,6 @@ from .optimizer import (
     EvaluationStats,
     SelectionProblem,
     SelectionResult,
-    SubsetEvaluationCache,
     TimeLimit,
     Tradeoff,
     elastic_select,
@@ -158,7 +157,6 @@ __all__ = [
     "SimulationLedger",
     "StarSchema",
     "StorageTimeline",
-    "SubsetEvaluationCache",
     "TierMode",
     "TierSchedule",
     "TimeLimit",

@@ -76,26 +76,17 @@ cost lineage for one epoch, fleet-wide or per tenant),
 history) and ``diff`` (cause-level change between two epochs).  Like
 telemetry, the recorder is strictly passive: with the flag absent the
 ledgers, summaries and CSVs are byte-identical to a run without it.
-
-``--no-kernel`` (any command) prices subsets through the exact
-Decimal oracle instead of the vectorized kernel
-(:mod:`repro.kernel`).  Output is byte-identical either way — the
-kernel is a pure accelerator — so the flag exists for debugging and
-for proving exactly that (see ``tests/simulate/
-test_kernel_ledger_identity.py``).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
-from contextlib import ExitStack, contextmanager
-from typing import Iterator, List, Optional
+from contextlib import ExitStack
+from typing import List, Optional
 
 from .errors import ReproError, SimulationError
-from .kernel import NO_KERNEL_ENV
 from .experiments.context import ExperimentConfig, ExperimentContext
 from .experiments.runner import EXPERIMENTS, run_all, run_experiment
 from .explain import (
@@ -267,16 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quiet",
         action="store_true",
         help="print only the per-policy summary lines",
-    )
-    lifecycle.add_argument(
-        "--no-kernel",
-        action="store_true",
-        help=(
-            "price every subset through the exact Decimal oracle, "
-            "skipping the vectorized kernel (byte-identical output, "
-            "slower; exported as REPRO_NO_KERNEL=1 so Monte Carlo "
-            "worker processes inherit the opt-out)"
-        ),
     )
 
     tenant_group = simulate.add_argument_group(
@@ -620,15 +601,6 @@ def _add_explain_parser(sub) -> None:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--csv-dir", default=None, help="also write each table as CSV here"
-    )
-    sub.add_argument(
-        "--no-kernel",
-        action="store_true",
-        help=(
-            "price every subset through the exact Decimal oracle, "
-            "skipping the vectorized kernel (byte-identical output, "
-            "slower)"
-        ),
     )
     sub.add_argument(
         "--rows",
@@ -1108,58 +1080,35 @@ def _run_explain(args: argparse.Namespace) -> int:
     return 0
 
 
-@contextmanager
-def _kernel_opt_out(args: argparse.Namespace) -> Iterator[None]:
-    """Honour ``--no-kernel`` via the environment, scoped to the run.
-
-    The env var (rather than threading a flag through every builder)
-    is what lets Monte Carlo worker processes — fork and spawn alike —
-    inherit the opt-out.
-    """
-    if not getattr(args, "no_kernel", False):
-        yield
-        return
-    previous = os.environ.get(NO_KERNEL_ENV)
-    os.environ[NO_KERNEL_ENV] = "1"
-    try:
-        yield
-    finally:
-        if previous is None:
-            del os.environ[NO_KERNEL_ENV]
-        else:
-            os.environ[NO_KERNEL_ENV] = previous
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
     try:
-        with _kernel_opt_out(args):
-            if args.command == "simulate":
-                return _run_simulate(args)
-            if args.command == "explain":
-                return _run_explain(args)
-            if args.command == "list":
-                for experiment_id in sorted(EXPERIMENTS):
-                    print(experiment_id)
-                return 0
-            if args.command == "run":
-                tables = run_experiment(
-                    args.experiment, _context(args), csv_dir=args.csv_dir
-                )
-                for table in tables:
-                    print(table.render())
-                    print()
-                return 0
-            # args.command == "all"
-            for experiment_id, tables in run_all(
-                _context(args), csv_dir=args.csv_dir
-            ).items():
-                print(f"### {experiment_id}")
-                for table in tables:
-                    print(table.render())
-                    print()
+        if args.command == "simulate":
+            return _run_simulate(args)
+        if args.command == "explain":
+            return _run_explain(args)
+        if args.command == "list":
+            for experiment_id in sorted(EXPERIMENTS):
+                print(experiment_id)
             return 0
+        if args.command == "run":
+            tables = run_experiment(
+                args.experiment, _context(args), csv_dir=args.csv_dir
+            )
+            for table in tables:
+                print(table.render())
+                print()
+            return 0
+        # args.command == "all"
+        for experiment_id, tables in run_all(
+            _context(args), csv_dir=args.csv_dir
+        ).items():
+            print(f"### {experiment_id}")
+            for table in tables:
+                print(table.render())
+                print()
+        return 0
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1

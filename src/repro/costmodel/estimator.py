@@ -249,9 +249,10 @@ class PlanningInputs:
         """A hashable identity of this numeric world.
 
         Two inputs with equal fingerprints price every subset
-        identically, so their :class:`SelectionOutcome`\\ s can be shared
-        through a cross-problem cache (see
-        :class:`repro.optimizer.SubsetEvaluationCache`).
+        identically.  The simulator keys its problems by state, and
+        ``tests/simulate/test_state_and_problems.py`` uses this
+        fingerprint to check that no two problems one builder returns
+        share a world.
         """
         return (
             self.workload.fingerprint(),

@@ -109,7 +109,7 @@ class DeploymentSpec:
         return self.provider.compute.instance(self.instance_type).compute_units
 
     def fingerprint(self) -> Tuple:
-        """A hashable identity for cross-problem caching.
+        """A hashable identity: the deployment's share of a state key.
 
         Two deployments with equal fingerprints price every plan
         identically.  The provider contributes its full value

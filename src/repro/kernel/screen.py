@@ -16,10 +16,11 @@ moves; every screened winner is re-priced through the exact
 :meth:`~repro.optimizer.problem.SelectionProblem.evaluate` path before
 it can become an incumbent, and the finally-reported outcome always
 carries exact ``Money``.  For the same reason screening is independent
-of the ``--no-kernel`` opt-out: disabling the kernel changes how exact
-pricings are *computed* (oracle vs. accelerated, byte-identical either
-way), while screening only orders the candidates both paths then price
-identically — so selections cannot drift with the flag.
+of a problem's ``kernel=False`` opt-out: disabling the kernel changes
+how exact pricings are *computed* (oracle vs. accelerated,
+byte-identical either way), while screening only orders the candidates
+both paths then price identically — so selections cannot drift with
+the switch.
 
 Determinism: every screen is a fixed sequence of IEEE-754 operations
 on prebuilt vectors — no wall clock, no hashing order, no allocation-

@@ -37,11 +37,11 @@ rules follow:
    and ledgers are compared as text.
 
 Worlds the kernel cannot faithfully reproduce — cascade
-materialization (build sharing re-plans per subset), subclassed cost
-models, non-positive runs per period, NaN or negative inputs the
-oracle rejects with its own errors — make :meth:`KernelWorld.build`
-return ``None`` and the caller falls back to the oracle path; each
-fallback counts once in ``kernel.fallbacks{reason}``.
+materialization (build sharing re-plans per subset), non-positive runs
+per period, NaN or negative inputs the oracle rejects with its own
+errors — make :meth:`KernelWorld.build` return ``None`` and the caller
+falls back to the oracle path; each fallback counts once in
+``kernel.fallbacks{reason}``.
 """
 
 from __future__ import annotations
@@ -136,11 +136,7 @@ class KernelWorld:
         """
         tel = telemetry.current()
         dep = inputs.deployment
-        if type(model) is not CloudCostModel:
-            # A subclass may price plans differently; only the exact
-            # pricing functions this module re-invokes are guaranteed.
-            reason = "subclassed_cost_model"
-        elif dep.cascade_materialization and inputs.candidates:
+        if dep.cascade_materialization and inputs.candidates:
             # Cascaded build plans are re-planned per subset; there is
             # no per-view decomposition to precompute.
             reason = "cascade_materialization"

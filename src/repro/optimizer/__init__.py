@@ -6,12 +6,7 @@ from .fairness import FairShareScenario
 from .greedy import greedy_select
 from .knapsack import KnapsackSolution, max_value_knapsack, min_weight_cover
 from .pareto import dominates, frontier_outcomes, pareto_frontier
-from .problem import (
-    EvaluationStats,
-    SelectionOutcome,
-    SelectionProblem,
-    SubsetEvaluationCache,
-)
+from .problem import EvaluationStats, SelectionOutcome, SelectionProblem
 from .registry import OptimizerSpec, register, registered_algorithms, resolve
 from .scenarios import BudgetLimit, Scenario, TimeLimit, Tradeoff, mv1, mv2, mv3
 from .search import BeamSearchSpec, LocalSearchSpec, SearchBudget
@@ -36,7 +31,6 @@ __all__ = [
     "LocalSearchSpec",
     "OptimizerSpec",
     "SearchBudget",
-    "SubsetEvaluationCache",
     "register",
     "registered_algorithms",
     "resolve",

@@ -91,6 +91,13 @@ def max_value_knapsack(
             pre_accepted=tuple(free),
         )
 
+    # Every core item weighs more than 0 (free items left the core and
+    # negative values are rejected), so no subset outweighs the core's
+    # total: capacity beyond it changes no dp cell the walk-back reads.
+    effective_capacity = min(
+        effective_capacity, sum(weights[i] for i in core)
+    )
+
     # Classic DP over capacity, parent-tracked per item.
     dp = [0.0] * (effective_capacity + 1)
     taken = [[False] * (effective_capacity + 1) for _ in core]

@@ -13,38 +13,30 @@ subset.  The knapsack's independence approximation lives in the
 *algorithm*, not here; its final answer is re-priced exactly before
 being reported.
 
-Pricing a subset is memoized at two levels:
+Every :class:`SelectionProblem` keeps a private subset -> outcome dict,
+so one problem never prices the same subset twice.  Reuse across
+problems happens one level up: the lifecycle simulator's
+:class:`~repro.simulate.problems.EpochProblemBuilder` hands an epoch
+whose state is unchanged the *same* problem back, memo and all.
 
-* every :class:`SelectionProblem` keeps a private subset -> outcome
-  dict, so one optimizer run never prices the same subset twice;
-* an optional :class:`SubsetEvaluationCache` can be shared *across*
-  problems.  It keys entries by ``(state key, subset)``, where the
-  state key is a hashable fingerprint of the problem's numeric world
-  (:meth:`~repro.costmodel.estimator.PlanningInputs.fingerprint` by
-  default).  The lifecycle simulator (:mod:`repro.simulate`) hands the
-  same cache to every epoch's problem, so epochs whose world did not
-  change never re-price a subset from scratch.
-
-:class:`EvaluationStats` counts calls, cache hits and actual pricings,
-which is how tests and benchmarks demonstrate the caching works.
+:class:`EvaluationStats` counts calls, memo hits and actual pricings,
+which is how tests and benchmarks demonstrate the memo works.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, FrozenSet, Hashable, Optional, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Optional, Tuple
 
 from ..costmodel.estimator import PlanningInputs
 from ..costmodel.total import CloudCostModel, CostBreakdown
-from ..errors import OptimizationError
-from ..kernel import KernelWorld, ScreeningWorld, kernel_enabled
+from ..kernel import KernelWorld, ScreeningWorld
 from ..money import Money
 
 __all__ = [
     "EvaluationStats",
     "SelectionOutcome",
     "SelectionProblem",
-    "SubsetEvaluationCache",
 ]
 
 
@@ -75,134 +67,33 @@ class SelectionOutcome:
 class EvaluationStats:
     """Counters for one problem's :meth:`SelectionProblem.evaluate` traffic."""
 
-    #: evaluate() invocations (including every cache hit).
+    #: evaluate() invocations (including every memo hit).
     calls: int = 0
-    #: Hits in the problem's own subset dict.
-    local_hits: int = 0
-    #: Hits in the shared :class:`SubsetEvaluationCache`.
-    shared_hits: int = 0
-    #: Subsets actually priced through the cost model.
+    #: Calls answered from the problem's own subset dict.
+    hits: int = 0
+    #: Subsets actually priced (kernel or oracle).
     priced: int = 0
-
-    @property
-    def hits(self) -> int:
-        """All cache hits, local and shared."""
-        return self.local_hits + self.shared_hits
-
-
-class SubsetEvaluationCache:
-    """Cross-problem memo of subset pricings, keyed by (state, subset).
-
-    The state key identifies the numeric world a pricing was computed
-    in; two problems with equal state keys are interchangeable for
-    pricing purposes, so their outcomes can be shared.  Used by
-    :mod:`repro.simulate` to keep multi-epoch, multi-policy sweeps from
-    re-pricing unchanged epochs.
-    """
-
-    def __init__(self) -> None:
-        self._entries: Dict[
-            Tuple[Hashable, FrozenSet[str]], SelectionOutcome
-        ] = {}
-        self._interned: Dict[Hashable, int] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def intern(self, state_key: Hashable) -> int:
-        """A small stable id for a (possibly deep) state key.
-
-        State keys built from full fingerprints are large nested
-        tuples; hashing one per ``evaluate()`` call would dominate
-        cache lookups.  Interning hashes the deep key once and hands
-        back an ``int`` that is unique *within this cache* — callers
-        sharing a cache share the id namespace, so soundness is kept.
-        """
-        interned = self._interned.get(state_key)
-        if interned is None:
-            interned = len(self._interned)
-            self._interned[state_key] = interned
-        return interned
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(
-        self, state_key: Hashable, subset: FrozenSet[str]
-    ) -> Optional[SelectionOutcome]:
-        """The cached outcome for ``subset`` in world ``state_key``, if any."""
-        outcome = self._entries.get((state_key, subset))
-        if outcome is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return outcome
-
-    def put(
-        self,
-        state_key: Hashable,
-        subset: FrozenSet[str],
-        outcome: SelectionOutcome,
-    ) -> None:
-        """Record a freshly priced outcome."""
-        self._entries[(state_key, subset)] = outcome
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups answered from the cache."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def clear(self) -> None:
-        """Drop every entry (counters and interned ids are kept).
-
-        Interned ids survive so state keys handed out before the clear
-        stay valid and distinct.
-        """
-        self._entries.clear()
 
 
 class SelectionProblem:
     """Binds planning inputs to a cost model; memoizes subset pricing.
 
-    ``cache`` (optional) is a :class:`SubsetEvaluationCache` shared
-    with other problems; ``state_key`` identifies this problem's world
-    in that cache and defaults to ``inputs.fingerprint()`` (computed
-    lazily, only if the shared cache is consulted).
-
-    ``kernel`` controls whether pricing runs through the vectorized
-    :class:`~repro.kernel.KernelWorld` (``None`` follows the ambient
-    :func:`repro.kernel.kernel_enabled` default).  The kernel is a pure
-    accelerator: it reproduces the Decimal path byte-for-byte or is
-    not used at all, so the flag never changes any outcome.
+    ``kernel`` chooses how a subset is priced: through the vectorized
+    :class:`~repro.kernel.KernelWorld` (the default) or, with
+    ``kernel=False``, through the exact-Decimal oracle
+    (:meth:`~repro.costmodel.total.CloudCostModel.evaluate`).  The
+    kernel is a pure accelerator: it reproduces the oracle byte for
+    byte or is not used at all, so the flag never changes any outcome.
     """
 
-    def __init__(
-        self,
-        inputs: PlanningInputs,
-        cost_model: Optional[CloudCostModel] = None,
-        cache: Optional[SubsetEvaluationCache] = None,
-        state_key: Optional[Hashable] = None,
-        kernel: Optional[bool] = None,
-    ) -> None:
-        if cache is not None and cost_model is not None and state_key is None:
-            # The default state key fingerprints the inputs only; a
-            # custom cost model prices them differently, so sharing
-            # under that key would alias distinct worlds.
-            raise OptimizationError(
-                "a custom cost_model with a shared cache needs an "
-                "explicit state_key that identifies the model"
-            )
+    def __init__(self, inputs: PlanningInputs, kernel: bool = True) -> None:
         self._inputs = inputs
-        self._model = cost_model or CloudCostModel(inputs.deployment)
-        self._cache: Dict[FrozenSet[str], SelectionOutcome] = {}
-        self._shared = cache
-        self._state_key = state_key
+        self._model = CloudCostModel(inputs.deployment)
+        self._memo: Dict[FrozenSet[str], SelectionOutcome] = {}
         self._stats = EvaluationStats()
-        self._kernel_requested = kernel
-        self._factored: Optional[KernelWorld] = None
-        self._factor_tried = False
+        self._kernel = kernel
         self._kernel_world: Optional[KernelWorld] = None
-        self._kernel_tried = False
+        self._factor_tried = False
 
     @property
     def inputs(self) -> PlanningInputs:
@@ -224,81 +115,51 @@ class SelectionProblem:
         """Evaluation counters (calls / hits / actual pricings)."""
         return self._stats
 
-    @property
-    def state_key(self) -> Hashable:
-        """This problem's identity in a shared cache."""
-        if self._state_key is None:
-            self._state_key = self._inputs.fingerprint()
-        return self._state_key
-
     def evaluate(self, subset: AbstractSet[str]) -> SelectionOutcome:
-        """Exactly price ``subset`` (memoized, locally and shared)."""
+        """Exactly price ``subset`` (memoized per problem)."""
         key = self._inputs.check_subset(subset)
         self._stats.calls += 1
-        cached = self._cache.get(key)
+        cached = self._memo.get(key)
         if cached is not None:
-            self._stats.local_hits += 1
+            self._stats.hits += 1
             return cached
-        if self._shared is not None:
-            shared = self._shared.get(self.state_key, key)
-            if shared is not None:
-                self._cache[key] = shared
-                self._stats.shared_hits += 1
-                return shared
-        world = self._kernel_world_for()
+        world = self._factor() if self._kernel else None
         if world is not None:
             breakdown = world.evaluate(key)
         else:
             breakdown = self._model.evaluate(self._inputs.plan_for(key))
         outcome = SelectionOutcome(subset=key, breakdown=breakdown)
         self._stats.priced += 1
-        self._cache[key] = outcome
-        if self._shared is not None:
-            self._shared.put(self.state_key, key, outcome)
+        self._memo[key] = outcome
         return outcome
-
-    def _kernel_world_for(self) -> Optional[KernelWorld]:
-        """The kernel world pricing this problem, built on first miss.
-
-        ``None`` means the kernel is disabled or cannot represent this
-        world; the caller runs the oracle path instead.  Built lazily
-        so problems answered entirely from caches never pay the build.
-        """
-        if not self._kernel_tried:
-            self._kernel_tried = True
-            wanted = (
-                self._kernel_requested
-                if self._kernel_requested is not None
-                else kernel_enabled()
-            )
-            if wanted:
-                self._kernel_world = self._factor()
-        return self._kernel_world
 
     def _factor(self) -> Optional[KernelWorld]:
         """This problem's one :meth:`KernelWorld.build` attempt.
 
         Shared by exact pricing and screening, so a world is factored
-        (or found unrepresentable, and counted as a fallback) once.
+        (or found unrepresentable, and counted as a fallback) once, on
+        first need: a problem answered entirely from its memo never
+        pays the build.  ``None`` means the kernel cannot represent
+        this world; callers then price on the oracle.
         """
         if not self._factor_tried:
             self._factor_tried = True
-            self._factored = KernelWorld.build(self._inputs, self._model)
-        return self._factored
+            self._kernel_world = KernelWorld.build(self._inputs, self._model)
+        return self._kernel_world
 
     def screener(self) -> Optional[ScreeningWorld]:
         """The cents-only screening surrogate for this world, if any.
 
         ``None`` when the world cannot be kernel-factored (cascade
-        materialization, subclassed cost models, inputs the oracle
-        rejects) — searchers then rank on exact evaluations instead.
+        materialization, inputs the oracle rejects) — searchers then
+        rank on exact evaluations instead.
 
-        Deliberately independent of the kernel on/off flag: screening
-        only *orders* candidate moves, and both the kernel and oracle
-        paths then price the screened winners to byte-identical
-        ledgers — so ``--no-kernel`` keeps changing nothing but speed.
-        The kernel world factored here is the one exact pricing uses
-        when the flag allows it, so nothing is factored twice.
+        Deliberately independent of ``kernel``: screening only *orders*
+        candidate moves, and both the kernel and oracle paths then
+        price the screened winners to byte-identical ledgers — so
+        ``kernel=False`` keeps changing nothing but speed.  The kernel
+        world factored here is the one exact pricing uses when
+        ``kernel`` is on, so nothing is factored twice.
         """
         world = self._factor()
         if world is None:

@@ -15,8 +15,8 @@ function of (seed, world, scenario) that the budget can only
 truncate: byte-deterministic per seed, monotone in the budget.  The
 warm start stays out of the walk and joins afterwards as a forced
 incumbent floor, so re-solving an unchanged epoch replays the same
-trajectory through the shared cache (zero new pricings) and returns
-the incumbent.
+trajectory through the problem's memo (zero new pricings) and
+returns the incumbent.
 
 Worlds without a screener (or scenario types the proxy does not know)
 degrade to one exactly-evaluated proposal per step, Metropolis on the

@@ -20,8 +20,8 @@ force-evaluated after the loop as an incumbent floor (re-selection can
 never come back worse than what it holds).  Keeping it out of the
 sampling means a warm-started re-solve of an **unchanged** epoch
 replays the exact same trajectory — every evaluation a hit in the
-shared :class:`~repro.optimizer.problem.SubsetEvaluationCache`, zero
-new pricings — and returns the incumbent.
+problem's memo (the simulator hands an unchanged epoch its problem
+back), zero new pricings — and returns the incumbent.
 """
 
 from __future__ import annotations

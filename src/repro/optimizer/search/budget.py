@@ -8,9 +8,9 @@ clock and not cache-miss pricings:
 * wall clock would make selections depend on machine load, breaking
   per-seed byte-determinism and Monte Carlo identity across ``--jobs``;
 * cache-miss pricings would make the *trajectory* depend on how warm
-  the shared :class:`~repro.optimizer.problem.SubsetEvaluationCache`
-  happens to be (which varies with policy run order), so two runs of
-  the same seed could explore different states.
+  the problem's memo happens to be (which varies with policy run
+  order, since policies share the simulator's problems), so two runs
+  of the same seed could explore different states.
 
 Counting calls keeps the search's path a pure function of
 ``(world, spec)`` — the warm start never joins the trajectory, it is

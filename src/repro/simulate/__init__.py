@@ -10,11 +10,11 @@ each epoch whether the materialized set is kept or rebuilt — with
 build and teardown charged through the existing cost model and every
 epoch recorded in a :class:`SimulationLedger`.
 
-Fast multi-epoch x multi-policy sweeps come from two caches: the
-cross-problem :class:`~repro.optimizer.problem.SubsetEvaluationCache`
-(epochs whose world did not change never re-price a subset) and the
-:class:`EpochProblemBuilder`'s incremental per-query pricing (drift
-that adds one query prices one query).
+Fast multi-epoch x multi-policy sweeps come from the two caches of
+the :class:`EpochProblemBuilder`: one memoized problem per state key
+(epochs whose world did not change get their problem back and never
+re-price a subset) and incremental per-query pricing (drift that adds
+one query prices one query).
 
 Multi-tenant lifecycles layer on top (see
 :mod:`repro.simulate.tenants` and :mod:`repro.simulate.attribution`):
@@ -32,7 +32,7 @@ Online pricing arbitrage makes the provider itself a decision (see
 a :class:`WarehouseState` can quote a *market* of candidate price
 books, and an :class:`ArbitrageAware` policy wrapper prices the
 holdings + workload against every quoted book each epoch (cheap —
-counterfactual problems flow through the shared evaluation cache),
+counterfactual problems flow through the same problem builder),
 migrating via a billed :class:`ProviderMigration` (dataset + view
 egress, re-materialization on the target) when the amortized savings
 over ``--migration-horizon`` epochs beat the switch cost, with

@@ -5,13 +5,13 @@ simulator's :class:`~repro.simulate.events.PriceChange` made the book
 an *event*.  This module makes it a *decision*: each epoch, an
 :class:`ArbitrageAware` policy prices the warehouse's holdings and
 workload against every candidate book quoted in the state's market
-(cheap, because counterfactual problems flow through the shared
-:class:`~repro.optimizer.problem.SubsetEvaluationCache`), charges the
-would-be switch — dataset + view egress on the source, ingress on the
-target, full re-materialization at the target's compute rates
-(:mod:`repro.pricing.migration`) — and emits a
-:class:`~repro.simulate.events.ProviderMigration` only when the
-amortized savings over a forecast horizon beat the switch cost.
+(cheap, because counterfactual problems come from the simulator's
+:class:`~repro.simulate.problems.EpochProblemBuilder`, one memoized
+problem per state), charges the would-be switch — dataset + view
+egress on the source, ingress on the target, full re-materialization
+at the target's compute rates (:mod:`repro.pricing.migration`) — and
+emits a :class:`~repro.simulate.events.ProviderMigration` only when
+the amortized savings over a forecast horizon beat the switch cost.
 
 Two guards keep spot-price noise from causing thrash:
 

@@ -167,11 +167,10 @@ class EpochRecord:
     #: Partial-period billing intervals (empty when the decision's
     #: subset was live for the whole epoch — every synchronous epoch).
     segments: Tuple[EpochSegment, ...] = ()
-    #: Subset-pricing cache hits this epoch contributed (local + shared
-    #: layers of the evaluation cache) — the per-epoch delta of the
-    #: builder's :class:`~repro.optimizer.problem.EvaluationStats`,
-    #: which was previously reachable only through the observer's
-    #: problem object.
+    #: Subset-pricing memo hits this epoch contributed — the
+    #: per-epoch delta of the builder's
+    #: :class:`~repro.optimizer.problem.EvaluationStats`, which was
+    #: previously reachable only through the observer's problem object.
     cache_hits: int = 0
     #: Subsets actually priced through the cost model this epoch (the
     #: evaluate() traffic the caches did *not* absorb).

@@ -316,7 +316,7 @@ def run_trial(config: MonteCarloConfig, trial: int) -> Tuple[TrialOutcome, ...]:
     Pure in ``(config, trial)`` — the property the ``--jobs``
     determinism guarantee rests on.  All policies (and the clairvoyant
     baseline) run over *one* simulator, so the trial's subset pricings
-    are shared through the evaluation cache.
+    are shared through its problem cache.
     """
     if not 0 <= trial < config.n_trials:
         raise SimulationError(

@@ -11,8 +11,9 @@ three answers to "when do we re-run the optimizer":
 * ``regret`` — re-select only when keeping the current set would cost
   measurably more than the current optimum (relative regret above a
   threshold).  Computing the regret requires optimizing every epoch,
-  which is exactly what the shared subset-evaluation cache makes
-  cheap: on an unchanged epoch the whole optimizer run is cache hits.
+  which is exactly what the problem cache makes cheap: an unchanged
+  epoch gets its memoized problem back, so the whole optimizer run is
+  memo hits.
 
 Policies choose *what to materialize*; the simulator charges the
 build/teardown consequences of their decisions.

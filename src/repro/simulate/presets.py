@@ -68,7 +68,6 @@ from ..data.generator import Dataset
 from ..data.sales_generator import generate_sales
 from ..errors import SimulationError
 from ..engine.timing import ClusterTimingModel
-from ..optimizer.problem import SubsetEvaluationCache
 from ..pricing.compute import BillingGranularity
 from ..pricing.providers import (
     Provider,
@@ -166,7 +165,6 @@ def drifting_sales_simulator(
     n_rows: int = 60_000,
     seed: int = 42,
     dataset_gb: float = 10.0,
-    cache: "SubsetEvaluationCache | None" = None,
     market: "tuple[Provider, ...] | None" = None,
     builds: "BuildConfig | None" = None,
 ) -> LifecycleSimulator:
@@ -231,7 +229,6 @@ def drifting_sales_simulator(
         initial=initial,
         clock=SimulationClock(n_epochs),
         events=events,
-        cache=cache,
         builds=builds,
     )
 
@@ -283,7 +280,6 @@ def multi_tenant_sales_simulator(
     seed: int = 42,
     dataset_gb: float = 10.0,
     attribution: str = "proportional",
-    cache: "SubsetEvaluationCache | None" = None,
     market: "tuple[Provider, ...] | None" = None,
     builds: "BuildConfig | None" = None,
 ) -> MultiTenantSimulator:
@@ -347,7 +343,6 @@ def multi_tenant_sales_simulator(
         shared_events=shared,
         market=market,
         attribution=attribution,
-        cache=cache,
         builds=builds,
     )
 
@@ -368,7 +363,6 @@ def stochastic_sales_simulator(
     seed: int = 42,
     drift_seed: "int | None" = None,
     dataset_gb: float = 10.0,
-    cache: "SubsetEvaluationCache | None" = None,
     market: "tuple[Provider, ...] | None" = None,
     builds: "BuildConfig | None" = None,
 ) -> LifecycleSimulator:
@@ -406,7 +400,6 @@ def stochastic_sales_simulator(
         ),
         clock=SimulationClock(n_epochs),
         timeline=timeline,
-        cache=cache,
         builds=builds,
     )
 
@@ -421,7 +414,6 @@ def elastic_multi_tenant_simulator(
     drift_seed: "int | None" = None,
     dataset_gb: float = 10.0,
     attribution: str = "proportional",
-    cache: "SubsetEvaluationCache | None" = None,
     market: "tuple[Provider, ...] | None" = None,
     builds: "BuildConfig | None" = None,
 ) -> MultiTenantSimulator:
@@ -537,7 +529,6 @@ def elastic_multi_tenant_simulator(
         market=market,
         deployment=deployment,
         attribution=attribution,
-        cache=cache,
         builds=builds,
     )
 
@@ -550,7 +541,6 @@ def population_fleet_simulator(
     seed: int = 42,
     dataset_gb: float = 1.0,
     attribution: str = "proportional",
-    cache: "SubsetEvaluationCache | None" = None,
 ) -> MultiTenantSimulator:
     """A population-scale fleet: 10³–10⁵ single-query tenants.
 
@@ -610,5 +600,5 @@ def population_fleet_simulator(
         CuboidLattice(schema), Workload(schema, pool)
     )
     return _fleet_simulator(
-        tenants, dataset, n_epochs, attribution=attribution, catalogue=catalogue, cache=cache
+        tenants, dataset, n_epochs, attribution=attribution, catalogue=catalogue
     )

@@ -2,13 +2,15 @@
 
 Rebuilding a :class:`~repro.optimizer.problem.SelectionProblem` from
 scratch every epoch would re-price the whole world even when nothing
-changed.  :class:`EpochProblemBuilder` avoids that with three reuse
+changed.  :class:`EpochProblemBuilder` avoids that with two reuse
 layers, coarsest first:
 
 1. **problem cache** — state key -> :class:`SelectionProblem`.  An
    epoch whose state is unchanged (or that returns to an earlier
    state) gets the *same* problem object back, with every subset it
-   ever priced still memoized.
+   ever priced still memoized — so a second policy's sweep over the
+   same timeline, or an arbitrage policy re-quoting an unchanged
+   epoch, prices nothing new.
 2. **priced worlds** — per (dataset, cluster) world, candidate-view
    statistics are computed once and each distinct query signature
    (grain + filters) is priced once.  Workload drift that adds one
@@ -20,10 +22,6 @@ layers, coarsest first:
    market quote, a spot reprice or another provider's book re-bills
    the world's estimates instead of estimating them again; each
    problem's inputs still carry its own deployment.
-3. **shared subset cache** — one
-   :class:`~repro.optimizer.problem.SubsetEvaluationCache` spans every
-   problem the builder creates, so multi-policy sweeps over the same
-   timeline share subset pricings across runs.
 
 ``builds``, ``queries_priced`` and ``worlds_built`` are exposed so
 tests and benchmarks can assert the incremental path actually short-
@@ -33,16 +31,12 @@ circuits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Sequence, Tuple
 
 from ..costmodel.estimator import PlanningEstimator, PlanningInputs, QueryPricing
 from ..costmodel.params import DeploymentSpec
 from ..cube.views import CandidateView, ViewStats
-from ..optimizer.problem import (
-    EvaluationStats,
-    SelectionProblem,
-    SubsetEvaluationCache,
-)
+from ..optimizer.problem import EvaluationStats, SelectionProblem
 from ..pricing.providers import Provider
 from ..workload.workload import Workload
 from .state import Holdings, WarehouseState
@@ -153,13 +147,8 @@ class EpochContext:
 class EpochProblemBuilder:
     """Turns warehouse states into (cached) selection problems."""
 
-    def __init__(
-        self,
-        catalogue: Sequence[CandidateView],
-        cache: Optional[SubsetEvaluationCache] = None,
-    ) -> None:
+    def __init__(self, catalogue: Sequence[CandidateView]) -> None:
         self._catalogue: Tuple[CandidateView, ...] = tuple(catalogue)
-        self._cache = cache if cache is not None else SubsetEvaluationCache()
         self._problems: Dict[Hashable, SelectionProblem] = {}
         self._worlds: Dict[Hashable, _PricedWorld] = {}
         #: Problems actually constructed (not served from the cache).
@@ -177,11 +166,6 @@ class EpochProblemBuilder:
         return self._catalogue
 
     @property
-    def cache(self) -> SubsetEvaluationCache:
-        """The subset cache shared by every problem this builder makes."""
-        return self._cache
-
-    @property
     def problems_cached(self) -> int:
         """How many distinct states have been turned into problems."""
         return len(self._problems)
@@ -190,14 +174,13 @@ class EpochProblemBuilder:
         """Aggregate evaluate() counters across every cached problem.
 
         ``calls`` minus ``priced`` is the number of subset pricings the
-        two cache layers avoided — the quantity the benchmarks report.
+        problems' memos avoided — the quantity the benchmarks report.
         """
         total = EvaluationStats()
         for problem in self._problems.values():
             stats = problem.stats
             total.calls += stats.calls
-            total.local_hits += stats.local_hits
-            total.shared_hits += stats.shared_hits
+            total.hits += stats.hits
             total.priced += stats.priced
         return total
 
@@ -207,14 +190,10 @@ class EpochProblemBuilder:
     def problem_for(self, state: WarehouseState) -> SelectionProblem:
         """The selection problem for ``state`` (cached by state key).
 
-        The shared-cache key couples the state with this builder's
-        catalogue: view names are only meaningful relative to a
-        catalogue, so simulators sharing a cache but selecting from
-        different universes must never alias each other's subsets.
-        The deep key is interned through the cache to a small id, so
-        per-``evaluate()`` lookups never re-hash the full fingerprint.
+        The catalogue is fixed for the builder's lifetime, so the state
+        key alone identifies a problem's world.
         """
-        key = self._cache.intern((self._catalogue, state.key()))
+        key = state.key()
         problem = self._problems.get(key)
         if problem is not None:
             return problem
@@ -226,7 +205,7 @@ class EpochProblemBuilder:
             self.worlds_built += 1
         inputs, fresh = world.inputs_for(state.workload, state.deployment)
         self.queries_priced += fresh
-        problem = SelectionProblem(inputs, cache=self._cache, state_key=key)
+        problem = SelectionProblem(inputs)
         self._problems[key] = problem
         self.builds += 1
         return problem

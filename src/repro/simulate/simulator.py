@@ -4,8 +4,9 @@ One :class:`LifecycleSimulator` owns a timeline (initial state +
 events) and a clock, and can run any number of re-selection policies
 over it.  All runs share one :class:`~repro.simulate.problems.
 EpochProblemBuilder`, so the second policy's sweep over the same
-epochs is answered almost entirely from the subset-evaluation cache —
-that sharing is what makes multi-policy comparisons cheap.
+epochs gets the first sweep's problems back and is answered almost
+entirely from their subset memos — that sharing is what makes
+multi-policy comparisons cheap.
 
 Epoch accounting (see :mod:`repro.simulate.ledger` for the split):
 the epoch's subset is priced through the existing cost model, then the
@@ -33,7 +34,7 @@ once it lands mid-epoch, the epoch is split into
 :class:`~repro.simulate.ledger.EpochSegment`\\ s at the completion
 instants and each segment bills its holdings' full-period operating
 charge scaled by the period fraction — all through the same
-subset-evaluation cache.  Build compute is billed in the epoch the
+memoized epoch problems.  Build compute is billed in the epoch the
 build *completes*; an in-flight build whose view a later decision
 drops is cancelled with only its sunk compute billed
 (``cancelled_cost``), and builds still in flight when the horizon
@@ -77,7 +78,7 @@ from ..explain import (
 )
 from ..explain import current as current_explain
 from ..money import Money, ZERO
-from ..optimizer.problem import SelectionProblem, SubsetEvaluationCache
+from ..optimizer.problem import SelectionProblem
 from ..pricing.migration import migration_transfer_cost, migration_volume_gb
 from ..pricing.providers import Provider
 from ..telemetry import current as current_telemetry
@@ -228,7 +229,6 @@ class LifecycleSimulator:
         timeline: Optional[EventTimeline] = None,
         events: Sequence[SimulationEvent] = (),
         catalogue: Optional[Sequence[CandidateView]] = None,
-        cache: Optional[SubsetEvaluationCache] = None,
         builds: Optional[BuildConfig] = None,
     ) -> None:
         if timeline is not None and events:
@@ -255,7 +255,7 @@ class LifecycleSimulator:
             catalogue = full_catalogue(
                 CuboidLattice(initial.workload.schema)
             )
-        self._builder = EpochProblemBuilder(catalogue, cache)
+        self._builder = EpochProblemBuilder(catalogue)
         self._builds = builds
 
     # -- accessors ------------------------------------------------------
@@ -490,8 +490,8 @@ class LifecycleSimulator:
         close over is frozen (ledger records, the decision) or
         interned (problems, chain states), so late resolution is
         byte-identical to eager emission — and because no explain
-        pricing flows through the shared evaluation cache *during*
-        the run, the ledger's cache statistics are exactly those of an
+        pricing flows through the run's problems *during* the run,
+        the ledger's cache statistics are exactly those of an
         uninstrumented run.
 
         ``previous_subset`` is the incumbent the *policy* saw (its
@@ -562,8 +562,8 @@ class LifecycleSimulator:
 
         Runs at log-read time, after the simulation returned — see
         :meth:`_emit_explain` for why that is safe.  Chain pricing
-        flows through the shared problem builder and evaluation cache,
-        so a state the run itself priced resolves as a cache hit.
+        flows through the shared problem builder, so a state the run
+        itself priced gets its memoized problem back.
         """
         subterms = ()
         if previous_record is not None:

@@ -149,10 +149,11 @@ class WarehouseState:
     def key(self) -> Hashable:
         """A hashable identity: equal keys mean identical pricing worlds.
 
-        Note the candidate catalogue is *not* part of the state — the
-        :class:`~repro.simulate.problems.EpochProblemBuilder` adds its
-        own catalogue to the cache keys it derives from this.  Neither
-        are the market nor the holdings (see the class docstring).
+        Note the candidate catalogue is *not* part of the state — an
+        :class:`~repro.simulate.problems.EpochProblemBuilder` selects
+        from one fixed catalogue, so within a builder the state key
+        alone picks the problem.  Neither are the market nor the
+        holdings (see the class docstring).
 
         Returns
         -------

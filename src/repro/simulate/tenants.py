@@ -57,7 +57,7 @@ from ..explain import TenantDeltaFold
 from ..explain import current as current_explain
 from ..money import Money
 from ..optimizer.fairness import FairShareScenario
-from ..optimizer.problem import SelectionProblem, SubsetEvaluationCache
+from ..optimizer.problem import SelectionProblem
 from ..optimizer.scenarios import Scenario
 from ..pricing.providers import Provider
 from ..telemetry import current as current_telemetry
@@ -482,7 +482,6 @@ class MultiTenantSimulator:
         clock: SimulationClock,
         attribution: str = "proportional",
         catalogue: Optional[Sequence[CandidateView]] = None,
-        cache: Optional[SubsetEvaluationCache] = None,
         builds: "Optional[BuildConfig]" = None,
     ) -> None:
         self._fleet = fleet
@@ -505,7 +504,6 @@ class MultiTenantSimulator:
             clock=clock,
             events=fleet.events(),
             catalogue=catalogue,
-            cache=cache,
             builds=builds,
         )
 

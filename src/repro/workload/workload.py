@@ -190,7 +190,7 @@ class Workload:
         """Hashable value identity of the workload.
 
         Everything pricing-relevant per query, in workload order.  This
-        is *the* workload component of every cross-problem cache key
+        is *the* workload component of every pricing identity
         (:meth:`repro.costmodel.PlanningInputs.fingerprint` and the
         lifecycle simulator's state keys), so any new pricing-relevant
         query field must be added here once, not at each call site.

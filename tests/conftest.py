@@ -8,6 +8,7 @@ no mutators).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import random
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ from repro.pricing.providers import (
     flat_cloud,
 )
 from repro.schema import sales_schema
-from repro.schema.hierarchy import ALL, Dimension, Hierarchy
+from repro.schema.hierarchy import Dimension, Hierarchy
 from repro.schema.star import Measure, StarSchema
 from repro.workload import paper_sales_workload
 from repro.workload.query import AggregateQuery, DimensionFilter
@@ -72,6 +73,34 @@ def paper_problem(sales_dataset_10gb):
 def experiment_context():
     """A fast experiment context (fewer physical rows, same logical world)."""
     return ExperimentContext(ExperimentConfig(n_rows=30_000, seed=42))
+
+
+# -- whole-run oracle pricing ------------------------------------------
+#
+# ``SelectionProblem(inputs, kernel=False)`` is the one oracle switch.
+# Suites that hold a whole run (CLI renders, Monte Carlo CSVs, metrics
+# dumps, golden digests) to the exact-Decimal path need every problem
+# the run builds priced that way, including the ones the simulator's
+# problem builder and the experiment pipeline construct themselves.
+
+
+@contextlib.contextmanager
+def _oracle_pricing():
+    init = SelectionProblem.__init__
+
+    def oracle_init(self, inputs, kernel=True):
+        init(self, inputs, kernel=False)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SelectionProblem, "__init__", oracle_init)
+        yield
+
+
+@pytest.fixture
+def oracle_pricing():
+    """A context manager: every ``SelectionProblem`` built inside it
+    prices on the oracle (``kernel=False``), whoever builds it."""
+    return _oracle_pricing
 
 
 # -- seeded generative worlds -----------------------------------------
@@ -279,7 +308,6 @@ class RandomFleet:
     def simulator(
         self,
         tenants: Optional[Tuple["Tenant", ...]] = None,
-        cache=None,
         builds=None,
     ) -> "MultiTenantSimulator":
         """A simulator over these tenants (or a modified population).
@@ -300,7 +328,6 @@ class RandomFleet:
             fleet,
             clock=SimulationClock(self.n_epochs),
             attribution=self.attribution,
-            cache=cache,
             builds=builds,
         )
 

@@ -25,7 +25,6 @@ from repro.explain import (
     decompose_tenant,
 )
 from repro.money import Money
-from repro.optimizer.problem import SubsetEvaluationCache
 from repro.simulate import BuildConfig, NeverReselect, make_policy
 from repro.simulate.presets import (
     DRIFT_MIN_EPOCHS,
@@ -148,10 +147,9 @@ class TestRandomFleets:
     """Post-hoc decomposition is byte-exact over ~50 generated fleets."""
 
     def test_fifty_seeded_fleets(self, random_fleet_factory):
-        cache = SubsetEvaluationCache()
         for seed in RANDOM_SEEDS:
             fleet = random_fleet_factory(seed)
-            ledger = fleet.simulator(cache=cache).run(NeverReselect())
+            ledger = fleet.simulator().run(NeverReselect())
             _assert_exact(
                 decompose_fleet(ledger.fleet),
                 ledger.fleet.records,
@@ -167,10 +165,9 @@ class TestRandomFleets:
     def test_live_emission_matches_posthoc(self, random_fleet_factory):
         """The streamed fold and the post-hoc walk produce the same
         records for the same run — tenant by tenant, epoch by epoch."""
-        cache = SubsetEvaluationCache()
         fleet = random_fleet_factory(0)
         with activate(ExplainLog()) as log:
-            ledger = fleet.simulator(cache=cache).run(NeverReselect())
+            ledger = fleet.simulator().run(NeverReselect())
         for name, tenant_ledger in ledger.tenants.items():
             live = _deltas(log, tenant=name)
             posthoc = list(

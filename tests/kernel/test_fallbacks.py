@@ -21,7 +21,6 @@ from repro.optimizer import SelectionProblem
 REASONS = (
     "cascade_materialization",
     "non_positive_runs",
-    "subclassed_cost_model",
     "unusable_inputs",
 )
 
@@ -31,9 +30,9 @@ def world(random_world_factory):
     return random_world_factory(11)
 
 
-def _fallbacks(inputs, model=None):
+def _fallbacks(inputs):
     """Build once under a fresh collector; the per-reason counts."""
-    model = model or CloudCostModel(inputs.deployment)
+    model = CloudCostModel(inputs.deployment)
     with telemetry.activate() as collector:
         assert KernelWorld.build(inputs, model) is None
     registry = collector.registry
@@ -50,14 +49,6 @@ def test_cascade_materialization_is_counted(world):
     dep = replace(world.deployment, cascade_materialization=True)
     inputs = replace(world.inputs, deployment=dep)
     assert _fallbacks(inputs) == _only("cascade_materialization")
-
-
-def test_subclassed_cost_model_is_counted(world):
-    class Surcharged(CloudCostModel):
-        pass
-
-    counts = _fallbacks(world.inputs, Surcharged(world.deployment))
-    assert counts == _only("subclassed_cost_model")
 
 
 def test_non_positive_runs_are_counted(world):

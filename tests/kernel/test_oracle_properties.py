@@ -100,20 +100,3 @@ def test_exhaustive_ground_truth_agrees(seed, random_world_factory):
     got = select_views(fast, scenario, "exhaustive")
     assert got.outcome.subset == want.outcome.subset
     assert repr(got.outcome.breakdown) == repr(want.outcome.breakdown)
-
-
-def test_shared_cache_outcomes_are_kernel_agnostic(random_world_factory):
-    """A subset priced by the kernel and served from the shared cache
-    to a no-kernel problem (or vice versa) is indistinguishable."""
-    from repro.optimizer import SubsetEvaluationCache
-
-    world = random_world_factory(3)
-    cache = SubsetEvaluationCache()
-    key = world.inputs.fingerprint()
-    fast = SelectionProblem(world.inputs, cache=cache, state_key=key, kernel=True)
-    slow = SelectionProblem(world.inputs, cache=cache, state_key=key, kernel=False)
-    subset = frozenset(c.name for c in world.candidates)
-    first = fast.evaluate(subset)
-    second = slow.evaluate(subset)
-    assert second is first
-    assert slow.stats.priced == 0

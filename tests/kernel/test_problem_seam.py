@@ -1,4 +1,4 @@
-"""The SelectionProblem seam: opt-outs, fallbacks, and telemetry."""
+"""The SelectionProblem seam: the kernel switch, fallbacks, telemetry."""
 
 from __future__ import annotations
 
@@ -7,13 +7,8 @@ from dataclasses import replace
 import pytest
 
 from repro import telemetry
-from repro.costmodel.total import CloudCostModel, CostBreakdown, WorkloadPlan
-from repro.kernel import (
-    NO_KERNEL_ENV,
-    KernelWorld,
-    kernel_enabled,
-    set_kernel_enabled,
-)
+from repro.costmodel.total import CloudCostModel
+from repro.kernel import KernelWorld
 from repro.optimizer import SelectionProblem
 
 
@@ -22,48 +17,55 @@ def world(random_world_factory):
     return random_world_factory(11)
 
 
-@pytest.fixture(autouse=True)
-def _restore_override():
-    previous = set_kernel_enabled(None)
-    yield
-    set_kernel_enabled(previous)
+def test_kernel_on_by_default(world):
+    problem = SelectionProblem(world.inputs)
+    problem.baseline()
+    assert problem._kernel_world is not None
+    oracle = SelectionProblem(world.inputs, kernel=False)
+    oracle.baseline()
+    assert oracle._kernel_world is None
 
 
-def test_kernel_on_by_default(world, monkeypatch):
-    monkeypatch.delenv(NO_KERNEL_ENV, raising=False)
-    assert kernel_enabled()
+def test_no_environment_switch(world, monkeypatch):
+    """The retired ``REPRO_NO_KERNEL`` variable is not read: a problem
+    left at its default prices through the kernel even with it set."""
+    monkeypatch.setenv("REPRO_NO_KERNEL", "1")
     problem = SelectionProblem(world.inputs)
     problem.baseline()
     assert problem._kernel_world is not None
 
 
-def test_env_var_disables_kernel(world, monkeypatch):
-    monkeypatch.setenv(NO_KERNEL_ENV, "1")
-    assert not kernel_enabled()
-    problem = SelectionProblem(world.inputs)
-    problem.baseline()
-    assert problem._kernel_world is None
-
-
-def test_env_var_zero_means_enabled(monkeypatch):
-    monkeypatch.setenv(NO_KERNEL_ENV, "0")
-    assert kernel_enabled()
-
-
-def test_explicit_flag_beats_environment(world, monkeypatch):
-    monkeypatch.setenv(NO_KERNEL_ENV, "1")
-    problem = SelectionProblem(world.inputs, kernel=True)
-    problem.baseline()
+def test_oracle_problem_screens_but_prices_on_the_oracle(world, monkeypatch):
+    """``kernel=False`` leaves the screener on; no subset it prices
+    goes through the kernel world that screening factored."""
+    problem = SelectionProblem(world.inputs, kernel=False)
+    assert problem.screener() is not None
     assert problem._kernel_world is not None
 
+    def refuse(self, subset):
+        raise AssertionError("an oracle problem priced on the kernel")
 
-def test_process_override(world, monkeypatch):
-    monkeypatch.delenv(NO_KERNEL_ENV, raising=False)
-    set_kernel_enabled(False)
-    assert not kernel_enabled()
-    problem = SelectionProblem(world.inputs)
-    problem.baseline()
-    assert problem._kernel_world is None
+    subset = frozenset(problem.candidate_names)
+    with monkeypatch.context() as patch:
+        patch.setattr(KernelWorld, "evaluate", refuse)
+        got = problem.evaluate(subset)
+    want = SelectionProblem(world.inputs).evaluate(subset)
+    assert repr(got.breakdown) == repr(want.breakdown)
+
+
+def test_oracle_pricing_reaches_every_problem_then_lets_go(
+    world, oracle_pricing
+):
+    """The whole-run oracle switch the identity suites use: inside it
+    even an explicit ``kernel=True`` prices on the oracle; after it
+    the default is the kernel again."""
+    with oracle_pricing():
+        inside = SelectionProblem(world.inputs, kernel=True)
+        inside.baseline()
+    after = SelectionProblem(world.inputs)
+    after.baseline()
+    assert inside._kernel_world is None
+    assert after._kernel_world is not None
 
 
 def test_cascade_worlds_fall_back_to_oracle(world):
@@ -74,21 +76,6 @@ def test_cascade_worlds_fall_back_to_oracle(world):
     assert problem._kernel_world is None
     oracle = SelectionProblem(inputs, kernel=False)
     assert repr(baseline.breakdown) == repr(oracle.baseline().breakdown)
-
-
-def test_subclassed_cost_models_fall_back(world):
-    class Surcharged(CloudCostModel):
-        def evaluate(self, plan: WorkloadPlan) -> CostBreakdown:
-            breakdown = super().evaluate(plan)
-            return replace(breakdown, storage=breakdown.storage * 2)
-
-    problem = SelectionProblem(
-        world.inputs, cost_model=Surcharged(world.deployment), kernel=True
-    )
-    baseline = problem.baseline()
-    assert problem._kernel_world is None
-    plain = SelectionProblem(world.inputs, kernel=False).baseline()
-    assert baseline.breakdown.storage == plain.breakdown.storage * 2
 
 
 def test_kernel_build_returns_none_for_negative_hours(world):
@@ -121,4 +108,4 @@ def test_stats_semantics_unchanged_by_kernel(world):
         problem.baseline()
     assert fast.stats.calls == slow.stats.calls == 2
     assert fast.stats.priced == slow.stats.priced == 1
-    assert fast.stats.local_hits == slow.stats.local_hits == 1
+    assert fast.stats.hits == slow.stats.hits == 1

@@ -2,17 +2,20 @@
 
 Covers the selector's shared-marginal computation (one baseline + one
 singleton per candidate instead of four evaluations per candidate),
-the per-problem evaluation counters, and the cross-problem
-:class:`SubsetEvaluationCache`.
+the per-problem evaluation counters (every algorithm prices each subset
+it asks for once, with the same traffic whichever way ``kernel=``
+points), and the one problem per state
+that :meth:`~repro.simulate.problems.EpochProblemBuilder.problem_for`
+hands out: distinct states never share a problem or its pricings.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.costmodel import PlanningEstimator
-from repro.optimizer import SelectionProblem, SubsetEvaluationCache, mv2
+from repro.optimizer import SelectionProblem, mv1, mv2
 from repro.optimizer.selector import _independent_marginals, select_views
+from repro.simulate import EpochProblemBuilder, WarehouseState
 
 
 @pytest.fixture()
@@ -29,7 +32,6 @@ class TestEvaluationStats:
         problem.evaluate(frozenset({"V1"}))
         assert problem.stats.calls == 3
         assert problem.stats.priced == 2
-        assert problem.stats.local_hits == 1
         assert problem.stats.hits == 1
 
 
@@ -81,21 +83,78 @@ class TestSelectorEvaluationCounts:
         assert all(count == 1 for count in grown.values()), grown
 
 
-class TestSubsetEvaluationCache:
-    def test_shared_outcomes_across_equal_problems(self, paper_problem):
-        cache = SubsetEvaluationCache()
-        first = SelectionProblem(paper_problem.inputs, cache=cache)
-        second = SelectionProblem(paper_problem.inputs, cache=cache)
-        outcome = first.evaluate(frozenset({"V1", "V2"}))
-        assert second.evaluate(frozenset({"V1", "V2"})) is outcome
-        assert second.stats.priced == 0
-        assert second.stats.shared_hits == 1
-        assert cache.hits >= 1
+ALGORITHMS = ("knapsack", "greedy", "exhaustive", "beam", "local")
 
-    def test_state_key_defaults_to_inputs_fingerprint(self, paper_problem):
-        cache = SubsetEvaluationCache()
-        problem = SelectionProblem(paper_problem.inputs, cache=cache)
-        assert problem.state_key == paper_problem.inputs.fingerprint()
+
+def _recording(problem):
+    """Record every subset requested of ``problem``, in request order."""
+    requested = []
+    evaluate = problem.evaluate
+
+    def recording(subset):
+        requested.append(frozenset(subset))
+        return evaluate(subset)
+
+    problem.evaluate = recording
+    return requested
+
+
+class TestOneMemoPerProblem:
+    """The problem's own dict is the only memo every algorithm sees."""
+
+    @pytest.fixture()
+    def scenario(self, paper_problem):
+        return mv1(paper_problem.baseline().total_cost * 2)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_each_requested_subset_is_priced_once(
+        self, paper_problem, scenario, algorithm
+    ):
+        problem = SelectionProblem(paper_problem.inputs)
+        requested = _recording(problem)
+        select_views(problem, scenario, algorithm)
+        distinct = set(requested)
+        assert problem.stats.calls == len(requested)
+        assert problem.stats.priced == len(distinct)
+        assert problem.stats.hits == len(requested) - len(distinct)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_kernel_switch_changes_no_traffic(
+        self, paper_problem, scenario, algorithm
+    ):
+        """``kernel=False`` moves pricing to the oracle and nothing else:
+        the same answer, to the ledger bytes, from the same calls, memo
+        hits and pricings (screening stays on either way)."""
+        runs = {}
+        for kernel in (True, False):
+            problem = SelectionProblem(paper_problem.inputs, kernel=kernel)
+            outcome = select_views(problem, scenario, algorithm).outcome
+            stats = problem.stats
+            runs[kernel] = (
+                outcome.subset,
+                repr(outcome.breakdown),
+                (stats.calls, stats.hits, stats.priced),
+            )
+            if kernel:  # the kernel really priced this run
+                assert problem._kernel_world is not None
+        assert runs[True] == runs[False]
+
+
+class TestProblemsPerState:
+    """Each distinct state gets its own problem, pricing its own subsets."""
+
+    @staticmethod
+    def _problems(paper_problem, dataset, other_deployment):
+        builder = EpochProblemBuilder(paper_problem.inputs.candidates)
+        inputs = paper_problem.inputs
+        first, second = (
+            builder.problem_for(
+                WarehouseState(inputs.workload, dataset, deployment)
+            )
+            for deployment in (inputs.deployment, other_deployment)
+        )
+        assert second is not first
+        return first, second
 
     def test_distinct_worlds_do_not_collide(
         self, sales_dataset_10gb, paper_problem
@@ -103,15 +162,11 @@ class TestSubsetEvaluationCache:
         """Different deployments must never share pricings."""
         from repro.costmodel import DeploymentSpec
 
-        cache = SubsetEvaluationCache()
-        first = SelectionProblem(paper_problem.inputs, cache=cache)
-        other_inputs = PlanningEstimator(
-            sales_dataset_10gb, DeploymentSpec.paper_deployment(n_instances=2)
-        ).build(
-            paper_problem.inputs.workload,
-            paper_problem.inputs.candidates,
+        first, second = self._problems(
+            paper_problem,
+            sales_dataset_10gb,
+            DeploymentSpec.paper_deployment(n_instances=2),
         )
-        second = SelectionProblem(other_inputs, cache=cache)
         a = first.evaluate(frozenset({"V1"}))
         b = second.evaluate(frozenset({"V1"}))
         assert second.stats.priced == 1  # not served from first's world
@@ -124,11 +179,12 @@ class TestSubsetEvaluationCache:
 
         ``aws_2012(PER_HOUR)`` and ``aws_2012(PER_SECOND)`` share the
         name 'aws-2012' but bill differently; a name-keyed fingerprint
-        once let them share cached outcomes.
+        once let them share cached outcomes.  They share one priced
+        (dataset, cluster) world here, and still each problem bills at
+        its own book's rates.
         """
         from dataclasses import replace
 
-        from repro.costmodel import DeploymentSpec
         from repro.pricing import BillingGranularity, aws_2012
 
         hourly = paper_problem.inputs.deployment
@@ -138,94 +194,10 @@ class TestSubsetEvaluationCache:
         assert hourly.provider.name == per_second.provider.name
         assert hourly.fingerprint() != per_second.fingerprint()
 
-        cache = SubsetEvaluationCache()
-        first = SelectionProblem(paper_problem.inputs, cache=cache)
-        other_inputs = PlanningEstimator(
-            sales_dataset_10gb, per_second
-        ).build(
-            paper_problem.inputs.workload, paper_problem.inputs.candidates
+        first, second = self._problems(
+            paper_problem, sales_dataset_10gb, per_second
         )
-        second = SelectionProblem(other_inputs, cache=cache)
         a = first.evaluate(frozenset({"V1"}))
         b = second.evaluate(frozenset({"V1"}))
         assert second.stats.priced == 1  # not aliased across billing rules
         assert a.total_cost != b.total_cost
-
-    def test_hit_rate_and_clear(self, paper_problem):
-        cache = SubsetEvaluationCache()
-        problem = SelectionProblem(paper_problem.inputs, cache=cache)
-        problem.evaluate(frozenset())
-        assert len(cache) == 1
-        assert 0.0 <= cache.hit_rate <= 1.0
-        cache.clear()
-        assert len(cache) == 0
-
-    def test_intern_is_stable_and_distinct(self):
-        cache = SubsetEvaluationCache()
-        a = cache.intern(("world", 1))
-        b = cache.intern(("world", 2))
-        assert a != b
-        assert cache.intern(("world", 1)) == a
-        cache.clear()  # interned ids survive a clear
-        assert cache.intern(("world", 1)) == a
-
-    def test_interned_ids_stay_distinct_across_clear(self, paper_problem):
-        """Regression: ``clear()`` must not recycle interned ids.
-
-        The simulator interns one id per epoch world and keeps using it
-        after trimming the cache between policy sweeps.  If ``clear()``
-        also dropped ``_interned``, the next world interned after a
-        clear would reuse id 0 and silently serve another world's
-        pricings.  Here two problems interned *before* the clear and a
-        third interned *after* it must all resolve to distinct worlds.
-        """
-        cache = SubsetEvaluationCache()
-        id_a = cache.intern(("epoch", 0))
-        id_b = cache.intern(("epoch", 1))
-        first = SelectionProblem(
-            paper_problem.inputs, cache=cache, state_key=id_a
-        )
-        outcome_a = first.evaluate(frozenset({"V1"}))
-        cache.clear()
-        # A world interned after the clear gets a fresh id, not id 0.
-        id_c = cache.intern(("epoch", 2))
-        assert len({id_a, id_b, id_c}) == 3
-        third = SelectionProblem(
-            paper_problem.inputs, cache=cache, state_key=id_c
-        )
-        outcome_c = third.evaluate(frozenset({"V1"}))
-        # Both worlds priced independently: the clear dropped entries,
-        # and the post-clear world never aliased the pre-clear one.
-        assert third.stats.priced == 1
-        assert outcome_c is not outcome_a
-        # Pre-clear ids still resolve: re-pricing under id_a repopulates
-        # its own slot without touching id_c's.
-        second = SelectionProblem(
-            paper_problem.inputs, cache=cache, state_key=id_a
-        )
-        outcome_a2 = second.evaluate(frozenset({"V1"}))
-        assert second.stats.priced == 1
-        assert cache.get(id_a, frozenset({"V1"})) is outcome_a2
-        assert cache.get(id_c, frozenset({"V1"})) is outcome_c
-
-    def test_custom_cost_model_needs_explicit_state_key(self, paper_problem):
-        """Regression: a custom model under the default fingerprint key
-        would alias another model's outcomes in a shared cache."""
-        from repro.costmodel import CloudCostModel
-        from repro.errors import OptimizationError
-
-        model = CloudCostModel(paper_problem.inputs.deployment)
-        with pytest.raises(OptimizationError, match="state_key"):
-            SelectionProblem(
-                paper_problem.inputs,
-                cost_model=model,
-                cache=SubsetEvaluationCache(),
-            )
-        # Fine with an explicit key, and fine without a shared cache.
-        SelectionProblem(
-            paper_problem.inputs,
-            cost_model=model,
-            cache=SubsetEvaluationCache(),
-            state_key=("custom-model", 1),
-        )
-        SelectionProblem(paper_problem.inputs, cost_model=model)

@@ -4,8 +4,9 @@ The contracts under test are the ones ISSUE/ROADMAP promise:
 
 * same seed + same budget => byte-identical selections on every run;
 * a larger budget never yields a worse scenario key (truncation only);
-* warm-started re-selection on an unchanged epoch returns the
-  incumbent with zero new pricings (all shared-cache hits);
+* warm-started re-selection on an unchanged epoch (the same problem,
+  which is what the simulator's builder hands back) returns the
+  incumbent with zero new pricings (all memo hits);
 * screened-then-exact results are repr-equal to pure-Decimal pricing
   of the same subset (screening orders moves, never prices answers);
 * on a generated >=1,000-view lattice, beam and local search land
@@ -28,7 +29,6 @@ from repro.optimizer import (
     mv1,
     select_views,
 )
-from repro.optimizer.problem import SubsetEvaluationCache
 from repro.optimizer.search import prune_candidates
 
 
@@ -142,19 +142,16 @@ class TestBudgetMonotonicity:
     def test_budget_counts_calls_not_pricings(
         self, small_world, small_scenario
     ):
-        # Budgets count evaluate() *calls*, so a pre-warmed cache must
+        # Budgets count evaluate() *calls*, so a pre-warmed memo must
         # not let the search see further down its trajectory.
-        cache = SubsetEvaluationCache()
-        cold_problem = SelectionProblem(small_world.inputs, cache=cache)
-        cold = select_views(
-            cold_problem, small_scenario, BeamSearchSpec(budget=48)
-        )
-        warm_problem = SelectionProblem(small_world.inputs, cache=cache)
+        problem = SelectionProblem(small_world.inputs)
+        cold = select_views(problem, small_scenario, BeamSearchSpec(budget=48))
+        priced_cold = problem.stats.priced
         warmed = select_views(
-            warm_problem, small_scenario, BeamSearchSpec(budget=48)
+            problem, small_scenario, BeamSearchSpec(budget=48)
         )
         assert warmed.outcome.subset == cold.outcome.subset
-        assert warm_problem.stats.priced == 0
+        assert problem.stats.priced == priced_cold  # the warm solve priced 0
 
 
 class TestWarmStart:
@@ -162,12 +159,11 @@ class TestWarmStart:
     def test_unchanged_epoch_returns_incumbent_free(
         self, small_world, small_scenario, algorithm
     ):
-        cache = SubsetEvaluationCache()
-        cold_problem = SelectionProblem(small_world.inputs, cache=cache)
-        cold = select_views(cold_problem, small_scenario, algorithm)
-        warm_problem = SelectionProblem(small_world.inputs, cache=cache)
+        problem = SelectionProblem(small_world.inputs)
+        cold = select_views(problem, small_scenario, algorithm)
+        priced_cold = problem.stats.priced
         warm = select_views(
-            warm_problem,
+            problem,
             small_scenario,
             algorithm,
             warm_start=cold.outcome.subset,
@@ -175,8 +171,8 @@ class TestWarmStart:
         assert warm.outcome.subset == cold.outcome.subset
         assert repr(warm.outcome.breakdown) == repr(cold.outcome.breakdown)
         # Every evaluation replays the cold trajectory through the
-        # shared cache: nothing is priced anew.
-        assert warm_problem.stats.priced == 0
+        # problem's memo: nothing is priced anew.
+        assert problem.stats.priced == priced_cold
 
     def test_warm_start_is_an_incumbent_floor(
         self, small_world, small_scenario

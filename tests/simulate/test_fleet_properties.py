@@ -26,7 +26,6 @@ from dataclasses import replace
 import pytest
 
 from repro.money import ZERO
-from repro.optimizer.problem import SubsetEvaluationCache
 from repro.simulate import BuildConfig, NeverReselect, make_policy
 from repro.simulate.ledger import TenantTotals
 from repro.simulate.presets import population_fleet_simulator
@@ -41,22 +40,13 @@ SLOW_BUILDS = BuildConfig(slots=1, hours_per_month=0.5)
 
 
 @pytest.fixture(scope="module")
-def shared_cache():
-    """One evaluation cache across every generated fleet: seeds share
-    the dataset, so subset pricing amortizes across the whole suite."""
-    return SubsetEvaluationCache()
-
-
-@pytest.fixture(scope="module")
-def async_runs(random_fleet_factory, shared_cache):
+def async_runs(random_fleet_factory):
     """Per seed: the in-memory ledger and the 1/2/8-shard summaries of
     a reselecting fleet under slow (asynchronous) builds."""
     policy = make_policy("periodic")
     runs, segmented = [], 0
     for seed in SHARD_SEEDS:
-        simulator = random_fleet_factory(seed).simulator(
-            cache=shared_cache, builds=SLOW_BUILDS
-        )
+        simulator = random_fleet_factory(seed).simulator(builds=SLOW_BUILDS)
         ledger = simulator.run(policy)
         segmented += sum(1 for r in ledger.fleet.records if r.segments)
         summaries = {
@@ -78,10 +68,10 @@ def _by_epoch(ledger):
 class TestBooksBalance:
     """Per-tenant ledgers sum to the fleet ledger exactly, any seed."""
 
-    def test_balance_over_seeds(self, random_fleet_factory, shared_cache):
+    def test_balance_over_seeds(self, random_fleet_factory):
         for seed in BALANCE_SEEDS:
             fleet = random_fleet_factory(seed)
-            ledger = fleet.simulator(cache=shared_cache).run(NeverReselect())
+            ledger = fleet.simulator().run(NeverReselect())
             # verify_attribution already ran on return; re-check the
             # books explicitly so the property is asserted here too.
             ledger.verify_attribution()
@@ -104,14 +94,12 @@ class TestBooksBalance:
                     f"sum to the fleet charge"
                 )
 
-    def test_balance_under_reselection(
-        self, random_fleet_factory, shared_cache
-    ):
+    def test_balance_under_reselection(self, random_fleet_factory):
         """Drifted fleets re-optimizing mid-churn still balance."""
         policy = make_policy("periodic")
         for seed in range(8):
             fleet = random_fleet_factory(seed)
-            ledger = fleet.simulator(cache=shared_cache).run(policy)
+            ledger = fleet.simulator().run(policy)
             ledger.verify_attribution()
             tenant_total = sum(
                 (t.total_cost for t in ledger.tenants.values()), ZERO
@@ -123,7 +111,7 @@ class TestChurnCausality:
     """One tenant's schedule never reaches into another's invoice."""
 
     def test_unrelated_records_invariant_to_shifted_arrival(
-        self, random_fleet_factory, shared_cache
+        self, random_fleet_factory
     ):
         """Shift the designated tenant's arrival one epoch later: every
         *other* tenant's records are byte-identical at every epoch
@@ -142,10 +130,8 @@ class TestChurnCausality:
                 else t
                 for t in fleet.tenants
             )
-            base = fleet.simulator(cache=shared_cache).run(policy)
-            moved = fleet.simulator(
-                tenants=shifted_tenants, cache=shared_cache
-            ).run(policy)
+            base = fleet.simulator().run(policy)
+            moved = fleet.simulator(tenants=shifted_tenants).run(policy)
             for name, base_ledger in base.tenants.items():
                 if name == fleet.shiftable:
                     continue
@@ -168,9 +154,7 @@ class TestChurnCausality:
                     )
                     assert record.describe() == other.describe()
 
-    def test_prefix_identical_before_perturbation(
-        self, random_fleet_factory, shared_cache
-    ):
+    def test_prefix_identical_before_perturbation(self, random_fleet_factory):
         """Fleet records before the moved arrival are untouched —
         including the mover's own (absent) history."""
         policy = NeverReselect()
@@ -186,10 +170,8 @@ class TestChurnCausality:
                 else t
                 for t in fleet.tenants
             )
-            base = fleet.simulator(cache=shared_cache).run(policy)
-            moved = fleet.simulator(
-                tenants=shifted_tenants, cache=shared_cache
-            ).run(policy)
+            base = fleet.simulator().run(policy)
+            moved = fleet.simulator(tenants=shifted_tenants).run(policy)
             for before, after in zip(
                 base.fleet.records, moved.fleet.records
             ):
@@ -204,13 +186,9 @@ class TestChurnCausality:
 class TestShardedByteIdentity:
     """Sharded streaming attribution is exact and shard-count blind."""
 
-    def test_csv_identical_across_shard_counts(
-        self, random_fleet_factory, shared_cache
-    ):
+    def test_csv_identical_across_shard_counts(self, random_fleet_factory):
         for seed in SHARD_SEEDS:
-            simulator = random_fleet_factory(seed).simulator(
-                cache=shared_cache
-            )
+            simulator = random_fleet_factory(seed).simulator()
             csvs = {
                 shards: simulator.run_sharded(
                     NeverReselect(), shards=shards
@@ -221,15 +199,11 @@ class TestShardedByteIdentity:
                 f"seed {seed}: ledger CSV depends on the shard count"
             )
 
-    def test_streaming_folds_to_in_memory_totals(
-        self, random_fleet_factory, shared_cache
-    ):
+    def test_streaming_folds_to_in_memory_totals(self, random_fleet_factory):
         """run_sharded's streamed totals equal run()'s ledgers folded
         record-by-record — same rows, full precision."""
         for seed in SHARD_SEEDS:
-            simulator = random_fleet_factory(seed).simulator(
-                cache=shared_cache
-            )
+            simulator = random_fleet_factory(seed).simulator()
             ledger = simulator.run(NeverReselect())
             summary = simulator.run_sharded(NeverReselect(), shards=2)
             for name, tenant_ledger in ledger.tenants.items():
@@ -271,14 +245,10 @@ class TestShardedByteIdentity:
                 f"seed {seed}: async ledger CSV depends on the shard count"
             )
 
-    def test_worker_processes_identical(
-        self, random_fleet_factory, shared_cache
-    ):
+    def test_worker_processes_identical(self, random_fleet_factory):
         """Fanning shards across worker processes changes nothing."""
         for seed in (0, 7):
-            simulator = random_fleet_factory(seed).simulator(
-                cache=shared_cache
-            )
+            simulator = random_fleet_factory(seed).simulator()
             serial = simulator.run_sharded(NeverReselect(), shards=1)
             parallel = simulator.run_sharded(
                 NeverReselect(), shards=4, jobs=2

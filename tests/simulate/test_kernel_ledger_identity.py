@@ -1,10 +1,11 @@
 """End-to-end kernel identity: every preset's output, byte for byte.
 
 The kernel is a pure accelerator, so running any simulation with
-``--no-kernel`` must reproduce the default run exactly: rendered
-ledgers, summary lines, cache-traffic lines, Monte Carlo CSVs, and
-the deterministic metrics dump (modulo the kernel's own counters,
-which exist only when the kernel runs).
+every problem priced on the exact-Decimal oracle (``kernel=False``,
+through the ``oracle_pricing`` fixture) must reproduce the default run
+exactly: rendered ledgers, summary lines, cache-traffic lines, Monte
+Carlo CSVs, and the deterministic metrics dump (modulo the kernel's
+own counters, which exist only when the kernel runs).
 """
 
 from __future__ import annotations
@@ -12,13 +13,6 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import main
-from repro.kernel import NO_KERNEL_ENV
-
-
-@pytest.fixture(autouse=True)
-def _kernel_default_on(monkeypatch):
-    """The baseline runs must actually use the kernel."""
-    monkeypatch.delenv(NO_KERNEL_ENV, raising=False)
 
 
 def _run(capsys, argv):
@@ -50,16 +44,21 @@ SCENARIOS = {
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_ledgers_are_identical_with_and_without_kernel(name, capsys):
+def test_ledgers_are_identical_with_and_without_kernel(
+    name, capsys, oracle_pricing
+):
     """Full renders (ledgers, events, cache traffic) match exactly."""
     argv = SCENARIOS[name]
     with_kernel = _run(capsys, argv)
-    without_kernel = _run(capsys, argv + ["--no-kernel"])
+    with oracle_pricing():
+        without_kernel = _run(capsys, argv)
     assert with_kernel == without_kernel
     assert "epoch" in with_kernel  # the run actually rendered ledgers
 
 
-def test_monte_carlo_summary_csv_is_kernel_agnostic(tmp_path, capsys):
+def test_monte_carlo_summary_csv_is_kernel_agnostic(
+    tmp_path, capsys, oracle_pricing
+):
     args = [
         "simulate",
         "--trials", "3",
@@ -71,9 +70,8 @@ def test_monte_carlo_summary_csv_is_kernel_agnostic(tmp_path, capsys):
     fast_csv = tmp_path / "fast.csv"
     slow_csv = tmp_path / "slow.csv"
     fast_out = _run(capsys, args + ["--summary-csv", str(fast_csv)])
-    slow_out = _run(
-        capsys, args + ["--summary-csv", str(slow_csv), "--no-kernel"]
-    )
+    with oracle_pricing():
+        slow_out = _run(capsys, args + ["--summary-csv", str(slow_csv)])
     assert fast_csv.read_bytes() == slow_csv.read_bytes()
     # stdout differs only in the csv path it reports.
     strip = lambda out: out.replace(str(fast_csv), "").replace(
@@ -95,7 +93,7 @@ def _metric_lines(path):
 
 
 def test_metrics_dump_is_kernel_agnostic_modulo_kernel_counters(
-    tmp_path, capsys
+    tmp_path, capsys, oracle_pricing
 ):
     args = [
         "simulate",
@@ -107,7 +105,8 @@ def test_metrics_dump_is_kernel_agnostic_modulo_kernel_counters(
     fast = tmp_path / "fast.prom"
     slow = tmp_path / "slow.prom"
     _run(capsys, args + ["--metrics-out", str(fast)])
-    _run(capsys, args + ["--metrics-out", str(slow), "--no-kernel"])
+    with oracle_pricing():
+        _run(capsys, args + ["--metrics-out", str(slow)])
     assert _metric_lines(fast) == _metric_lines(slow)
     # The kernel run really did record its counters...
     assert any("kernel" in line for line in fast.read_text().splitlines())
@@ -115,7 +114,9 @@ def test_metrics_dump_is_kernel_agnostic_modulo_kernel_counters(
     assert "kernel" not in slow.read_text()
 
 
-def test_experiment_tables_are_kernel_agnostic(capsys):
+def test_experiment_tables_are_kernel_agnostic(capsys, oracle_pricing):
     """The paper-table pipeline is covered too, not just simulations."""
     argv = ["run", "running-example", "--rows", "5000"]
-    assert _run(capsys, argv) == _run(capsys, argv + ["--no-kernel"])
+    with_kernel = _run(capsys, argv)
+    with oracle_pricing():
+        assert _run(capsys, argv) == with_kernel

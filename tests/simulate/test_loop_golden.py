@@ -30,7 +30,6 @@ import hashlib
 import pytest
 
 from repro.explain import ExplainLog, activate, explain_lines
-from repro.kernel import set_kernel_enabled
 from repro.kernel import world as kernel_world
 from repro.simulate import (
     ArbitrageAware,
@@ -212,14 +211,10 @@ KERNELS = ("auto", "python", "oracle")
 
 @contextlib.contextmanager
 def _kernel(mode):
-    """Price with the kernel as shipped, on pure Python, or not at all."""
-    if mode == "oracle":
-        previous = set_kernel_enabled(False)
-        try:
-            yield
-        finally:
-            set_kernel_enabled(previous)
-    elif mode == "python":
+    """Price with the kernel as shipped or on pure Python (the
+    ``oracle`` mode is entered by the test, through the
+    ``oracle_pricing`` fixture)."""
+    if mode == "python":
         make_backend = kernel_world.make_backend
         kernel_world.make_backend = lambda base, entries, n_views, prefer: (
             make_backend(base, entries, n_views, "python")
@@ -249,8 +244,10 @@ def digests(case, kernel="auto"):
 
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_bytes_match_the_pinned_digests(case, kernel):
-    assert digests(case, kernel) == GOLDEN[case]
+def test_bytes_match_the_pinned_digests(case, kernel, oracle_pricing):
+    oracle = kernel == "oracle"
+    with oracle_pricing() if oracle else contextlib.nullcontext():
+        assert digests(case, kernel) == GOLDEN[case]
 
 
 def test_the_cases_reach_the_paths_they_pin():

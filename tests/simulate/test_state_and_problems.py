@@ -2,15 +2,27 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.costmodel import PlanningEstimator
 from repro.costmodel.maintenance import MaintenancePolicy
 from repro.cube import CuboidLattice
 from repro.engine.timing import ClusterTimingModel
-from repro.optimizer import SelectionProblem, SubsetEvaluationCache
+from repro.optimizer import SelectionProblem
 from repro.pricing.providers import archive_cloud
-from repro.simulate import EpochProblemBuilder, full_catalogue
+from repro.simulate import (
+    DRIFT_MIN_EPOCHS,
+    ArbitrageAware,
+    EpochProblemBuilder,
+    Holdings,
+    default_market,
+    drifting_sales_simulator,
+    full_catalogue,
+    make_policy,
+)
+from repro.simulate.presets import elastic_multi_tenant_simulator
 from repro.workload import AggregateQuery
 
 
@@ -92,6 +104,38 @@ class TestEpochProblemBuilder:
         assert first is second
         assert builder.builds == 1
 
+    @pytest.mark.parametrize(
+        "unkeyed",
+        [
+            {"holdings": Holdings(live=frozenset({"V1"}))},
+            {"market": (archive_cloud(),)},
+        ],
+        ids=["holdings", "market"],
+    )
+    def test_states_differing_off_the_key_share_one_memo(
+        self, builder, initial_state, unkeyed
+    ):
+        """Holdings and quotes are outside the state key, so a state
+        differing only there is handed the same problem, memo and all."""
+        other = replace(initial_state, **unkeyed)
+        assert other != initial_state
+        builder.problem_for(initial_state).evaluate(frozenset({"V1"}))
+        problem = builder.problem_for(other)
+        problem.evaluate(frozenset({"V1"}))
+        assert problem is builder.problem_for(initial_state)
+        assert (problem.stats.priced, problem.stats.hits) == (1, 1)
+        assert builder.builds == 1
+
+    def test_evaluation_stats_sum_every_problem(self, builder, initial_state):
+        first = builder.problem_for(initial_state)
+        grown = builder.problem_for(initial_state.grown(1.3))
+        first.baseline()
+        first.baseline()
+        grown.baseline()
+        grown.evaluate(frozenset({"V1"}))
+        total = builder.evaluation_stats()
+        assert (total.calls, total.hits, total.priced) == (4, 1, 3)
+
     def test_matches_batch_estimator_exactly(self, builder, initial_state):
         """The incremental path must price like the batch build."""
         incremental = builder.problem_for(initial_state).inputs
@@ -141,47 +185,72 @@ class TestEpochProblemBuilder:
     def test_different_catalogues_never_alias_view_names(self, initial_state):
         """Regression: 'V1' only means something relative to a catalogue.
 
-        Two builders sharing one cache but enumerating different
-        candidate universes once served each other's pricings by name.
+        Two builders enumerating different candidate universes once
+        served each other's pricings by name through a shared cache.
         """
         from repro.cube import CandidateView
 
-        cache = SubsetEvaluationCache()
         lattice = CuboidLattice(initial_state.workload.schema)
-        full = EpochProblemBuilder(full_catalogue(lattice), cache)
+        full = EpochProblemBuilder(full_catalogue(lattice))
         coarse_grain = full.catalogue[-1].grain  # some coarse cuboid
         fine_grain = full.catalogue[0].grain
         assert coarse_grain != fine_grain
-        renamed = EpochProblemBuilder(
-            (CandidateView("V1", coarse_grain),), cache
-        )
+        renamed = EpochProblemBuilder((CandidateView("V1", coarse_grain),))
         a = full.problem_for(initial_state).evaluate(frozenset({"V1"}))
         b = renamed.problem_for(initial_state).evaluate(frozenset({"V1"}))
         # 'V1' is fine_grain in one universe, coarse_grain in the other.
         assert renamed.problem_for(initial_state).stats.priced == 1
         assert a.breakdown != b.breakdown
 
-    def test_shared_cache_serves_equal_worlds(self, initial_state):
-        """Two builders on one cache: the second prices zero subsets."""
-        cache = SubsetEvaluationCache()
-        lattice = CuboidLattice(initial_state.workload.schema)
-        first = EpochProblemBuilder(full_catalogue(lattice), cache)
-        problem_a = first.problem_for(initial_state)
-        problem_a.evaluate(frozenset())
-        problem_a.evaluate(frozenset({"V1"}))
-        assert problem_a.stats.priced == 2
 
-        second = EpochProblemBuilder(full_catalogue(lattice), cache)
-        problem_b = second.problem_for(initial_state)
-        assert problem_b is not problem_a
-        problem_b.evaluate(frozenset())
-        problem_b.evaluate(frozenset({"V1"}))
-        assert problem_b.stats.priced == 0
-        assert problem_b.stats.shared_hits == 2
-        # And the outcomes are literally shared.
-        assert problem_b.evaluate(frozenset({"V1"})) is problem_a.evaluate(
-            frozenset({"V1"})
-        )
+POLICIES = ("never", "periodic", "regret")
+
+
+def _market_sweep():
+    """never/periodic/regret, each migration-aware, on a quoted market."""
+    simulator = drifting_sales_simulator(
+        n_epochs=DRIFT_MIN_EPOCHS, n_rows=2_000, market=default_market()
+    )
+    simulator.compare([ArbitrageAware(make_policy(p)) for p in POLICIES])
+
+
+def _fleet_sweep():
+    """never/periodic/regret over a 3-tenant elastic (churning) fleet."""
+    simulator = elastic_multi_tenant_simulator(
+        n_tenants=3, n_epochs=8, n_rows=2_000
+    )
+    simulator.compare([make_policy(p) for p in POLICIES])
+
+
+class TestOneProblemPerWorld:
+    """The traffic finding behind the one per-problem memo.
+
+    A builder returns one problem per state key, and no two of the
+    problems it returns share a numeric world: their
+    ``inputs.fingerprint()`` values are pairwise distinct.  A memo
+    keyed by world across problems could therefore never hit; reuse
+    across epochs and policies is the builder handing an unchanged
+    state its own problem back.
+    """
+
+    @pytest.mark.parametrize(
+        "sweep", [_market_sweep, _fleet_sweep], ids=["market", "fleet"]
+    )
+    def test_returned_problems_never_share_a_world(self, sweep, monkeypatch):
+        returned = {}
+        problem_for = EpochProblemBuilder.problem_for
+
+        def recording(builder, state):
+            problem = problem_for(builder, state)
+            returned.setdefault(builder, {})[id(problem)] = problem
+            return problem
+
+        monkeypatch.setattr(EpochProblemBuilder, "problem_for", recording)
+        sweep()
+        (problems,) = returned.values()  # one simulator, one builder
+        worlds = [p.inputs.fingerprint() for p in problems.values()]
+        assert len(worlds) > 1
+        assert len(set(worlds)) == len(worlds)
 
 
 def _batch_inputs(state, catalogue):

@@ -303,45 +303,21 @@ class TestSimulate:
         assert "n_epochs" in capsys.readouterr().err
 
 
-class TestNoKernelFlag:
-    def test_every_command_with_args_accepts_it(self):
-        parser = build_parser()
-        for argv in (
-            ["run", "running-example", "--no-kernel"],
-            ["all", "--no-kernel"],
-            ["simulate", "--no-kernel"],
-        ):
-            assert parser.parse_args(argv).no_kernel is True
+class TestNoOracleFlag:
+    """The oracle switch is ``SelectionProblem(inputs, kernel=False)``
+    alone: a script still passing the old ``--no-kernel`` flag fails
+    loudly instead of being silently accepted."""
 
-    def test_exports_the_env_var_for_the_run_only(self, capsys, monkeypatch):
-        """Workers inherit REPRO_NO_KERNEL; the caller's env is restored."""
-        from repro.cli import _kernel_opt_out
-        from repro.kernel import NO_KERNEL_ENV
-
-        monkeypatch.delenv(NO_KERNEL_ENV, raising=False)
-        args = build_parser().parse_args(["simulate", "--no-kernel"])
-        with _kernel_opt_out(args):
-            assert os.environ[NO_KERNEL_ENV] == "1"
-        assert NO_KERNEL_ENV not in os.environ
-
-        monkeypatch.setenv(NO_KERNEL_ENV, "0")
-        with _kernel_opt_out(args):
-            assert os.environ[NO_KERNEL_ENV] == "1"
-        assert os.environ[NO_KERNEL_ENV] == "0"
-
-    def test_simulate_accepts_the_opt_out_end_to_end(self, capsys):
-        code = main(
-            [
-                "simulate",
-                "--rows", "5000",
-                "--epochs", "20",
-                "--policy", "regret",
-                "--quiet",
-                "--no-kernel",
-            ]
-        )
-        assert code == 0
-        assert "regret" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "running-example"], ["all"], ["simulate"]],
+        ids=["run", "all", "simulate"],
+    )
+    def test_no_kernel_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv + ["--no-kernel"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --no-kernel" in capsys.readouterr().err
 
 
 class TestSimulateBuildFlags:
