@@ -182,7 +182,7 @@ def test_wide_world_kernel_warm(benchmark, wide_world):
     inputs, names = wide_world
     subsets = _subset_sweep(names, seed=1)
     model = CloudCostModel(inputs.deployment)
-    world = KernelWorld.build(inputs, model)
+    world = KernelWorld.build(inputs)
     assert world is not None
     for subset in subsets:  # warm the billing memos once
         world.evaluate(subset)

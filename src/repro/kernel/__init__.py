@@ -13,7 +13,10 @@ lifecycle simulator's sync and async epoch accounting, Monte Carlo
 trials, arbitrage counterfactual books — gets it for free.
 ``SelectionProblem(inputs, kernel=False)`` prices one problem on the
 exact-Decimal oracle instead; that per-problem switch is the one
-opt-out, and the oracle-identity tests compare against it.
+opt-out, and the oracle-identity tests compare against it.  The same
+world also screens subsets in float cents for the anytime searches
+(:meth:`~repro.kernel.world.KernelWorld.screen`, reached through
+:meth:`~repro.optimizer.problem.SelectionProblem.screener`).
 
 Worlds the kernel cannot faithfully reproduce (cascade
 materialization, inputs the oracle rejects) silently fall back to the
@@ -24,13 +27,11 @@ oracle — the switch never changes results, only speed, and the
 from __future__ import annotations
 
 from .backend import NumpyBackend, PurePythonBackend, make_backend
-from .screen import ScreeningWorld
 from .world import KernelWorld
 
 __all__ = [
     "KernelWorld",
     "NumpyBackend",
     "PurePythonBackend",
-    "ScreeningWorld",
     "make_backend",
 ]

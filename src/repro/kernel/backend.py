@@ -15,8 +15,8 @@ the choice between them is purely a speed call:
   short list and stops at the first subset member, which is the min.
   Wins on small worlds and is the only backend without numpy.
 
-:func:`make_backend` picks per world; the oracle suite runs both and
-asserts they agree bit-for-bit.
+:func:`make_backend` picks per world by its shape; the backend parity
+tests build the same worlds on both and assert they agree bit-for-bit.
 """
 
 from __future__ import annotations
@@ -110,18 +110,12 @@ def make_backend(
     base_hours: Sequence[float],
     view_entries: Sequence[Sequence[ViewEntry]],
     n_views: int,
-    prefer: str = "auto",
 ) -> Backend:
     """The fastest available backend for a world of this shape.
 
-    ``prefer`` forces a choice (``"numpy"`` / ``"python"``) for tests
-    and benchmarks; ``"auto"`` picks numpy for large worlds when it is
-    installed and the pruned-list walk otherwise.
+    Numpy for large worlds when it is installed, the pruned-list walk
+    otherwise.
     """
-    if prefer == "python":
-        return PurePythonBackend(base_hours, view_entries, n_views)
-    if prefer == "numpy":
-        return NumpyBackend(base_hours, view_entries, n_views)
     if HAVE_NUMPY and len(base_hours) * n_views >= _NUMPY_MIN_AREA:
         return NumpyBackend(base_hours, view_entries, n_views)
     return PurePythonBackend(base_hours, view_entries, n_views)

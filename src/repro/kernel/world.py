@@ -1,4 +1,4 @@
-"""The kernel proper: one numeric world, pre-factored for fast pricing.
+"""The kernel proper: one numeric world, pre-factored to price and screen.
 
 A :class:`KernelWorld` is built once per
 :class:`~repro.costmodel.estimator.PlanningInputs` world and then
@@ -12,6 +12,9 @@ does not:
   gathers in sorted-name order, the order ``plan_for`` sums in);
 * **does not** — transfer cost (result sizes are subset-independent),
   the storage timeline, and the billing book.
+
+One private gather computes the varying part; :meth:`KernelWorld.evaluate`
+bills it exactly and :meth:`KernelWorld.screen` bills it in float cents.
 
 **The byte-identity contract.**  The kernel must reproduce the Decimal
 oracle's ledgers *byte for byte*, not merely to the cent.  Two design
@@ -29,12 +32,23 @@ rules follow:
    :func:`~repro.costmodel.storage.storage_fold` over
    :func:`~repro.pricing.tiers.tier_cost`) for storage, and
    :func:`~repro.costmodel.transfer.transfer_cost` for egress — with
-   the same operands in the same order, memoized by their float
-   inputs, which is sound because Decimal arithmetic is a pure
-   function of its operands.  The instance bill's rate, rounding rule
-   and instance count are read once per world.  Rebuilding Money from
-   integer cents would preserve value but not repr (trailing zeros),
-   and ledgers are compared as text.
+   the same operands in the same order.  Instance bills are memoized
+   by their float hours, which is sound because Decimal arithmetic is
+   a pure function of its operands.  The instance bill's rate,
+   rounding rule and instance count are read once per world.
+   Rebuilding Money from integer cents would preserve value but not
+   repr (trailing zeros), and ledgers are compared as text.
+
+**Screening never decides a reported number.**  The anytime search
+optimizers (:mod:`repro.optimizer.search`) examine far more candidate
+moves than they can afford to price, so they rank them on
+:meth:`KernelWorld.screen`: the same gather, billed with the price
+book converted once to float cents.  Its hours are the priced hours
+bit for bit; its cents are the Decimal bill up to float error, so a
+screen only *orders* moves, and every screened winner is re-priced
+exactly before it can be reported.  A screen is a fixed sequence of
+IEEE-754 operations on prebuilt vectors, so equal subsets screen
+equal on every run and across worker processes.
 
 Worlds the kernel cannot faithfully reproduce — cascade
 materialization (build sharing re-plans per subset), non-positive runs
@@ -53,14 +67,18 @@ from .. import telemetry
 from ..costmodel.computing import ComputingBreakdown
 from ..costmodel.estimator import PlanningInputs
 from ..costmodel.storage import storage_cost_with_views
-from ..costmodel.total import CloudCostModel, CostBreakdown
+from ..costmodel.total import CostBreakdown
 from ..costmodel.transfer import transfer_cost
 from ..money import Money, ZERO, to_decimal
 from ..pricing.compute import instance_bill
+from ..pricing.tiers import TierMode
 from .backend import make_backend
-from .screen import ScreeningWorld
 
 __all__ = ["KernelWorld"]
+
+#: What a gather returns: (single-run processing hours, period
+#: processing / materialization / maintenance hours, view GB).
+_Gather = Tuple[float, float, float, float, float]
 
 
 def _unusable(value: float) -> bool:
@@ -75,11 +93,12 @@ def _unusable(value: float) -> bool:
 
 
 class KernelWorld:
-    """Pre-factored exact pricing of every subset of one world.
+    """Pre-factored pricing and screening of every subset of one world.
 
     Construct via :meth:`build`; ``None`` means "not representable —
     use the oracle".  :meth:`evaluate` returns the identical
-    :class:`~repro.costmodel.total.CostBreakdown` the oracle would.
+    :class:`~repro.costmodel.total.CostBreakdown` the oracle would;
+    :meth:`screen` ranks a subset in float cents without pricing it.
     """
 
     def __init__(
@@ -92,7 +111,6 @@ class KernelWorld:
         maint_hours: List[float],
         sizes_gb: List[float],
         runs_per_period: float,
-        model: CloudCostModel,
         inputs: PlanningInputs,
         transfer: Money,
     ) -> None:
@@ -103,34 +121,36 @@ class KernelWorld:
         self._maint = maint_hours
         self._sizes = sizes_gb
         self._runs = runs_per_period
-        dep = model.deployment
-        self._compute_pricing = dep.provider.compute
-        self._instance_type = dep.instance_type
-        self._n_instances = dep.n_instances
+        dep = inputs.deployment
         self._storage_pricing = dep.provider.storage
         self._timeline = inputs.base_timeline
         self._transfer = transfer
         # The instance bill's per-world operands, read once.
-        self._hourly_rate = self._compute_pricing.instance(
+        self._hourly_rate = dep.provider.compute.instance(
             dep.instance_type
         ).hourly_rate.amount
-        self._billable_hours = self._compute_pricing.granularity.billable_hours
+        self._billable_hours = dep.provider.compute.granularity.billable_hours
+        self._n_instances = dep.n_instances
         self._n_decimal = to_decimal(dep.n_instances)
         self._bill_cache: Dict[float, Money] = {}
-        self._storage_cache: Dict[float, Money] = {}
-        self._screening: Optional[ScreeningWorld] = None
+        # The float-cent price book, converted on the first screen.
+        self._rate_cents: Optional[float] = None
+        #: (exclusive upper GB, inf for the last band; cents per
+        #: GB-month), increasing.
+        self._bands: List[Tuple[float, float]] = []
+        self._slab = False
+        #: (constant volume GB, months) spans of the base timeline.
+        self._intervals: List[Tuple[float, float]] = []
+        self._transfer_cents = 0.0
+        self._bill_cents_memo: Dict[float, float] = {}
+        self._storage_cents_memo: Dict[float, float] = {}
         self._telemetry = telemetry.current()
 
     # -- construction --------------------------------------------------
 
     @classmethod
-    def build(
-        cls,
-        inputs: PlanningInputs,
-        model: CloudCostModel,
-        prefer_backend: str = "auto",
-    ) -> Optional["KernelWorld"]:
-        """Factor ``inputs`` under ``model``; ``None`` if unsupported.
+    def build(cls, inputs: PlanningInputs) -> Optional["KernelWorld"]:
+        """Factor ``inputs``; ``None`` if unsupported.
 
         Each ``None`` counts in ``kernel.fallbacks`` under its reason.
         """
@@ -144,7 +164,7 @@ class KernelWorld:
             reason = "non_positive_runs"
         else:
             with tel.span("kernel.build"):
-                world = cls._factor(inputs, model, prefer_backend)
+                world = cls._factor(inputs)
             if world is not None:
                 tel.inc("kernel.builds")
                 return world
@@ -153,12 +173,7 @@ class KernelWorld:
         return None
 
     @classmethod
-    def _factor(
-        cls,
-        inputs: PlanningInputs,
-        model: CloudCostModel,
-        prefer_backend: str,
-    ) -> Optional["KernelWorld"]:
+    def _factor(cls, inputs: PlanningInputs) -> Optional["KernelWorld"]:
         queries = list(inputs.workload)
         names = [q.name for q in queries]
         freqs = [q.frequency for q in queries]
@@ -192,28 +207,56 @@ class KernelWorld:
         # as the oracle does: (raw * frequency) * runs per query.
         billed_results = tuple((s * f) * runs for s, f in zip(raw_results, freqs))
         transfer = transfer_cost(
-            model.deployment.provider.transfer, billed_results
+            inputs.deployment.provider.transfer, billed_results
         )
-        backend = make_backend(base, entries, len(view_names), prefer_backend)
         return cls(
-            backend=backend,
+            backend=make_backend(base, entries, len(view_names)),
             freqs=freqs,
             vindex=vindex,
             mat_hours=mat,
             maint_hours=maint,
             sizes_gb=sizes,
             runs_per_period=runs,
-            model=model,
             inputs=inputs,
             transfer=transfer,
         )
 
-    # -- evaluation ----------------------------------------------------
+    # -- the subset gather ---------------------------------------------
 
     @property
     def backend_name(self) -> str:
         """Which row-min backend this world runs (``numpy``/``python``)."""
         return self._backend.name
+
+    def _gather(self, subset: FrozenSet[str]) -> _Gather:
+        """Everything subset-dependent, in the oracle's summing order."""
+        ordered = sorted(subset)
+        idx = [self._vindex[name] for name in ordered]
+
+        min_hours = self._backend.min_hours(idx)
+        weighted = [h * f for h, f in zip(min_hours, self._freqs)]
+        processing_hours = sum(weighted)
+
+        runs = self._runs
+        t_processing = 0.0
+        for hours in weighted:
+            t_processing += hours * runs
+        t_materialization = 0.0
+        for i in idx:
+            t_materialization += self._mat[i]
+        t_maintenance = 0.0
+        for i in idx:
+            t_maintenance += self._maint[i]
+        views_gb = sum(self._sizes[i] for i in idx)
+        return (
+            processing_hours,
+            t_processing,
+            t_materialization,
+            t_maintenance,
+            views_gb,
+        )
+
+    # -- exact pricing -------------------------------------------------
 
     def _bill(self, hours: float) -> Money:
         """Memoized Formula 8/10/12 activity bill (ZERO for no hours)."""
@@ -234,14 +277,10 @@ class KernelWorld:
         return money
 
     def _storage(self, views_gb: float) -> Money:
-        """Memoized Formula 5 on the view-augmented timeline."""
-        money = self._storage_cache.get(views_gb)
-        if money is None:
-            money = storage_cost_with_views(
-                self._storage_pricing, self._timeline, views_gb
-            )
-            self._storage_cache[views_gb] = money
-        return money
+        """Formula 5 on the view-augmented timeline."""
+        return storage_cost_with_views(
+            self._storage_pricing, self._timeline, views_gb
+        )
 
     def evaluate(self, subset: FrozenSet[str]) -> CostBreakdown:
         """Price ``subset`` — identical to the oracle, byte for byte.
@@ -250,25 +289,9 @@ class KernelWorld:
         :class:`~repro.optimizer.problem.SelectionProblem` seam calls
         ``check_subset`` first).
         """
-        ordered = sorted(subset)
-        idx = [self._vindex[name] for name in ordered]
-
-        min_hours = self._backend.min_hours(idx)
-        weighted = [h * f for h, f in zip(min_hours, self._freqs)]
-        processing_hours = sum(weighted)
-
-        runs = self._runs
-        t_processing = 0.0
-        for hours in weighted:
-            t_processing += hours * runs
-        t_materialization = 0.0
-        for i in idx:
-            t_materialization += self._mat[i]
-        t_maintenance = 0.0
-        for i in idx:
-            t_maintenance += self._maint[i]
-        views_gb = sum(self._sizes[i] for i in idx)
-
+        hours, t_processing, t_materialization, t_maintenance, views_gb = (
+            self._gather(subset)
+        )
         computing = ComputingBreakdown(
             processing_hours=t_processing,
             materialization_hours=t_materialization,
@@ -282,32 +305,96 @@ class KernelWorld:
             computing=computing,
             storage=self._storage(views_gb),
             transfer=self._transfer,
-            processing_hours=processing_hours,
+            processing_hours=hours,
         )
 
-    def screening(self) -> ScreeningWorld:
-        """The cents-only screening surrogate sharing this world's vectors.
+    # -- float-cent screening ------------------------------------------
 
-        Built once per world, on first request.  The screener reuses
-        the exact row-min backend (so screened hours match priced
-        hours bit for bit) but bills in pure float cents — a *ranking*
-        device for the anytime search optimizers, never a source of
-        reported numbers.
+    def _to_cents(self) -> None:
+        """Convert the price book to float cents, once per world.
+
+        Every rate keeps its sub-cent digits (``float(amount * 100)``,
+        never rounded to whole cents), so a screen is the exact bill up
+        to float error.
         """
-        if self._screening is None:
-            self._screening = ScreeningWorld.from_parts(
-                backend=self._backend,
-                freqs=self._freqs,
-                vindex=self._vindex,
-                mat_hours=self._mat,
-                maint_hours=self._maint,
-                sizes_gb=self._sizes,
-                runs_per_period=self._runs,
-                compute_pricing=self._compute_pricing,
-                instance_type=self._instance_type,
-                n_instances=self._n_instances,
-                storage_schedule=self._storage_pricing.schedule,
-                timeline=self._timeline,
-                transfer_cents=float(self._transfer.to_cents()),
-            )
-        return self._screening
+        schedule = self._storage_pricing.schedule
+        self._bands = [
+            (math.inf if upper is None else float(upper), float(rate * 100))
+            for upper, rate in schedule.rate_table
+        ]
+        self._slab = schedule.mode is TierMode.SLAB
+        self._intervals = [
+            (float(iv.volume_gb), float(iv.months))
+            for iv in self._timeline.intervals()
+        ]
+        self._transfer_cents = float(self._transfer.amount * 100)
+        self._rate_cents = float(self._hourly_rate * 100)
+
+    def _bill_cents(self, hours: float) -> float:
+        """Float mirror of Formula 8/10/12's activity bill."""
+        cents = self._bill_cents_memo.get(hours)
+        if cents is None:
+            if hours == 0:
+                cents = 0.0
+            else:
+                cents = (
+                    self._rate_cents
+                    * self._billable_hours(hours)
+                    * self._n_instances
+                )
+            self._bill_cents_memo[hours] = cents
+        return cents
+
+    def _monthly_cents(self, volume_gb: float) -> float:
+        """Float mirror of the tiered GB-month schedule."""
+        if volume_gb == 0:
+            return 0.0
+        if self._slab:
+            for upper, rate in self._bands:
+                if volume_gb < upper:
+                    return rate * volume_gb
+            upper, rate = self._bands[-1]
+            return rate * volume_gb
+        total = 0.0
+        lower = 0.0
+        for upper, rate in self._bands:
+            band = min(volume_gb, upper) - lower
+            if band <= 0:
+                break
+            total += rate * band
+            lower = upper
+            if volume_gb <= upper:
+                break
+        return total
+
+    def _storage_cents(self, views_gb: float) -> float:
+        """Float mirror of Formula 5 on the view-augmented timeline."""
+        cents = self._storage_cents_memo.get(views_gb)
+        if cents is None:
+            cents = 0.0
+            for volume, months in self._intervals:
+                cents += self._monthly_cents(volume + views_gb) * months
+            self._storage_cents_memo[views_gb] = cents
+        return cents
+
+    def screen(self, subset: FrozenSet[str]) -> Tuple[float, float]:
+        """(exact single-run hours, float-cent period bill) of ``subset``.
+
+        Hours come off the same gather :meth:`evaluate` prices, so they
+        match the priced outcome bit for bit; the cents are the bill in
+        float arithmetic, a *ranking* device for the anytime searches,
+        never a reported number.
+        """
+        if self._rate_cents is None:
+            self._to_cents()
+        hours, t_processing, t_materialization, t_maintenance, views_gb = (
+            self._gather(subset)
+        )
+        cents = (
+            self._bill_cents(t_processing)
+            + self._bill_cents(t_materialization)
+            + self._bill_cents(t_maintenance)
+            + self._storage_cents(views_gb)
+            + self._transfer_cents
+        )
+        return hours, cents

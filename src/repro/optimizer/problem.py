@@ -21,6 +21,11 @@ whose state is unchanged the *same* problem back, memo and all.
 
 :class:`EvaluationStats` counts calls, memo hits and actual pricings,
 which is how tests and benchmarks demonstrate the memo works.
+
+The problem factors its world into one
+:class:`~repro.kernel.KernelWorld`, on first need; exact pricing runs on
+it, and :meth:`SelectionProblem.screener` hands the same world to the
+anytime searches, which rank moves on its float-cent screen.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from typing import AbstractSet, Dict, FrozenSet, Optional, Tuple
 
 from ..costmodel.estimator import PlanningInputs
 from ..costmodel.total import CloudCostModel, CostBreakdown
-from ..kernel import KernelWorld, ScreeningWorld
+from ..kernel import KernelWorld
 from ..money import Money
 
 __all__ = [
@@ -144,27 +149,25 @@ class SelectionProblem:
         """
         if not self._factor_tried:
             self._factor_tried = True
-            self._kernel_world = KernelWorld.build(self._inputs, self._model)
+            self._kernel_world = KernelWorld.build(self._inputs)
         return self._kernel_world
 
-    def screener(self) -> Optional[ScreeningWorld]:
-        """The cents-only screening surrogate for this world, if any.
+    def screener(self) -> Optional[KernelWorld]:
+        """This problem's kernel world, to screen subsets on, if any.
 
-        ``None`` when the world cannot be kernel-factored (cascade
-        materialization, inputs the oracle rejects) — searchers then
-        rank on exact evaluations instead.
+        :meth:`KernelWorld.screen` ranks a subset in float cents
+        without pricing it.  ``None`` when the world cannot be
+        kernel-factored (cascade materialization, inputs the oracle
+        rejects) — searchers then rank on exact evaluations instead.
 
         Deliberately independent of ``kernel``: screening only *orders*
         candidate moves, and both the kernel and oracle paths then
         price the screened winners to byte-identical ledgers — so
-        ``kernel=False`` keeps changing nothing but speed.  The kernel
-        world factored here is the one exact pricing uses when
-        ``kernel`` is on, so nothing is factored twice.
+        ``kernel=False`` keeps changing nothing but speed.  The world
+        returned here is the one exact pricing uses when ``kernel`` is
+        on, so nothing is factored twice.
         """
-        world = self._factor()
-        if world is None:
-            return None
-        return world.screening()
+        return self._factor()
 
     def baseline(self) -> SelectionOutcome:
         """The without-views outcome (Section 3 of the paper)."""

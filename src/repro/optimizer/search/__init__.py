@@ -4,9 +4,9 @@ The classic trio (knapsack / greedy / exhaustive) caps out when a
 generated lattice reaches thousands of candidate views: exhaustive is
 exponential and greedy re-prices every candidate every round.  This
 package adds search algorithms that scale by *screening* — ranking
-candidate moves on the kernel's float cent grid
-(:mod:`repro.kernel.screen`) and spending exact ``Money`` evaluations
-only on screened winners:
+candidate moves on the kernel's float-cent screen
+(:meth:`repro.kernel.KernelWorld.screen`) and spending exact ``Money``
+evaluations only on screened winners:
 
 * :class:`~repro.optimizer.search.beam.BeamSearchSpec` (``"beam"``) —
   beam over sampled add/drop/swap neighborhoods;

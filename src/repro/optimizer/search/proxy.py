@@ -1,7 +1,7 @@
 """Proxy ranking: order candidate moves from a cents-only screen.
 
-A screen (:meth:`~repro.kernel.screen.ScreeningWorld.screen`) yields
-``(exact single-run hours, approximate period cents)``.  This module
+A screen (:meth:`~repro.kernel.world.KernelWorld.screen`) yields
+``(exact single-run hours, float-cent period bill)``.  This module
 turns that pair into a *minimization key* shaped after each scenario's
 own ordering, so a search can rank a whole neighborhood without
 pricing any of it:
@@ -18,8 +18,8 @@ scenarios) return ``None`` from :func:`proxy_key_fn`; searches then
 fall back to ranking on budgeted exact evaluations — slower, still
 deterministic.
 
-Ranking keys are approximate by construction (screened cents can sit a
-fraction of a cent off the Decimal bill), which is why they only ever
+Ranking keys are approximate by construction (screened cents carry
+float error against the Decimal bill), which is why they only ever
 *order* candidates: whatever wins the screen is re-priced exactly
 before it can be reported.
 """

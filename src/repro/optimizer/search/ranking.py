@@ -3,10 +3,10 @@
 The search algorithms generate move lists far larger than their exact
 evaluation budgets.  :class:`MoveRanker` orders such a list best-first:
 
-* with a :class:`~repro.kernel.screen.ScreeningWorld` and a scenario
-  the proxy understands, ranking costs **zero** exact evaluations —
-  every move is screened on the float cent grid and sorted by the
-  scenario-shaped proxy key;
+* with a screener (a :class:`~repro.kernel.world.KernelWorld`) and a
+  scenario the proxy understands, ranking costs **zero** exact
+  evaluations — every move is screened in float cents and sorted by
+  the scenario-shaped proxy key;
 * otherwise (un-factorable world, custom scenario type) each move is
   exactly evaluated *through the budget* and sorted by the scenario's
   real ordering — expensive but correct, and still deterministic.

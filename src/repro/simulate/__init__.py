@@ -101,9 +101,6 @@ from .attribution import (
 from .clock import Epoch, SimulationClock
 from .events import (
     AddQueries,
-    BuildCancelled,
-    BuildCompleted,
-    BuildStarted,
     DropQueries,
     EventTimeline,
     FleetChange,
@@ -182,13 +179,10 @@ __all__ = [
     "ArbitrageAware",
     "BUILD_DISCIPLINES",
     "BuildCancellation",
-    "BuildCancelled",
-    "BuildCompleted",
     "BuildCompletion",
     "BuildConfig",
     "BuildJob",
     "BuildQueue",
-    "BuildStarted",
     "CLAIRVOYANT",
     "DRIFT_MIN_EPOCHS",
     "DistributionSummary",

@@ -75,7 +75,6 @@ from decimal import Decimal
 from functools import reduce
 from itertools import chain, islice, repeat
 from typing import (
-    Callable,
     Dict,
     FrozenSet,
     Iterator,
@@ -358,17 +357,16 @@ class SharedCostAttributor:
         assignment (the last tenant absorbs rounding residues).
     mode:
         One of :data:`ATTRIBUTION_MODES`.
-    tenant_of:
-        Maps a fleet query name to its owning tenant; defaults to the
-        :data:`TENANT_SEPARATOR` prefix convention used by
-        :class:`~repro.simulate.tenants.TenantFleet`.
+
+    A fleet query belongs to the tenant its name is prefixed with
+    (:func:`tenant_of_query`, the :data:`TENANT_SEPARATOR` convention
+    :class:`~repro.simulate.tenants.TenantFleet` names queries by).
     """
 
     def __init__(
         self,
         tenants: Sequence[str],
         mode: str = "proportional",
-        tenant_of: Optional[Callable[[str], Optional[str]]] = None,
     ) -> None:
         if mode not in ATTRIBUTION_MODES:
             raise SimulationError(
@@ -382,7 +380,6 @@ class SharedCostAttributor:
         self._tenants: Tuple[str, ...] = tuple(tenants)
         self._roster = frozenset(self._tenants)
         self._mode = mode
-        self._tenant_of = tenant_of if tenant_of is not None else tenant_of_query
 
     @property
     def tenants(self) -> Tuple[str, ...]:
@@ -401,7 +398,7 @@ class SharedCostAttributor:
     # -- per-epoch working data ----------------------------------------
 
     def _owner(self, query_name: str) -> str:
-        tenant = self._tenant_of(query_name)
+        tenant = tenant_of_query(query_name)
         if tenant is None or tenant not in self._roster:
             raise SimulationError(
                 f"query {query_name!r} does not belong to any known tenant "

@@ -349,8 +349,8 @@ class BuildQueue:
     def drain_delayed_starts(self) -> Tuple[Tuple[BuildJob, float], ...]:
         """Jobs that started *after* their submission month, since the
         last drain — the queueing delays worth surfacing as
-        :class:`~repro.simulate.events.BuildStarted` markers (an
-        immediate start carries no information beyond the submission).
+        ``build:view started@m`` ledger marks (an immediate start
+        carries no information beyond the submission).
         """
         drained = tuple(self._delayed_starts)
         self._delayed_starts.clear()

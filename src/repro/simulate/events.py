@@ -24,13 +24,12 @@ their epoch, before that epoch's selection decision) and transforms a
   workload change itself; a :class:`~repro.simulate.tenants.
   TenantFleet` compiles them from ``Tenant.arrival_epoch`` /
   ``departure_epoch`` rather than having callers schedule them by
-  hand;
-* build dynamics — :class:`BuildStarted`, :class:`BuildCompleted`,
-  :class:`BuildCancelled`: *markers* the asynchronous simulator emits
-  into the ledger when a queued build starts late, lands mid-epoch, or
-  is abandoned.  Unlike the other events they are outputs, not inputs
-  — scheduling one on a timeline is legal but changes nothing (their
-  ``apply`` is the identity).
+  hand.
+
+Build dynamics are not events: the asynchronous simulator narrates a
+queued build that starts late, lands mid-epoch or is abandoned as a
+ledger string (``build:V4 started@2.5``, ``live@``, ``cancelled@``),
+formatted where it accounts the epoch.
 
 An :class:`EventTimeline` holds a simulation's full schedule and hands
 the simulator each epoch's events in a deterministic order (schedule
@@ -61,9 +60,6 @@ __all__ = [
     "TenantArrival",
     "TenantDeparture",
     "TenantRoster",
-    "BuildStarted",
-    "BuildCompleted",
-    "BuildCancelled",
     "EventTimeline",
 ]
 
@@ -541,67 +537,6 @@ class TenantDeparture(SimulationEvent):
     def describe(self) -> str:
         """``-tenant[name]``."""
         return f"-tenant[{self.tenant}]"
-
-
-@dataclass(frozen=True)
-class _BuildMarker(SimulationEvent):
-    """Base for build markers: informational, state-preserving.
-
-    Parameters
-    ----------
-    view:
-        The view whose build the marker describes.
-    month:
-        The simulation month the marked transition happened at.
-
-    Emitted by the asynchronous simulator only when they carry
-    information the ledger's ``views_built`` columns do not: a start
-    delayed past its submission (slot contention), a landing after the
-    epoch began (wall-clock latency), a cancellation.  Synchronous and
-    zero-latency runs therefore emit none — which is what keeps their
-    ledgers byte-identical to the pre-async ones.
-    """
-
-    view: str = ""
-    month: float = 0.0
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not self.view:
-            raise SimulationError(
-                f"{type(self).__name__} needs a view name"
-            )
-
-    def apply(self, state: WarehouseState) -> WarehouseState:
-        """Markers record history; the state passes through unchanged."""
-        return state
-
-
-@dataclass(frozen=True)
-class BuildStarted(_BuildMarker):
-    """A queued build finally got a slot, later than it was submitted."""
-
-    def describe(self) -> str:
-        """``build:view started@m`` with the start month."""
-        return f"build:{self.view} started@{self.month:g}"
-
-
-@dataclass(frozen=True)
-class BuildCompleted(_BuildMarker):
-    """A build landed: the view is live (and billed) from ``month`` on."""
-
-    def describe(self) -> str:
-        """``build:view live@m`` with the landing month."""
-        return f"build:{self.view} live@{self.month:g}"
-
-
-@dataclass(frozen=True)
-class BuildCancelled(_BuildMarker):
-    """An in-flight build was abandoned; only sunk compute is billed."""
-
-    def describe(self) -> str:
-        """``build:view cancelled@m`` with the cancellation month."""
-        return f"build:{self.view} cancelled@{self.month:g}"
 
 
 class EventTimeline:

@@ -685,18 +685,12 @@ def _pool_context():
     )
 
 
-def run_monte_carlo(
-    config: MonteCarloConfig,
-    jobs: int = 1,
-    progress: Optional[Callable[[int, int], None]] = None,
-) -> MonteCarloResult:
+def run_monte_carlo(config: MonteCarloConfig, jobs: int = 1) -> MonteCarloResult:
     """Run every trial and aggregate — identically for any ``jobs``.
 
     ``jobs`` bounds worker processes (clamped to the trial count);
     results are collected in trial order whatever the completion
     order, so parallelism can never reorder the aggregation.
-    ``progress`` (serial runs only) is called with
-    ``(completed, total)`` after each trial.
     """
     if jobs < 1:
         raise SimulationError(f"jobs must be >= 1, got {jobs}")
@@ -711,8 +705,6 @@ def run_monte_carlo(
             bundles.append(
                 _trial_with_snapshot(config, trial, collect, collect_explain)
             )
-            if progress is not None:
-                progress(trial + 1, config.n_trials)
     else:
         with _pool_context().Pool(min(jobs, config.n_trials)) as pool:
             bundles = pool.starmap(

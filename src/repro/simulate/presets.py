@@ -399,7 +399,7 @@ def stochastic_sales_simulator(
             market=market if market is not None else (),
         ),
         clock=SimulationClock(n_epochs),
-        timeline=timeline,
+        events=timeline,
         builds=builds,
     )
 

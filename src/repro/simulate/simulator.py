@@ -92,9 +92,6 @@ from .builds import (
 )
 from .clock import Epoch, SimulationClock
 from .events import (
-    BuildCancelled,
-    BuildCompleted,
-    BuildStarted,
     EventTimeline,
     ProviderMigration,
     SimulationEvent,
@@ -226,15 +223,10 @@ class LifecycleSimulator:
         self,
         initial: WarehouseState,
         clock: SimulationClock,
-        timeline: Optional[EventTimeline] = None,
         events: Sequence[SimulationEvent] = (),
         catalogue: Optional[Sequence[CandidateView]] = None,
         builds: Optional[BuildConfig] = None,
     ) -> None:
-        if timeline is not None and events:
-            raise SimulationError(
-                "pass either a timeline or an event sequence, not both"
-            )
         self._initial = initial
         self._clock = clock
         # Every cost formula bills one deployment period per epoch, so
@@ -247,9 +239,7 @@ class LifecycleSimulator:
                 f"({initial.deployment.storage_months} months); adjust "
                 "storage_months or months_per_epoch"
             )
-        self._timeline = (
-            timeline if timeline is not None else EventTimeline(events)
-        )
+        self._timeline = EventTimeline(events)
         self._timeline.check_within(clock.n_epochs)
         if catalogue is None:
             catalogue = full_catalogue(
@@ -822,23 +812,19 @@ class LifecycleSimulator:
             runs.append((seg_start, epoch.end_month, holdings))
 
         # -- ledger marks: only the asynchrony is worth narrating ------
+        # A delayed start, a mid-epoch landing, a cancellation; sync
+        # and zero-latency runs narrate none.
         marks = list(described)
         marks += [
-            BuildCancelled(
-                epoch=epoch.index, view=c.job.view, month=c.cancelled_month
-            ).describe()
+            f"build:{c.job.view} cancelled@{c.cancelled_month:g}"
             for c in cancellations
         ]
         marks += [
-            BuildStarted(
-                epoch=epoch.index, view=job.view, month=month
-            ).describe()
+            f"build:{job.view} started@{month:g}"
             for job, month in queue.drain_delayed_starts()
         ]
         marks += [
-            BuildCompleted(
-                epoch=epoch.index, view=c.job.view, month=c.completed_month
-            ).describe()
+            f"build:{c.job.view} live@{c.completed_month:g}"
             for c in completions
             if c.completed_month > epoch.start_month
         ]

@@ -6,19 +6,12 @@ import pytest
 
 from repro.compat import HAVE_NUMPY
 from repro.kernel import KernelWorld, NumpyBackend, PurePythonBackend, make_backend
+from repro.kernel import world as kernel_world
 from repro.optimizer import SelectionProblem
 
 
-def test_make_backend_honours_preference():
-    backend = make_backend([1.0], [[]], 1, prefer="python")
-    assert isinstance(backend, PurePythonBackend)
-    if HAVE_NUMPY:
-        backend = make_backend([1.0], [[]], 1, prefer="numpy")
-        assert isinstance(backend, NumpyBackend)
-
-
 def test_auto_prefers_python_for_small_worlds():
-    backend = make_backend([1.0, 2.0], [[], []], 3, prefer="auto")
+    backend = make_backend([1.0, 2.0], [[], []], 3)
     assert isinstance(backend, PurePythonBackend)
 
 
@@ -26,23 +19,27 @@ def test_auto_prefers_python_for_small_worlds():
 def test_auto_prefers_numpy_for_large_worlds():
     base = [1.0] * 64
     entries = [[] for _ in base]
-    backend = make_backend(base, entries, 64, prefer="auto")
+    backend = make_backend(base, entries, 64)
     assert isinstance(backend, NumpyBackend)
+
+
+def _build_on(backend, inputs, monkeypatch):
+    """Factor ``inputs`` on the given backend class, whatever its shape."""
+    with monkeypatch.context() as patch:
+        patch.setattr(kernel_world, "make_backend", backend)
+        return KernelWorld.build(inputs)
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy")
 @pytest.mark.parametrize("seed", range(25))
-def test_backends_agree_bitwise(seed, random_world_factory):
+def test_backends_agree_bitwise(seed, random_world_factory, monkeypatch):
     """Both backends price every sampled subset to identical reprs."""
     import random
     from itertools import combinations
 
     world = random_world_factory(500 + seed)
-    from repro.costmodel.total import CloudCostModel
-
-    model = CloudCostModel(world.deployment)
-    with_numpy = KernelWorld.build(world.inputs, model, prefer_backend="numpy")
-    with_python = KernelWorld.build(world.inputs, model, prefer_backend="python")
+    with_numpy = _build_on(NumpyBackend, world.inputs, monkeypatch)
+    with_python = _build_on(PurePythonBackend, world.inputs, monkeypatch)
     assert with_numpy is not None and with_python is not None
     assert with_numpy.backend_name == "numpy"
     assert with_python.backend_name == "python"

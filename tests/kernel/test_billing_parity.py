@@ -285,7 +285,7 @@ def test_a_long_rate_is_billed_in_the_money_chains_order(
             n_instances=n_instances,
         )
         inputs = dataclasses.replace(world.inputs, deployment=dep)
-        kernel = KernelWorld.build(inputs, CloudCostModel(dep))
+        kernel = KernelWorld.build(inputs)
         assert kernel is not None
         for hours in HOURS[1:]:
             want = repr(
@@ -431,7 +431,7 @@ def test_kernel_bills_match_the_rules_and_the_money_chain(
         n_instances=n_instances,
     )
     inputs = dataclasses.replace(world.inputs, deployment=dep)
-    kernel = KernelWorld.build(inputs, CloudCostModel(dep))
+    kernel = KernelWorld.build(inputs)
     assert kernel is not None
     for hours in HOURS:
         got = kernel._bill(hours)

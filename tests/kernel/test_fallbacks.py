@@ -14,7 +14,6 @@ from dataclasses import replace
 import pytest
 
 from repro import telemetry
-from repro.costmodel.total import CloudCostModel
 from repro.kernel import KernelWorld
 from repro.optimizer import SelectionProblem
 
@@ -32,9 +31,8 @@ def world(random_world_factory):
 
 def _fallbacks(inputs):
     """Build once under a fresh collector; the per-reason counts."""
-    model = CloudCostModel(inputs.deployment)
     with telemetry.activate() as collector:
-        assert KernelWorld.build(inputs, model) is None
+        assert KernelWorld.build(inputs) is None
     registry = collector.registry
     assert registry.counter("kernel.builds") == 0
     return {reason: registry.counter("kernel.fallbacks", reason=reason) for reason in REASONS}

@@ -7,7 +7,6 @@ from dataclasses import replace
 import pytest
 
 from repro import telemetry
-from repro.costmodel.total import CloudCostModel
 from repro.kernel import KernelWorld
 from repro.optimizer import SelectionProblem
 
@@ -83,7 +82,7 @@ def test_kernel_build_returns_none_for_negative_hours(world):
     first = next(iter(bad))
     bad[first] = -1.0
     inputs = replace(world.inputs, base_query_hours=bad)
-    assert KernelWorld.build(inputs, CloudCostModel(world.deployment)) is None
+    assert KernelWorld.build(inputs) is None
 
 
 def test_telemetry_counts_builds_and_evaluations(world):

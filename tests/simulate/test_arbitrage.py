@@ -324,7 +324,7 @@ class TestArbitragePolicy:
                     market=(deployment.provider, flat_cloud()),
                 ),
                 clock=SimulationClock(16),
-                timeline=timeline,
+                events=timeline,
             )
             policy = ArbitrageAware(
                 make_policy("never"), horizon=12, hysteresis=hold

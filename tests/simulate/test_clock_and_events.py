@@ -183,33 +183,3 @@ class TestTimeline:
         timeline.check_within(10)
         with pytest.raises(SimulationError, match="epoch 9"):
             timeline.check_within(9)
-
-
-class TestBuildMarkers:
-    def test_markers_describe_compactly(self):
-        from repro.simulate import BuildCancelled, BuildCompleted, BuildStarted
-
-        assert (
-            BuildStarted(epoch=2, view="V4", month=2.5).describe()
-            == "build:V4 started@2.5"
-        )
-        assert (
-            BuildCompleted(epoch=2, view="V4", month=2.75).describe()
-            == "build:V4 live@2.75"
-        )
-        assert (
-            BuildCancelled(epoch=3, view="V4", month=3.0).describe()
-            == "build:V4 cancelled@3"
-        )
-
-    def test_markers_preserve_state(self, initial_state):
-        from repro.simulate import BuildCompleted
-
-        marker = BuildCompleted(epoch=0, view="V1", month=0.5)
-        assert marker.apply(initial_state) is initial_state
-
-    def test_markers_need_a_view(self):
-        from repro.simulate import BuildStarted
-
-        with pytest.raises(SimulationError, match="view name"):
-            BuildStarted(epoch=0, month=0.5)

@@ -30,6 +30,7 @@ import hashlib
 import pytest
 
 from repro.explain import ExplainLog, activate, explain_lines
+from repro.kernel import PurePythonBackend
 from repro.kernel import world as kernel_world
 from repro.simulate import (
     ArbitrageAware,
@@ -216,9 +217,7 @@ def _kernel(mode):
     ``oracle_pricing`` fixture)."""
     if mode == "python":
         make_backend = kernel_world.make_backend
-        kernel_world.make_backend = lambda base, entries, n_views, prefer: (
-            make_backend(base, entries, n_views, "python")
-        )
+        kernel_world.make_backend = PurePythonBackend
         try:
             yield
         finally:
@@ -257,6 +256,9 @@ def test_the_cases_reach_the_paths_they_pin():
     for case in ("slow-async", "async-shortest"):
         slow, _ = _outcome(case)
         assert any(record.segments for record in slow)
+    # The async ledger marks are formatted in place; the digest pins them.
+    marks = " ".join(e for record in _outcome("slow-async")[0] for e in record.events)
+    assert "started@" in marks and "live@" in marks
     fleet, _ = _outcome("elastic-fleet")
     assert any(record.arrivals for record in fleet)
     assert any(record.departures for record in fleet)

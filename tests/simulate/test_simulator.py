@@ -124,17 +124,6 @@ class TestConstruction:
                 events=[GrowFactTable(epoch=5, factor=1.1)],
             )
 
-    def test_timeline_and_events_are_exclusive(self, initial_state):
-        from repro.simulate import EventTimeline
-
-        with pytest.raises(SimulationError, match="not both"):
-            LifecycleSimulator(
-                initial=initial_state,
-                clock=SimulationClock(3),
-                timeline=EventTimeline(()),
-                events=[GrowFactTable(epoch=1, factor=1.1)],
-            )
-
     def test_epoch_length_must_match_billing_period(self, initial_state):
         """Regression: the bill prices one deployment period per epoch,
         so a 2-month epoch on a 1-month billing period would silently
