@@ -8,17 +8,16 @@ candidate views from "an existing materialized view selection method";
 this lattice is the generator of those candidates and the answerability
 oracle the optimizer consults.
 
-The DAG is held in :mod:`networkx` with *immediate* edges only (one
-dimension, one level step), so transitive answerability is reachability
-— and is also answerable in O(dims) directly from level indexes, which
-is what :meth:`CuboidLattice.answers` does.
+The lattice stores no edges.  :meth:`CuboidLattice.children` derives a
+grain's *immediate* roll-ups (one dimension, one level step) from its
+levels, so transitive answerability is reachability along them — and
+is also answerable in O(dims) directly from level indexes, which is
+what :meth:`CuboidLattice.answers` does.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple
-
-import networkx as nx
+from typing import FrozenSet, Iterator, List, Sequence, Tuple
 
 from ..errors import SchemaError
 from ..schema.hierarchy import ALL
@@ -33,7 +32,7 @@ class CuboidLattice:
     def __init__(self, schema: StarSchema) -> None:
         self._schema = schema
         self._cuboids: Tuple[Grain, ...] = tuple(self._enumerate_grains())
-        self._graph = self._build_graph()
+        self._members: FrozenSet[Grain] = frozenset(self._cuboids)
 
     def _enumerate_grains(self) -> Iterator[Grain]:
         grains: List[Tuple[str, ...]] = [()]
@@ -44,23 +43,6 @@ class CuboidLattice:
                 for level in dim.hierarchy.levels_with_all
             ]
         return iter(tuple(g) for g in grains)
-
-    def _build_graph(self) -> "nx.DiGraph":
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self._cuboids)
-        for grain in self._cuboids:
-            for child in self._immediate_children(grain):
-                graph.add_edge(grain, child)
-        return graph
-
-    def _immediate_children(self, grain: Grain) -> Iterator[Grain]:
-        """Grains one roll-up step coarser (per dimension)."""
-        for i, (dim, level) in enumerate(zip(self._schema.dimensions, grain)):
-            if level == ALL:
-                continue
-            levels = dim.hierarchy.levels_with_all
-            coarser = levels[dim.hierarchy.index_of(level) + 1]
-            yield grain[:i] + (coarser,) + grain[i + 1 :]
 
     # -- structure ----------------------------------------------------
 
@@ -73,11 +55,6 @@ class CuboidLattice:
     def cuboids(self) -> Sequence[Grain]:
         """Every grain, in deterministic enumeration order."""
         return self._cuboids
-
-    @property
-    def graph(self) -> "nx.DiGraph":
-        """The immediate roll-up DAG (finer -> coarser edges)."""
-        return self._graph
 
     @property
     def base(self) -> Grain:
@@ -93,7 +70,22 @@ class CuboidLattice:
         return len(self._cuboids)
 
     def __contains__(self, grain: object) -> bool:
-        return grain in self._graph
+        try:
+            return grain in self._members
+        except TypeError:  # unhashable, so not a grain
+            return False
+
+    def children(self, grain: Sequence[str]) -> List[Grain]:
+        """Grains one roll-up step coarser: one dimension, one level up."""
+        grain = self._schema.validate_grain(grain)
+        children = []
+        for i, (dim, level) in enumerate(zip(self._schema.dimensions, grain)):
+            if level == ALL:
+                continue
+            levels = dim.hierarchy.levels_with_all
+            coarser = levels[dim.hierarchy.index_of(level) + 1]
+            children.append(grain[:i] + (coarser,) + grain[i + 1 :])
+        return children
 
     # -- the partial order --------------------------------------------
 
@@ -112,20 +104,36 @@ class CuboidLattice:
         return [g for g in self._cuboids if self.answers(g, target)]
 
     def roll_up_path_exists(self, source: Sequence[str], target: Sequence[str]) -> bool:
-        """Graph-reachability check; must agree with :meth:`answers`.
+        """Reachability along :meth:`children`; must agree with :meth:`answers`.
 
         Kept public because tests use it to cross-validate the direct
-        level-index comparison against the DAG.
+        level-index comparison against the roll-up edges.
         """
         source = self._schema.validate_grain(source)
         target = self._schema.validate_grain(target)
-        if source == target:
-            return True
-        return nx.has_path(self._graph, source, target)
+        seen = {source}
+        frontier = [source]
+        while frontier:
+            grain = frontier.pop()
+            if grain == target:
+                return True
+            for child in self.children(grain):
+                if child not in seen:
+                    seen.add(child)
+                    frontier.append(child)
+        return False
 
     def topological_order(self) -> List[Grain]:
-        """Grains finest-first (a linear extension of the order)."""
-        return list(nx.topological_sort(self._graph))
+        """Grains finest-first (a linear extension of the order).
+
+        A roll-up step raises exactly one level index by one, so sorting
+        by the summed level index puts every grain before its children.
+        """
+        dims = self._schema.dimensions
+        return sorted(
+            self._cuboids,
+            key=lambda g: sum(d.hierarchy.index_of(lv) for d, lv in zip(dims, g)),
+        )
 
     def describe(self, grain: Sequence[str]) -> str:
         """Short display form: '(month, country)' / '(month, *)'."""

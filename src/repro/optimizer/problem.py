@@ -47,10 +47,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SelectionOutcome:
-    """One subset, exactly priced."""
+    """One subset, exactly priced.
+
+    ``total_dollars`` is C as a float, the number scenario keys compare:
+    a plain attribute converted once at construction, not a field, so
+    ``fields()``, ``repr`` and ``==`` see the subset and breakdown only.
+    """
 
     subset: FrozenSet[str]
     breakdown: CostBreakdown
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "total_dollars", self.breakdown.total.to_float())
 
     @property
     def processing_hours(self) -> float:

@@ -77,7 +77,7 @@ class BudgetLimit(Scenario):
 
     def key(self, outcome: SelectionOutcome) -> Tuple[float, ...]:
         # Primary: processing time; tie-break: leftover money.
-        return (outcome.processing_hours, outcome.total_cost.to_float())
+        return (outcome.processing_hours, outcome.total_dollars)
 
     def describe(self) -> str:
         return f"MV1: minimize T subject to C <= {self.budget}"
@@ -101,7 +101,7 @@ class TimeLimit(Scenario):
         return max(0.0, outcome.processing_hours - self.limit_hours)
 
     def key(self, outcome: SelectionOutcome) -> Tuple[float, ...]:
-        return (outcome.total_cost.to_float(), outcome.processing_hours)
+        return (outcome.total_dollars, outcome.processing_hours)
 
     def describe(self) -> str:
         return f"MV2: minimize C subject to T <= {self.limit_hours}h"
@@ -155,7 +155,7 @@ class Tradeoff(Scenario):
     def objective(self, outcome: SelectionOutcome) -> float:
         """Formula 15's value for ``outcome``."""
         hours = outcome.processing_hours
-        cost = outcome.total_cost.to_float() * self.cost_scale
+        cost = outcome.total_dollars * self.cost_scale
         if self.normalized:
             hours = hours / self.baseline_hours
             cost = cost / (self.baseline_cost * self.cost_scale)

@@ -39,7 +39,7 @@ ProxyKey = Callable[[float, float], Tuple[float, ...]]
 def proxy_key_fn(scenario: Scenario) -> Optional[ProxyKey]:
     """The scenario's screen-ranking key, or ``None`` if it has none."""
     if isinstance(scenario, BudgetLimit):
-        budget_cents = float(scenario.budget.to_cents())
+        budget_cents = float(scenario.budget.amount * 100)
 
         def mv1(hours: float, cents: float) -> Tuple[float, ...]:
             over = cents - budget_cents
@@ -78,7 +78,7 @@ def proxy_scalar_fn(scenario: Scenario) -> Optional[Callable[[float, float], flo
     Metropolis rule still sees graded progress toward feasibility.
     """
     if isinstance(scenario, BudgetLimit):
-        budget_cents = max(float(scenario.budget.to_cents()), 1.0)
+        budget_cents = max(float(scenario.budget.amount * 100), 1.0)
 
         def mv1(hours: float, cents: float) -> float:
             over = cents - budget_cents

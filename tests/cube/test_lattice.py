@@ -1,6 +1,12 @@
-"""The cuboid lattice: enumeration, order, DAG cross-validation."""
+"""The cuboid lattice: enumeration, order, roll-up edge cross-validation."""
 
 from __future__ import annotations
+
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -33,26 +39,40 @@ class TestEnumeration:
         b = CuboidLattice(sales_schema()).cuboids
         assert a == b
 
+    def test_unhashable_input_is_not_a_member(self, lattice):
+        assert [] not in lattice
+        assert ["day", "department"] not in lattice
+
 
 class TestGraph:
     def test_immediate_edges_step_one_level(self, lattice):
-        children = list(lattice.graph.successors(("day", "department")))
+        children = lattice.children(("day", "department"))
         assert sorted(children) == [("day", "region"), ("month", "department")]
 
     def test_apex_has_no_children(self, lattice):
-        assert list(lattice.graph.successors(lattice.apex)) == []
+        assert lattice.children(lattice.apex) == []
 
     def test_base_has_no_parents(self, lattice):
-        assert list(lattice.graph.predecessors(lattice.base)) == []
+        assert not any(lattice.base in lattice.children(g) for g in lattice.cuboids)
 
     def test_topological_order_starts_at_base(self, lattice):
         order = lattice.topological_order()
         assert order[0] == lattice.base
         assert order[-1] == lattice.apex
 
+    @pytest.mark.parametrize("schema", [sales_schema, ssb_schema])
+    def test_topological_order_puts_every_grain_before_its_children(self, schema):
+        lattice = CuboidLattice(schema())
+        order = lattice.topological_order()
+        assert sorted(order) == sorted(lattice.cuboids)
+        position = {grain: i for i, grain in enumerate(order)}
+        for grain in lattice.cuboids:
+            for child in lattice.children(grain):
+                assert position[grain] < position[child]
+
 
 class TestOrderAgainstReachability:
-    """The O(dims) level comparison must equal DAG reachability."""
+    """The O(dims) level comparison must equal reachability along roll-up edges."""
 
     grains = st.tuples(
         st.sampled_from(["day", "month", "year", ALL]),
@@ -63,6 +83,12 @@ class TestOrderAgainstReachability:
     @settings(max_examples=60, deadline=None)
     def test_answers_equals_path_existence(self, lattice, a, b):
         assert lattice.answers(a, b) == lattice.roll_up_path_exists(a, b)
+
+    def test_answers_equals_path_existence_on_every_pair(self, lattice):
+        pairs = list(itertools.product(lattice.cuboids, repeat=2))
+        assert len(pairs) == 256
+        for a, b in pairs:
+            assert lattice.answers(a, b) == lattice.roll_up_path_exists(a, b)
 
 
 class TestQueries:
@@ -93,3 +119,18 @@ class TestDescribe:
             lattice.grain_by_name("month, country")
         with pytest.raises(SchemaError):
             lattice.grain_by_name("(week, country)")
+
+
+def test_library_imports_without_networkx():
+    """The lattice walks its own roll-up edges; no graph library loads."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (
+        f"{src}{os.pathsep}{env['PYTHONPATH']}" if env.get("PYTHONPATH") else str(src)
+    )
+    probe = "import sys, repro, repro.cli, repro.simulate; print('networkx' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

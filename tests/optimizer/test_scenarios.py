@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.costmodel.computing import view_computing_cost
@@ -23,6 +25,14 @@ def make_outcome(hours: float, dollars: str) -> SelectionOutcome:
         processing_hours=hours,
     )
     return SelectionOutcome(subset=frozenset(), breakdown=breakdown)
+
+
+def test_total_dollars_is_not_a_field():
+    outcome, twin = make_outcome(1.0, "2.50"), make_outcome(1.0, "2.50")
+    assert outcome.total_dollars == outcome.total_cost.to_float() == 2.5
+    assert outcome == twin and hash(outcome) == hash(twin)
+    assert repr(outcome) == repr(twin)
+    assert pickle.loads(pickle.dumps(outcome)) == twin
 
 
 class TestBudgetLimit:

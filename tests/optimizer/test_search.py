@@ -29,7 +29,7 @@ from repro.optimizer import (
     mv1,
     select_views,
 )
-from repro.optimizer.search import prune_candidates
+from repro.optimizer.search import prune_candidates, proxy_key_fn, proxy_scalar_fn
 
 
 @pytest.fixture(scope="module")
@@ -303,3 +303,19 @@ class TestSearchBudget:
     def test_budget_must_be_positive(self):
         with pytest.raises(ValueError):
             SearchBudget(0)
+
+
+class TestBudgetProxy:
+    """MV1 screens rank against the exact budget, not one rounded to cents."""
+
+    def test_screen_just_under_the_budget_ranks_feasible(self):
+        scenario = mv1(Money("660605.2400144"))
+        cents = 66060524.00144 - 0.0007
+        assert proxy_key_fn(scenario)(1.0, cents)[0] == 0.0
+        assert proxy_scalar_fn(scenario)(1.0, cents) == 1.0
+
+    def test_screen_just_over_the_budget_ranks_infeasible(self):
+        scenario = mv1(Money("178902.2367394"))
+        cents = 17890223.67394 + 0.16
+        assert proxy_key_fn(scenario)(1.0, cents)[0] == pytest.approx(0.16)
+        assert proxy_scalar_fn(scenario)(1.0, cents) > 1e9
