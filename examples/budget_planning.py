@@ -19,7 +19,7 @@ def main() -> None:
     context = ExperimentContext()
     problem = context.problem(10)
     baseline = problem.baseline()
-    runs = context.config.runs_per_period
+    runs = context.deployment.runs_per_period
 
     base_per_run = context.per_run_cost(baseline.total_cost)
     print(f"Baseline: T = {baseline.processing_hours:.3f} h, "

@@ -18,7 +18,7 @@ from repro.experiments.reporting import ReportTable
 def main() -> None:
     context = ExperimentContext()
     problem = context.problem(5)
-    runs = context.config.runs_per_period
+    runs = context.deployment.runs_per_period
 
     frontier = frontier_outcomes(problem)
     picks = {

@@ -32,7 +32,7 @@ def main() -> None:
         ("MV2 (time limit)", mv2(context.paper_time_limit(10))),
         (
             "MV3 (tradeoff, alpha=0.5)",
-            Tradeoff(alpha=0.5, cost_scale=1.0 / context.config.runs_per_period),
+            Tradeoff(alpha=0.5, cost_scale=1.0 / context.deployment.runs_per_period),
         ),
     ]
     for label, scenario in scenarios:

@@ -4,6 +4,9 @@ A :class:`DeploymentSpec` bundles everything Section 4 holds constant:
 the provider's price book, which instance type, how many instances
 (``nbIC``), the timing model that turns work into hours, and the
 billing period's shape (storage months, maintenance cycles).
+:func:`sales_deployment` is the one Section 6 deployment the
+experiments and the lifecycle simulations start from; a variant of it
+is ``dataclasses.replace(sales_deployment(), ...)``.
 
 A :class:`StorageTimeline` is Formula 5's input: the storage period
 divided into intervals of constant volume, volume changing only at
@@ -19,10 +22,17 @@ from typing import List, Optional, Sequence, Tuple
 from ..engine.timing import ClusterTimingModel, paper_cluster
 from ..errors import CostModelError
 from ..money import to_decimal
+from ..pricing.compute import BillingGranularity
 from ..pricing.providers import Provider, aws_2012
 from .maintenance import MaintenancePolicy
 
-__all__ = ["DeploymentSpec", "StorageInterval", "StorageTimeline", "StorageSteps"]
+__all__ = [
+    "DeploymentSpec",
+    "StorageInterval",
+    "StorageTimeline",
+    "StorageSteps",
+    "sales_deployment",
+]
 
 #: A timeline's intervals as Formula 5's fold reads them: per interval,
 #: the insert deltas that land since the previous interval (added to the
@@ -163,6 +173,26 @@ class DeploymentSpec:
         ``n_instances=5``).
         """
         return cls(provider=aws_2012(), instance_type="small", n_instances=n_instances)
+
+
+def sales_deployment() -> DeploymentSpec:
+    """The paper's Section 6 deployment, run daily for a month.
+
+    Five AWS small instances at per-second billing on the calibrated
+    :func:`~repro.engine.timing.paper_cluster` physics; the workload
+    runs 30 times a billing period, views are refreshed daily against
+    1% new data and cost twice their defining query to write out.
+    """
+    return DeploymentSpec(
+        provider=aws_2012(BillingGranularity.PER_SECOND),
+        instance_type="small",
+        n_instances=5,
+        storage_months=1.0,
+        maintenance_cycles=30,
+        update_fraction_per_cycle=0.01,
+        runs_per_period=30.0,
+        materialization_write_factor=2.0,
+    )
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ would.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 from ..compat import np, require_numpy
@@ -23,7 +24,7 @@ from ..schema.hierarchy import Dimension
 from ..schema.sales import GEOGRAPHY, PROFIT, TIME, sales_schema
 from ..schema.star import StarSchema
 
-__all__ = ["generate_sales", "calendar_time_index"]
+__all__ = ["generate_sales", "calendar_time_index", "sales_dataset"]
 
 #: Month lengths of a 365-day (non-leap) year.
 _MONTH_LENGTH_DAYS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
@@ -123,3 +124,14 @@ def generate_sales(
         seed=seed,
         name="sales",
     )
+
+
+# Datasets are immutable (events derive new ones via
+# dataclasses.replace), so every experiment context and preset of one
+# process shares one instance per key: Monte Carlo trials vary only the
+# drift seed and an experiment's variants only the deployment, so each
+# would otherwise regenerate the identical dataset.
+@functools.lru_cache(maxsize=4)
+def sales_dataset(n_rows: int, seed: int, dataset_gb: float) -> Dataset:
+    """The sales dataset billed as ``dataset_gb``, generated once per process."""
+    return generate_sales(n_rows=n_rows, seed=seed, target_gb=dataset_gb)

@@ -103,9 +103,4 @@ def paper_cluster() -> ClusterTimingModel:
     10 GB scan + 60 s overhead -> ~0.19 h, matching the ~0.19-0.22 h
     per-query regime of the paper's Section 6 time limits.
     """
-    return ClusterTimingModel(
-        scan_mb_per_s_per_cu=3.6,
-        job_overhead_s=60.0,
-        per_group_us=25.0,
-        parallel_efficiency=0.9,
-    )
+    return ClusterTimingModel()

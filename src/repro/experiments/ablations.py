@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from ..costmodel.maintenance import MaintenancePolicy
+from ..cube.build_plan import plan_builds
 from ..cube.hru import hru_select
 from ..optimizer.scenarios import Tradeoff, mv1, mv2
 from ..optimizer.selector import select_views
@@ -61,7 +63,7 @@ def ablation_billing_granularity(
         ],
     )
     for granularity in BillingGranularity:
-        context = base_context.with_config(billing=granularity)
+        context = base_context.with_deployment(provider=aws_2012(granularity))
         result = select_views(
             context.problem(m), mv2(context.paper_time_limit(m)), "knapsack"
         )
@@ -111,7 +113,7 @@ def ablation_algorithms(
     """Knapsack vs. greedy vs. exhaustive on all three scenarios."""
     context = context if context is not None else ExperimentContext()
     problem = context.problem(m)
-    cost_scale = 1.0 / context.config.runs_per_period
+    cost_scale = 1.0 / context.deployment.runs_per_period
     scenarios = [
         ("MV1", mv1(context.paper_budget(m))),
         ("MV2", mv2(context.paper_time_limit(m))),
@@ -160,10 +162,10 @@ def ablation_elasticity(
         ],
     )
     for n in counts:
-        context = base_context.with_config(n_instances=n)
+        context = base_context.with_deployment(n_instances=n)
         problem = context.problem(m)
         scenario = Tradeoff(
-            alpha=0.5, cost_scale=1.0 / context.config.runs_per_period
+            alpha=0.5, cost_scale=1.0 / context.deployment.runs_per_period
         )
         result = select_views(problem, scenario, "greedy")
         table.add_row(
@@ -189,7 +191,7 @@ def ablation_tight_budget(
     rates grow with workload size, the shape of the paper's Table 6.
     """
     base_context = base_context if base_context is not None else ExperimentContext()
-    context = base_context.with_config(
+    context = base_context.with_deployment(
         runs_per_period=1.0,
         view_speedup_cap=2.5,
         storage_months=0.21,         # the experiment's ~6-day window
@@ -290,10 +292,6 @@ def ablation_cascade(
     coarser views from finer ones already materialized.  The ablation
     prices the same all-candidates subset both ways.
     """
-    from dataclasses import replace as dc_replace
-
-    from ..costmodel.estimator import PlanningEstimator
-
     base_context = base_context if base_context is not None else ExperimentContext()
     table = ReportTable(
         f"Ablation — materialization strategy (m={m}, all candidates)",
@@ -301,36 +299,25 @@ def ablation_cascade(
     )
     for cascade, label in ((False, "independent (paper, Formula 7)"),
                            (True, "cascaded (build from parents)")):
-        deployment = dc_replace(
-            base_context.deployment, cascade_materialization=cascade
-        )
-        estimator = PlanningEstimator(base_context.dataset, deployment)
-        workload = base_context.workload(m)
-        candidates = base_context.problem(m).inputs.candidates
-        inputs = estimator.build(workload, list(candidates))
-        subset = frozenset(c.name for c in candidates)
-        plan = inputs.plan_for(subset)
-        from ..costmodel.total import CloudCostModel
-
-        outcome = CloudCostModel(deployment).evaluate(plan)
+        context = base_context.with_deployment(cascade_materialization=cascade)
+        problem = context.problem(m)
+        subset = frozenset(problem.candidate_names)
+        outcome = problem.evaluate(subset)
+        scans = len(subset)
         if cascade:
-            from ..cube.build_plan import plan_builds
-
-            build = plan_builds(
-                workload.schema,
+            inputs, deployment = problem.inputs, context.deployment
+            scans = plan_builds(
+                inputs.workload.schema,
                 [inputs.view_stats[name] for name in sorted(subset)],
                 inputs.dataset_gb,
                 deployment.job_hours,
                 deployment.materialization_write_factor,
-            )
-            scans = build.base_scans
-        else:
-            scans = len(subset)
+            ).base_scans
         table.add_row(
             label,
-            round(sum(plan.materialization_hours), 3),
+            round(outcome.breakdown.computing.materialization_hours, 3),
             scans,
-            str(base_context.per_run_cost(outcome.total)),
+            str(context.per_run_cost(outcome.total_cost)),
         )
     return table
 
@@ -340,33 +327,19 @@ def ablation_maintenance_policy(
     m: int = 5,
 ) -> ReportTable:
     """Incremental vs. full-rebuild vs. per-view-cheapest maintenance."""
-    from dataclasses import replace as dc_replace
-
-    from ..costmodel.estimator import PlanningEstimator
-    from ..costmodel.maintenance import MaintenancePolicy
-    from ..costmodel.total import CloudCostModel
-
     base_context = base_context if base_context is not None else ExperimentContext()
     table = ReportTable(
         f"Ablation — maintenance policy (m={m}, all candidates)",
         ["policy", "maint. hours/period", "C/run"],
     )
-    workload = base_context.workload(m)
-    candidates = list(base_context.problem(m).inputs.candidates)
-    subset = frozenset(c.name for c in candidates)
     for policy in MaintenancePolicy:
-        deployment = dc_replace(
-            base_context.deployment, maintenance_policy=policy
-        )
-        inputs = PlanningEstimator(base_context.dataset, deployment).build(
-            workload, candidates
-        )
-        plan = inputs.plan_for(subset)
-        outcome = CloudCostModel(deployment).evaluate(plan)
+        context = base_context.with_deployment(maintenance_policy=policy)
+        problem = context.problem(m)
+        outcome = problem.evaluate(frozenset(problem.candidate_names))
         table.add_row(
             policy.value,
-            round(sum(plan.maintenance_hours), 3),
-            str(base_context.per_run_cost(outcome.total)),
+            round(outcome.breakdown.computing.maintenance_hours, 3),
+            str(context.per_run_cost(outcome.total_cost)),
         )
     return table
 

@@ -13,8 +13,12 @@ world end to end:
   figures are reported *per workload run* so they compare directly
   with the paper's dollar axes (budgets of $0.8-$2.4).
 
-Every knob is a constructor parameter so ablations can vary one at a
-time; the defaults are the calibrated paper setup.
+:class:`ExperimentConfig` holds the dataset's settings; the cluster
+and billing period are one :class:`~repro.costmodel.params.DeploymentSpec`,
+by default :func:`~repro.costmodel.params.sales_deployment`.  An
+ablation varies the deployment through :meth:`ExperimentContext.
+with_deployment`, which keeps the dataset and changes only the
+deployment fields it names.
 """
 
 from __future__ import annotations
@@ -23,17 +27,14 @@ from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..costmodel.estimator import PlanningEstimator, PlanningInputs
-from ..costmodel.params import DeploymentSpec
-from ..cube.candidates import candidates_from_workload, enumerate_candidates
+from ..costmodel.params import DeploymentSpec, sales_deployment
+from ..cube.candidates import candidates_from_workload
 from ..cube.lattice import CuboidLattice
 from ..data.generator import Dataset
-from ..data.sales_generator import generate_sales
-from ..engine.timing import ClusterTimingModel
+from ..data.sales_generator import sales_dataset
 from ..errors import ExperimentError
 from ..money import Money
 from ..optimizer.problem import SelectionProblem
-from ..pricing.compute import BillingGranularity
-from ..pricing.providers import Provider, aws_2012
 
 __all__ = ["ExperimentConfig", "ExperimentContext", "PAPER_WORKLOAD_SIZES"]
 
@@ -47,36 +48,12 @@ PAPER_TIME_LIMITS: Dict[int, float] = {3: 0.57, 5: 0.99, 10: 2.24}
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """All knobs of the Section 6 reproduction."""
+    """The sales dataset the Section 6 reproduction runs on."""
 
     #: Physical fact rows to generate (logical size is ``dataset_gb``).
     n_rows: int = 120_000
     dataset_gb: float = 10.0
     seed: int = 42
-    n_instances: int = 5
-    instance_type: str = "small"
-    #: Cluster physics (calibrated; see
-    #: :func:`repro.engine.timing.paper_cluster`).
-    scan_mb_per_s_per_cu: float = 3.6
-    job_overhead_s: float = 60.0
-    per_group_us: float = 25.0
-    parallel_efficiency: float = 0.9
-    #: Steady-state billing: daily workload runs over a month.
-    runs_per_period: float = 30.0
-    storage_months: float = 1.0
-    maintenance_cycles: int = 30
-    update_fraction_per_cycle: float = 0.01
-    materialization_write_factor: float = 2.0
-    view_speedup_cap: Optional[float] = None
-    #: 'workload' (query grains, the paper regime) or 'lattice'.
-    candidate_source: str = "workload"
-    billing: BillingGranularity = BillingGranularity.PER_SECOND
-
-    def __post_init__(self) -> None:
-        if self.candidate_source not in ("workload", "lattice"):
-            raise ExperimentError(
-                "candidate_source must be 'workload' or 'lattice'"
-            )
 
 
 class ExperimentContext:
@@ -85,33 +62,14 @@ class ExperimentContext:
     def __init__(
         self,
         config: ExperimentConfig = ExperimentConfig(),
-        provider: Optional[Provider] = None,
+        deployment: Optional[DeploymentSpec] = None,
     ) -> None:
         self._config = config
-        self._provider = provider if provider is not None else aws_2012(config.billing)
-        self._dataset = generate_sales(
-            n_rows=config.n_rows,
-            seed=config.seed,
-            target_gb=config.dataset_gb,
+        self._deployment = (
+            deployment if deployment is not None else sales_deployment()
         )
+        self._dataset = sales_dataset(config.n_rows, config.seed, config.dataset_gb)
         self._lattice = CuboidLattice(self._dataset.schema)
-        self._deployment = DeploymentSpec(
-            provider=self._provider,
-            instance_type=config.instance_type,
-            n_instances=config.n_instances,
-            timing=ClusterTimingModel(
-                scan_mb_per_s_per_cu=config.scan_mb_per_s_per_cu,
-                job_overhead_s=config.job_overhead_s,
-                per_group_us=config.per_group_us,
-                parallel_efficiency=config.parallel_efficiency,
-            ),
-            storage_months=config.storage_months,
-            maintenance_cycles=config.maintenance_cycles,
-            update_fraction_per_cycle=config.update_fraction_per_cycle,
-            runs_per_period=config.runs_per_period,
-            materialization_write_factor=config.materialization_write_factor,
-            view_speedup_cap=config.view_speedup_cap,
-        )
         self._estimator = PlanningEstimator(self._dataset, self._deployment)
         self._problems: Dict[int, SelectionProblem] = {}
 
@@ -119,7 +77,7 @@ class ExperimentContext:
 
     @property
     def config(self) -> ExperimentConfig:
-        """The knobs this context was built with."""
+        """The dataset settings this context was built with."""
         return self._config
 
     @property
@@ -137,10 +95,11 @@ class ExperimentContext:
         """The priced cluster the workloads run on."""
         return self._deployment
 
-    def with_config(self, **overrides) -> "ExperimentContext":
-        """A sibling context with some knobs changed (for ablations)."""
+    def with_deployment(self, **overrides) -> "ExperimentContext":
+        """A sibling context on the same dataset, some deployment fields
+        changed (for ablations)."""
         return ExperimentContext(
-            replace(self._config, **overrides), provider=None
+            self._config, replace(self._deployment, **overrides)
         )
 
     # -- problems ---------------------------------------------------------
@@ -159,10 +118,7 @@ class ExperimentContext:
         """The (cached) selection problem for the m-query workload."""
         if m not in self._problems:
             workload = self.workload(m)
-            if self._config.candidate_source == "workload":
-                candidates = candidates_from_workload(self._lattice, workload)
-            else:
-                candidates = enumerate_candidates(self._lattice, workload)
+            candidates = candidates_from_workload(self._lattice, workload)
             inputs = self._estimator.build(workload, candidates)
             self._problems[m] = SelectionProblem(inputs)
         return self._problems[m]
@@ -178,7 +134,7 @@ class ExperimentContext:
         """
         problems: Dict[int, SelectionProblem] = {}
         for n in instance_counts:
-            sibling = self.with_config(n_instances=n)
+            sibling = self.with_deployment(n_instances=n)
             problems[n] = sibling.problem(m)
         return problems
 
@@ -194,7 +150,7 @@ class ExperimentContext:
             ) from None
         # Scenario constraints compare against the *period* bill; the
         # paper's dollar figures are per workload run.
-        return Money(per_run) * self._config.runs_per_period
+        return Money(per_run) * self._deployment.runs_per_period
 
     def paper_time_limit(self, m: int) -> float:
         """Table 7's response-time limit for the m-query workload."""
@@ -207,4 +163,4 @@ class ExperimentContext:
 
     def per_run_cost(self, period_cost: Money) -> Money:
         """Amortize a period bill to one workload run (report scale)."""
-        return period_cost / self._config.runs_per_period
+        return period_cost / self._deployment.runs_per_period

@@ -145,7 +145,7 @@ def _figure5_tradeoff(
     sizes: Sequence[int],
     normalized: bool = False,
 ) -> ReportTable:
-    cost_scale = 1.0 / context.config.runs_per_period
+    cost_scale = 1.0 / context.deployment.runs_per_period
 
     def scenario_for_m(m: int, problem) -> Tradeoff:
         if normalized:

@@ -81,7 +81,7 @@ def ablation_workload_drift(
 ) -> ReportTable:
     """Regret of the stale m=5 selection under three workload drifts."""
     context = context if context is not None else ExperimentContext()
-    cost_scale = 1.0 / context.config.runs_per_period
+    cost_scale = 1.0 / context.deployment.runs_per_period
     scenario = Tradeoff(alpha=0.5, cost_scale=cost_scale)
 
     stale = select_views(context.problem(5), scenario, "greedy")

@@ -12,19 +12,17 @@ few percent of the interaction-aware greedy.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from ..costmodel.estimator import PlanningEstimator
-from ..costmodel.params import DeploymentSpec
+from ..costmodel.params import sales_deployment
 from ..cube.candidates import candidates_from_workload
 from ..cube.lattice import CuboidLattice
 from ..data.ssb_generator import generate_ssb
-from ..engine.timing import ClusterTimingModel
 from ..optimizer.problem import SelectionProblem
 from ..optimizer.scenarios import Tradeoff, mv1, mv2
 from ..optimizer.selector import select_views
-from ..pricing.compute import BillingGranularity
-from ..pricing.providers import aws_2012
 from ..schema.hierarchy import ALL
 from ..workload.query import AggregateQuery
 from ..workload.workload import Workload
@@ -68,18 +66,13 @@ def ssb_problem(
     n_instances: int = 8,
     seed: int = 7,
 ) -> SelectionProblem:
-    """Build the SSB selection problem (60 GB logical, 8 instances)."""
+    """Build the SSB selection problem (60 GB logical, 8 instances).
+
+    The cluster is the Section 6 deployment on large instances.
+    """
     dataset = generate_ssb(n_rows=n_rows, seed=seed, target_gb=dataset_gb)
-    deployment = DeploymentSpec(
-        provider=aws_2012(BillingGranularity.PER_SECOND),
-        instance_type="large",
-        n_instances=n_instances,
-        timing=ClusterTimingModel(),
-        storage_months=1.0,
-        maintenance_cycles=30,
-        update_fraction_per_cycle=0.01,
-        runs_per_period=30.0,
-        materialization_write_factor=2.0,
+    deployment = replace(
+        sales_deployment(), instance_type="large", n_instances=n_instances
     )
     lattice = CuboidLattice(dataset.schema)
     workload = ssb_workload(dataset.schema)

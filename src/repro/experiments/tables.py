@@ -79,7 +79,7 @@ def table8(
 ) -> ReportTable:
     """Table 8: MV3 improved-tradeoff rates for alpha = 0.3 and 0.7."""
     context = context if context is not None else ExperimentContext()
-    cost_scale = 1.0 / context.config.runs_per_period
+    cost_scale = 1.0 / context.deployment.runs_per_period
     table = ReportTable(
         "Table 8 — MV3 improved tradeoff rates",
         [

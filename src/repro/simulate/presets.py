@@ -57,17 +57,15 @@ elapsed on the wall clock.
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import replace
 
-from ..costmodel.params import DeploymentSpec
+from ..costmodel.params import DeploymentSpec, sales_deployment
 from ..cube.candidates import candidates_from_workload
 from ..cube.lattice import CuboidLattice
 from ..data.generator import Dataset
-from ..data.sales_generator import generate_sales
+from ..data.sales_generator import sales_dataset
 from ..errors import SimulationError
-from ..engine.timing import ClusterTimingModel
 from ..pricing.compute import BillingGranularity
 from ..pricing.providers import (
     Provider,
@@ -138,21 +136,6 @@ def default_market() -> "tuple[Provider, ...]":
     )
 
 
-def sales_deployment(n_instances: int = 5) -> DeploymentSpec:
-    """The Section 6 deployment the simulations start from."""
-    return DeploymentSpec(
-        provider=aws_2012(BillingGranularity.PER_SECOND),
-        instance_type="small",
-        n_instances=n_instances,
-        timing=ClusterTimingModel(),
-        storage_months=1.0,
-        maintenance_cycles=30,
-        update_fraction_per_cycle=0.01,
-        runs_per_period=30.0,
-        materialization_write_factor=2.0,
-    )
-
-
 def _day_query(schema, name: str, geo_level: str, frequency: float) -> AggregateQuery:
     """A dashboard query: day-level time at ``geo_level`` geography."""
     return AggregateQuery.per(
@@ -189,7 +172,7 @@ def drifting_sales_simulator(
             f"{DRIFT_MIN_EPOCHS - 1}; n_epochs must be >= "
             f"{DRIFT_MIN_EPOCHS}, got {n_epochs}"
         )
-    dataset = generate_sales(n_rows=n_rows, seed=seed, target_gb=dataset_gb)
+    dataset = sales_dataset(n_rows, seed, dataset_gb)
     schema = dataset.schema
     workload = paper_sales_workload(schema, 5)
     initial = WarehouseState(
@@ -306,7 +289,7 @@ def multi_tenant_sales_simulator(
             f"epoch {needed - 1}; n_epochs must be >= {needed}, "
             f"got {n_epochs}"
         )
-    dataset = generate_sales(n_rows=n_rows, seed=seed, target_gb=dataset_gb)
+    dataset = sales_dataset(n_rows, seed, dataset_gb)
     schema = dataset.schema
 
     geo_levels = ("country", "region", "department")
@@ -347,15 +330,6 @@ def multi_tenant_sales_simulator(
     )
 
 
-# Monte Carlo trials vary only the drift seed, so within one process
-# every trial starts from the identical dataset; datasets are immutable
-# (events derive new ones via dataclasses.replace), so sharing one
-# instance is safe and saves O(n_trials) generations per worker.
-@functools.lru_cache(maxsize=4)
-def _cached_sales_dataset(n_rows: int, seed: int, dataset_gb: float):
-    return generate_sales(n_rows=n_rows, seed=seed, target_gb=dataset_gb)
-
-
 def stochastic_sales_simulator(
     generator: str = "mixed",
     n_epochs: int = 24,
@@ -378,7 +352,7 @@ def stochastic_sales_simulator(
     migration-aware policies; the spot walk's repricings then move the
     AWS quote without yanking a migrated warehouse back onto it.
     """
-    dataset = _cached_sales_dataset(n_rows, seed, dataset_gb)
+    dataset = sales_dataset(n_rows, seed, dataset_gb)
     workload = paper_sales_workload(dataset.schema, 5)
     deployment = sales_deployment()
     timeline = compile_timeline(
@@ -444,7 +418,7 @@ def elastic_multi_tenant_simulator(
         raise SimulationError(
             f"the fleet needs at least one founding tenant, got {n_tenants}"
         )
-    dataset = _cached_sales_dataset(n_rows, seed, dataset_gb)
+    dataset = sales_dataset(n_rows, seed, dataset_gb)
     schema = dataset.schema
     deployment = sales_deployment()
     base_seed = seed if drift_seed is None else drift_seed
@@ -569,7 +543,7 @@ def population_fleet_simulator(
             f"the population fleet needs n_epochs >= 3 (room for "
             f"mid-lifecycle churn), got {n_epochs}"
         )
-    dataset = _cached_sales_dataset(n_rows, seed, dataset_gb)
+    dataset = sales_dataset(n_rows, seed, dataset_gb)
     schema = dataset.schema
     pool = tuple(paper_sales_workload(schema, 5))
     rng = random.Random(derive_seed(seed, "population"))
