@@ -128,22 +128,6 @@ from .simulate.stochastic import GENERATOR_PRESETS, FleetChurn
 
 __all__ = ["main", "build_parser"]
 
-#: CLI defaults for the arbitrage knobs; the flags use a ``None``
-#: sentinel so "typed the default value" and "never typed the flag"
-#: stay distinguishable (a typed knob without --arbitrage is an
-#: error, whatever its value).
-MIGRATION_HORIZON_DEFAULT = 6
-MIGRATION_HOLD_DEFAULT = 2
-
-#: CLI defaults for the build-queue knobs (same ``None``-sentinel
-#: convention: typing a knob alongside --sync is an error).
-BUILD_SLOTS_DEFAULT = 1
-BUILD_DISCIPLINE_DEFAULT = "fifo"
-
-#: CLI default for --tenant-stay (same ``None``-sentinel convention:
-#: typing it without --tenant-churn is an error).
-TENANT_STAY_DEFAULT = 8.0
-
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser (exposed for testing)."""
@@ -197,19 +181,19 @@ def build_parser() -> argparse.ArgumentParser:
     lifecycle.add_argument(
         "--period",
         type=int,
-        default=4,
+        default=PolicySpec.period,
         help="epochs between periodic re-selections (default %(default)s)",
     )
     lifecycle.add_argument(
         "--threshold",
         type=float,
-        default=0.05,
+        default=PolicySpec.threshold,
         help="relative regret that triggers re-selection (default %(default)s)",
     )
     lifecycle.add_argument(
         "--hysteresis",
         type=int,
-        default=1,
+        default=PolicySpec.hysteresis,
         metavar="N",
         help=(
             "epochs the regret must stay above the threshold before "
@@ -324,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="EPOCHS",
         help=(
             "expected stay of churned tenants in epochs (needs "
-            f"--tenant-churn; default {TENANT_STAY_DEFAULT:g})"
+            f"--tenant-churn; default {FleetChurn.mean_stay:g})"
         ),
     )
     tenant_group.add_argument(
@@ -415,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "epochs the per-epoch savings are amortized over before "
             "being compared with the switch cost (needs --arbitrage; "
-            f"default {MIGRATION_HORIZON_DEFAULT})"
+            f"default {PolicySpec.migration_horizon})"
         ),
     )
     arbitrage.add_argument(
@@ -426,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "consecutive epochs a candidate provider must stay "
             "worthwhile before the arbitrage layer migrates (needs "
-            f"--arbitrage; default {MIGRATION_HOLD_DEFAULT})"
+            f"--arbitrage; default {PolicySpec.migration_hold})"
         ),
     )
 
@@ -443,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
             "decided view enters the build queue, lands after its "
             "materialization hours have elapsed on the wall clock, "
             "and is billed by partial-period proration from the "
-            f"landing (default {BUILD_SLOTS_DEFAULT} once any build "
+            f"landing (default {BuildConfig.slots} once any build "
             "flag is typed)"
         ),
     )
@@ -453,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "scheduling discipline for queued builds (implies "
-            f"asynchronous execution; default {BUILD_DISCIPLINE_DEFAULT})"
+            f"asynchronous execution; default {BuildConfig.discipline})"
         ),
     )
     builds.add_argument(
@@ -626,8 +610,8 @@ def _migration_knobs(args: argparse.Namespace):
     """Resolve the arbitrage knobs as ``(horizon, hold)``.
 
     A knob typed without ``--arbitrage`` — whatever its value — is an
-    error rather than a silent no-op; untyped knobs resolve to the
-    module defaults.
+    error rather than a silent no-op; untyped knobs resolve to
+    :class:`PolicySpec`'s defaults.
     """
     typed = (
         args.migration_horizon is not None
@@ -641,12 +625,12 @@ def _migration_knobs(args: argparse.Namespace):
             )
         return None, None
     horizon = (
-        MIGRATION_HORIZON_DEFAULT
+        PolicySpec.migration_horizon
         if args.migration_horizon is None
         else args.migration_horizon
     )
     hold = (
-        MIGRATION_HOLD_DEFAULT
+        PolicySpec.migration_hold
         if args.migration_hold is None
         else args.migration_hold
     )
@@ -674,12 +658,12 @@ def _build_config(args: argparse.Namespace):
         return None
     return BuildConfig(
         slots=(
-            BUILD_SLOTS_DEFAULT
+            BuildConfig.slots
             if args.build_slots is None
             else args.build_slots
         ),
         discipline=(
-            BUILD_DISCIPLINE_DEFAULT
+            BuildConfig.discipline
             if args.build_discipline is None
             else args.build_discipline
         ),
@@ -703,7 +687,7 @@ def _tenant_churn(args: argparse.Namespace):
     return FleetChurn(
         arrival_rate=args.tenant_churn,
         mean_stay=(
-            TENANT_STAY_DEFAULT
+            FleetChurn.mean_stay
             if args.tenant_stay is None
             else args.tenant_stay
         ),
@@ -950,10 +934,12 @@ def _run_simulate_montecarlo(args: argparse.Namespace) -> int:
         attribution=args.attribution or "proportional",
         tenant_churn=0.0 if churn is None else churn.arrival_rate,
         tenant_stay=(
-            TENANT_STAY_DEFAULT if churn is None else churn.mean_stay
+            FleetChurn.mean_stay if churn is None else churn.mean_stay
         ),
         build_slots=0 if builds is None else builds.slots,
-        build_discipline="fifo" if builds is None else builds.discipline,
+        build_discipline=(
+            BuildConfig.discipline if builds is None else builds.discipline
+        ),
         policies=tuple(
             PolicySpec(
                 name,

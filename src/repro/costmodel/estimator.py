@@ -245,27 +245,6 @@ class PlanningInputs:
         """Section 3's no-views plan."""
         return self.plan_for(frozenset())
 
-    def fingerprint(self) -> Tuple:
-        """A hashable identity of this numeric world.
-
-        Two inputs with equal fingerprints price every subset
-        identically.  The simulator keys its problems by state, and
-        ``tests/simulate/test_state_and_problems.py`` uses this
-        fingerprint to check that no two problems one builder returns
-        share a world.
-        """
-        return (
-            self.workload.fingerprint(),
-            self.candidates,
-            tuple(sorted(self.view_stats.items())),
-            tuple(sorted(self.base_query_hours.items())),
-            tuple(sorted(self.view_query_hours.items())),
-            tuple(sorted(self.result_sizes_gb.items())),
-            self.dataset_gb,
-            self.deployment.fingerprint(),
-            self.base_timeline.fingerprint(),
-        )
-
 
 class PlanningEstimator:
     """Builds :class:`PlanningInputs` from a dataset and deployment."""

@@ -15,9 +15,10 @@ insertion events.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from decimal import Decimal
-from typing import List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import List, Optional, Tuple
 
 from ..engine.timing import ClusterTimingModel, paper_cluster
 from ..errors import CostModelError
@@ -118,19 +119,6 @@ class DeploymentSpec:
         """ECU of the chosen instance type."""
         return self.provider.compute.instance(self.instance_type).compute_units
 
-    def fingerprint(self) -> Tuple:
-        """A hashable identity: the deployment's share of a state key.
-
-        Two deployments with equal fingerprints price every plan
-        identically.  The provider contributes its full value
-        fingerprint (every rate, tier and billing rule), so same-named
-        price books with different contents never collide.
-        """
-        return (
-            self.provider.fingerprint(),
-            self.instance_type,
-        ) + self.physics_key()
-
     def physics_key(self) -> Tuple:
         """A hashable identity of the cluster, price book left out.
 
@@ -218,11 +206,14 @@ class StorageInterval:
         return self.end_month - self.start_month
 
 
+@dataclass(frozen=True)
 class StorageTimeline:
     """Stored volume over a billing horizon, changing at insert events.
 
     Formula 5's "storage period ... divided into intervals; in each
-    interval, the size of the stored data is fixed".
+    interval, the size of the stored data is fixed".  The inserts may
+    be given in any order: they are kept sorted, so timelines with the
+    same initial volume, horizon and inserts are equal.
 
     Examples
     --------
@@ -234,46 +225,34 @@ class StorageTimeline:
     [(0.0, 7.0, 512.0), (7.0, 12.0, 2560.0)]
     """
 
-    def __init__(
-        self,
-        initial_volume_gb: float,
-        horizon_months: float,
-        inserts: Sequence[Tuple[float, float]] = (),
-    ) -> None:
-        if initial_volume_gb < 0:
+    #: Volume stored from month 0.
+    initial_volume_gb: float
+    #: Length of the storage period.
+    horizon_months: float
+    #: ``(month, delta_gb)`` insert events, in month order.
+    inserts: Tuple[Tuple[float, float], ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.initial_volume_gb < 0:
             raise CostModelError("initial volume cannot be negative")
-        if horizon_months < 0:
+        if self.horizon_months < 0:
             raise CostModelError("horizon cannot be negative")
-        self._initial = float(initial_volume_gb)
-        self._horizon = float(horizon_months)
-        self._inserts = sorted((float(m), float(gb)) for m, gb in inserts)
-        for month, delta_gb in self._inserts:
-            if not 0 <= month <= horizon_months:
+        inserts = tuple(sorted((float(m), float(gb)) for m, gb in self.inserts))
+        for month, delta_gb in inserts:
+            if not 0 <= month <= self.horizon_months:
                 raise CostModelError(
-                    f"insert at month {month} outside [0, {horizon_months}]"
+                    f"insert at month {month} outside [0, {self.horizon_months}]"
                 )
             if delta_gb < 0:
                 raise CostModelError("deletions are not modelled; delta >= 0")
-        self._steps: Optional[StorageSteps] = None
-
-    @property
-    def horizon_months(self) -> float:
-        """Length of the storage period."""
-        return self._horizon
-
-    @property
-    def initial_volume_gb(self) -> float:
-        """Volume stored from month 0."""
-        return self._initial
+        object.__setattr__(self, "initial_volume_gb", float(self.initial_volume_gb))
+        object.__setattr__(self, "horizon_months", float(self.horizon_months))
+        object.__setattr__(self, "inserts", inserts)
 
     @property
     def final_volume_gb(self) -> float:
         """Volume stored at the end of the horizon."""
-        return self._initial + sum(gb for _, gb in self._inserts)
-
-    def fingerprint(self) -> Tuple:
-        """Hashable identity (initial volume, horizon, insert events)."""
-        return (self._initial, self._horizon, tuple(self._inserts))
+        return self.initial_volume_gb + sum(gb for _, gb in self.inserts)
 
     def with_extra_volume(self, extra_gb: float) -> "StorageTimeline":
         """A timeline with ``extra_gb`` stored for the whole horizon.
@@ -284,9 +263,7 @@ class StorageTimeline:
         """
         if extra_gb < 0:
             raise CostModelError("extra volume cannot be negative")
-        return StorageTimeline(
-            self._initial + extra_gb, self._horizon, self._inserts
-        )
+        return replace(self, initial_volume_gb=self.initial_volume_gb + extra_gb)
 
     def _shape(self) -> List[Tuple[Tuple[float, ...], float, float]]:
         """Per interval: the deltas landing since the last one, start, end.
@@ -297,20 +274,20 @@ class StorageTimeline:
         shape: List[Tuple[Tuple[float, ...], float, float]] = []
         pending: List[float] = []
         start = 0.0
-        for month, delta_gb in self._inserts:
+        for month, delta_gb in self.inserts:
             if month > start:
                 shape.append((tuple(pending), start, month))
                 pending = []
                 start = month
             pending.append(delta_gb)
-        if self._horizon > start or not shape:
-            shape.append((tuple(pending), start, self._horizon))
+        if self.horizon_months > start or not shape:
+            shape.append((tuple(pending), start, self.horizon_months))
         return shape
 
     def intervals(self) -> List[StorageInterval]:
         """Constant-volume intervals covering [0, horizon]."""
         result: List[StorageInterval] = []
-        volume = self._initial
+        volume = self.initial_volume_gb
         for deltas, start, end in self._shape():
             for delta_gb in deltas:
                 volume += delta_gb
@@ -324,9 +301,10 @@ class StorageTimeline:
         The same for every initial volume, so a caller pricing many
         view-augmented volumes on one timeline reads them once.
         """
-        if self._steps is None:
-            self._steps = tuple(
-                (deltas, to_decimal(end - start))
-                for deltas, start, end in self._shape()
-            )
         return self._steps
+
+    @cached_property
+    def _steps(self) -> StorageSteps:
+        return tuple(
+            (deltas, to_decimal(end - start)) for deltas, start, end in self._shape()
+        )

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import ClassVar, FrozenSet, Optional
 
 from ... import telemetry
+from ...errors import OptimizationError
 from ..problem import SelectionProblem
 from ..registry import OptimizerSpec, register
 from ..scenarios import Scenario
@@ -70,6 +71,12 @@ class LocalSearchSpec(OptimizerSpec):
     proposals_per_step: int = 12
     #: Candidate-pool cap after benefit clustering (None = unpruned).
     prune_to: Optional[int] = 256
+
+    def __post_init__(self) -> None:
+        if self.budget < 1:
+            raise OptimizationError(
+                f"a search budget must be positive, got {self.budget}"
+            )
 
     def solve(
         self,

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import ClassVar, FrozenSet, List, Optional
 
 from ... import telemetry
+from ...errors import OptimizationError
 from ..greedy import repair
 from ..problem import SelectionOutcome, SelectionProblem
 from ..registry import OptimizerSpec, register
@@ -88,6 +89,12 @@ class BeamSearchSpec(OptimizerSpec):
     prune_to: Optional[int] = 256
     #: Rounds without incumbent improvement before stopping early.
     patience: int = 3
+
+    def __post_init__(self) -> None:
+        if self.budget < 1:
+            raise OptimizationError(
+                f"a search budget must be positive, got {self.budget}"
+            )
 
     def solve(
         self,

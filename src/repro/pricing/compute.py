@@ -14,7 +14,8 @@ import enum
 import math
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Dict, Iterable, Mapping, Optional, Union
+from operator import attrgetter
+from typing import Mapping, Optional, Tuple, Union
 
 from ..errors import PricingError
 from ..money import MONEY_CONTEXT, Money, ZERO, to_decimal
@@ -99,8 +100,13 @@ def instance_bill(
     )
 
 
+@dataclass(frozen=True)
 class ComputePricing:
     """A provider's compute price list plus billing rules.
+
+    The instance types may be listed in any order: they are kept in
+    name order, so price lists with the same types and granularity are
+    equal.
 
     Examples
     --------
@@ -112,54 +118,38 @@ class ComputePricing:
     Money('12.000')
     """
 
-    def __init__(
-        self,
-        instance_types: Iterable[InstanceType],
-        granularity: BillingGranularity = BillingGranularity.PER_HOUR,
-    ) -> None:
-        self._types: Dict[str, InstanceType] = {}
-        for itype in instance_types:
-            if itype.name in self._types:
-                raise PricingError(f"duplicate instance type {itype.name!r}")
-            self._types[itype.name] = itype
-        if not self._types:
-            raise PricingError("a compute price list needs at least one type")
-        self._granularity = granularity
+    #: The rentable instance types, in name order.
+    types: Tuple[InstanceType, ...]
+    #: The rounding rule applied to usage durations.
+    granularity: BillingGranularity = BillingGranularity.PER_HOUR
 
-    @property
-    def granularity(self) -> BillingGranularity:
-        """The rounding rule applied to usage durations."""
-        return self._granularity
+    def __post_init__(self) -> None:
+        types = tuple(sorted(self.types, key=attrgetter("name")))
+        if not types:
+            raise PricingError("a compute price list needs at least one type")
+        for before, after in zip(types, types[1:]):
+            if before.name == after.name:
+                raise PricingError(f"duplicate instance type {after.name!r}")
+        object.__setattr__(self, "types", types)
 
     @property
     def instance_types(self) -> Mapping[str, InstanceType]:
         """All known instance types, by name."""
-        return dict(self._types)
-
-    def with_granularity(self, granularity: BillingGranularity) -> "ComputePricing":
-        """A copy of this price list under a different billing rule."""
-        return ComputePricing(self._types.values(), granularity)
-
-    def fingerprint(self) -> tuple:
-        """Hashable value identity: equal fingerprints bill identically."""
-        return (
-            self._granularity.value,
-            tuple(self._types[name] for name in sorted(self._types)),
-        )
+        return {itype.name: itype for itype in self.types}
 
     def instance(self, name: str) -> InstanceType:
         """Look up an instance type, raising ``PricingError`` if unknown."""
-        try:
-            return self._types[name]
-        except KeyError:
-            known = ", ".join(sorted(self._types))
-            raise PricingError(
-                f"unknown instance type {name!r}; known types: {known}"
-            ) from None
+        for itype in self.types:
+            if itype.name == name:
+                return itype
+        known = ", ".join(itype.name for itype in self.types)
+        raise PricingError(
+            f"unknown instance type {name!r}; known types: {known}"
+        )
 
     def billable_hours(self, hours: float) -> float:
         """Usage duration after granularity round-up."""
-        return self._granularity.billable_hours(hours)
+        return self.granularity.billable_hours(hours)
 
     def cost(
         self,
@@ -178,7 +168,7 @@ class ComputePricing:
         if n_instances < 0:
             raise PricingError(f"instance count cannot be negative: {n_instances}")
         itype = self.instance(instance)
-        rounding = granularity if granularity is not None else self._granularity
+        rounding = granularity if granularity is not None else self.granularity
         return Money(
             instance_bill(
                 itype.hourly_rate.amount, rounding.billable_hours(hours), n_instances

@@ -41,6 +41,12 @@ __all__ = [
 class Provider:
     """A complete price book: compute + storage + transfer.
 
+    A book is a value: two books are equal, and hash alike, exactly
+    when their names and every rate, tier and billing rule agree.  The
+    name alone is not trusted, so ``aws_2012(PER_HOUR)`` and
+    ``aws_2012(PER_SECOND)`` (same name, different compute billing)
+    differ.
+
     Parameters
     ----------
     name:
@@ -61,27 +67,6 @@ class Provider:
     compute: ComputePricing
     storage: StoragePricing
     transfer: TransferPricing
-
-    def fingerprint(self) -> tuple:
-        """Hashable *value* identity of the whole price book.
-
-        Two providers fingerprint equal exactly when every rate, tier
-        and billing rule agrees — the name alone is not trusted, so
-        ``aws_2012(PER_HOUR)`` and ``aws_2012(PER_SECOND)`` (same name,
-        different compute billing) never share cached pricings.
-
-        Returns
-        -------
-        tuple
-            ``(name, compute, storage, transfer)`` fingerprints,
-            usable as a cache key.
-        """
-        return (
-            self.name,
-            self.compute.fingerprint(),
-            self.storage.fingerprint(),
-            self.transfer.fingerprint(),
-        )
 
 
 def _aws_compute(granularity: BillingGranularity) -> ComputePricing:

@@ -10,6 +10,8 @@ module only answers "what does *v* GB cost for *m* months".
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .tiers import TierSchedule
 from ..errors import PricingError
 from ..money import Money
@@ -17,6 +19,7 @@ from ..money import Money
 __all__ = ["StoragePricing"]
 
 
+@dataclass(frozen=True)
 class StoragePricing:
     """A provider's per-GB-month storage schedule.
 
@@ -30,21 +33,12 @@ class StoragePricing:
     Money('924.00')
     """
 
-    def __init__(self, schedule: TierSchedule) -> None:
-        self._schedule = schedule
-
-    @property
-    def schedule(self) -> TierSchedule:
-        """The underlying tier schedule (rates are per GB-month)."""
-        return self._schedule
-
-    def fingerprint(self) -> tuple:
-        """Hashable value identity: equal fingerprints bill identically."""
-        return self._schedule.fingerprint()
+    #: The underlying tier schedule (rates are per GB-month).
+    schedule: TierSchedule
 
     def monthly_cost(self, volume_gb: float) -> Money:
         """Cost of holding ``volume_gb`` for one month."""
-        return self._schedule.cost(volume_gb)
+        return self.schedule.cost(volume_gb)
 
     def cost(self, volume_gb: float, months: float) -> Money:
         """Cost of holding a constant ``volume_gb`` for ``months`` months.

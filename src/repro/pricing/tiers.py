@@ -27,7 +27,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Iterable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import List, Optional, Sequence, Tuple
 
 from ..errors import PricingError
 from ..money import MONEY_CONTEXT, Money, ZERO, to_decimal
@@ -114,11 +115,13 @@ def tier_cost(table: RateTable, mode: TierMode, volume_gb: float) -> Decimal:
     return total
 
 
+@dataclass(frozen=True)
 class TierSchedule:
     """An ordered sequence of price bands with a billing semantics.
 
     Bands are given in increasing order of cumulative volume; the final
-    band must be unbounded so that any volume is priceable.
+    band must be unbounded so that any volume is priceable.  Schedules
+    with the same bands and semantics are equal and bill identically.
 
     Examples
     --------
@@ -136,23 +139,19 @@ class TierSchedule:
     Money('1.080')
     """
 
-    def __init__(
-        self,
-        tiers: Iterable[Tier],
-        mode: TierMode = TierMode.MARGINAL,
-    ) -> None:
-        self._tiers: Tuple[Tier, ...] = tuple(tiers)
-        self._mode = mode
-        self._validate()
-        self._table: RateTable = tuple(
-            (tier.upper_gb, tier.rate.amount) for tier in self._tiers
-        )
+    #: The bands, in increasing volume order (any iterable of tiers is
+    #: accepted and kept as a tuple).
+    tiers: Tuple[Tier, ...]
+    #: The billing semantics of this schedule.
+    mode: TierMode = TierMode.MARGINAL
 
-    def _validate(self) -> None:
-        if not self._tiers:
+    def __post_init__(self) -> None:
+        tiers = tuple(self.tiers)
+        object.__setattr__(self, "tiers", tiers)
+        if not tiers:
             raise PricingError("a tier schedule needs at least one tier")
         previous_bound = 0.0
-        for tier in self._tiers[:-1]:
+        for tier in tiers[:-1]:
             if tier.upper_gb is None:
                 raise PricingError(
                     "only the final tier may be unbounded (upper_gb=None)"
@@ -163,33 +162,13 @@ class TierSchedule:
                     f"{tier.upper_gb} after {previous_bound}"
                 )
             previous_bound = tier.upper_gb
-        if self._tiers[-1].upper_gb is not None:
+        if tiers[-1].upper_gb is not None:
             raise PricingError("the final tier must be unbounded (upper_gb=None)")
 
-    # -- introspection ------------------------------------------------
-
-    @property
-    def tiers(self) -> Sequence[Tier]:
-        """The bands, in increasing volume order."""
-        return self._tiers
-
-    @property
-    def mode(self) -> TierMode:
-        """The billing semantics of this schedule."""
-        return self._mode
-
-    @property
+    @cached_property
     def rate_table(self) -> RateTable:
         """The bands as :func:`tier_cost` reads them, built once."""
-        return self._table
-
-    def fingerprint(self) -> tuple:
-        """Hashable value identity: equal fingerprints bill identically."""
-        return (self._mode.value, self._tiers)
-
-    def with_mode(self, mode: TierMode) -> "TierSchedule":
-        """A copy of this schedule under a different semantics."""
-        return TierSchedule(self._tiers, mode)
+        return tuple((tier.upper_gb, tier.rate.amount) for tier in self.tiers)
 
     # -- pricing ------------------------------------------------------
 
@@ -197,13 +176,13 @@ class TierSchedule:
         """The per-GB rate charged for the *next* unit after ``volume_gb``."""
         if volume_gb < 0:
             raise PricingError(f"volume cannot be negative: {volume_gb}")
-        return Money(_band_rate(self._table, volume_gb))
+        return Money(_band_rate(self.rate_table, volume_gb))
 
     def cost(self, volume_gb: float) -> Money:
         """Price ``volume_gb`` under this schedule's semantics (:func:`tier_cost`)."""
         if volume_gb < 0:
             raise PricingError(f"volume cannot be negative: {volume_gb}")
-        return Money(tier_cost(self._table, self._mode, volume_gb))
+        return Money(tier_cost(self.rate_table, self.mode, volume_gb))
 
     # -- convenience constructors -------------------------------------
 
@@ -239,6 +218,6 @@ class TierSchedule:
             f"<= {tier.upper_gb} GB @ {tier.rate}"
             if tier.upper_gb is not None
             else f"rest @ {tier.rate}"
-            for tier in self._tiers
+            for tier in self.tiers
         )
-        return f"TierSchedule({self._mode.value}: {bands})"
+        return f"TierSchedule({self.mode.value}: {bands})"

@@ -10,6 +10,7 @@ assumed.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
 from .tiers import TierSchedule
@@ -19,6 +20,7 @@ from ..money import Money, ZERO
 __all__ = ["TransferPricing"]
 
 
+@dataclass(frozen=True)
 class TransferPricing:
     """A provider's data-transfer schedule, split by direction.
 
@@ -31,37 +33,8 @@ class TransferPricing:
         inbound transfer is free (the AWS model of the paper).
     """
 
-    def __init__(
-        self,
-        outbound: TierSchedule,
-        inbound: Optional[TierSchedule] = None,
-    ) -> None:
-        self._outbound = outbound
-        self._inbound = inbound
-
-    @property
-    def outbound_schedule(self) -> TierSchedule:
-        """The outbound (egress) tier schedule."""
-        return self._outbound
-
-    @property
-    def inbound_is_free(self) -> bool:
-        """Whether this provider charges nothing for ingress."""
-        return self._inbound is None
-
-    def fingerprint(self) -> tuple:
-        """Hashable value identity: equal fingerprints bill identically.
-
-        Returns
-        -------
-        tuple
-            The outbound schedule's fingerprint plus the inbound's
-            (``None`` when ingress is free), usable as a cache key.
-        """
-        return (
-            self._outbound.fingerprint(),
-            self._inbound.fingerprint() if self._inbound else None,
-        )
+    outbound: TierSchedule
+    inbound: Optional[TierSchedule] = None
 
     def outbound_cost(self, volume_gb: float) -> Money:
         """Cost of sending ``volume_gb`` out of the cloud.
@@ -90,7 +63,7 @@ class TransferPricing:
         """
         if volume_gb < 0:
             raise PricingError(f"volume cannot be negative: {volume_gb}")
-        return self._outbound.cost(volume_gb)
+        return self.outbound.cost(volume_gb)
 
     def inbound_cost(self, volume_gb: float) -> Money:
         """Cost of sending ``volume_gb`` into the cloud (often zero).
@@ -109,6 +82,6 @@ class TransferPricing:
         """
         if volume_gb < 0:
             raise PricingError(f"volume cannot be negative: {volume_gb}")
-        if self._inbound is None:
+        if self.inbound is None:
             return ZERO
-        return self._inbound.cost(volume_gb)
+        return self.inbound.cost(volume_gb)

@@ -161,7 +161,7 @@ class MonteCarloConfig:
     #: drift seed, so churn is part of the sampled future.
     tenant_churn: float = 0.0
     #: Expected churned-tenant stay in epochs (exponential).
-    tenant_stay: float = 8.0
+    tenant_stay: float = FleetChurn.mean_stay
     policies: Tuple[PolicySpec, ...] = field(
         default_factory=_default_policies
     )
@@ -169,7 +169,7 @@ class MonteCarloConfig:
     #: classic synchronous execution (a decided view is a live view).
     build_slots: int = 0
     #: Scheduling discipline when ``build_slots >= 1``.
-    build_discipline: str = "fifo"
+    build_discipline: str = BuildConfig.discipline
 
     def __post_init__(self) -> None:
         generator_preset(self.generator)  # fail fast on unknown presets

@@ -158,14 +158,10 @@ class WarehouseState:
         Returns
         -------
         Hashable
-            A nested tuple of the workload, dataset and deployment
-            fingerprints.
+            The workload's queries, the :meth:`dataset_key` and the
+            deployment, each compared by value.
         """
-        return (
-            self.workload.fingerprint(),
-            self.dataset_key(),
-            self.deployment.fingerprint(),
-        )
+        return (self.workload.queries, self.dataset_key(), self.deployment)
 
     def dataset_key(self) -> Hashable:
         """The dataset's share of the identity.

@@ -36,7 +36,6 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Sequence, Tuple
 
 from ..errors import SimulationError
-from ..pricing.compute import ComputePricing
 from ..pricing.providers import Provider
 from ..workload.query import AggregateQuery
 from ..workload.workload import Workload
@@ -99,27 +98,26 @@ def spot_repriced(provider: Provider, multiplier: float) -> Provider:
 
     Models a spot/market reprice: storage and transfer books are kept
     (those prices move on different clocks), only instance-hours move.
-    The provider name records the multiplier for ledgers; cache
-    identity comes from the full fingerprint, so two walks that happen
-    to print the same rounded name still price distinctly.
+    The provider name records the multiplier for ledgers; a book is
+    compared by every rate, not by name, so two walks that happen to
+    print the same rounded name still price distinctly.
     """
     if multiplier <= 0:
         raise SimulationError(
             f"a price multiplier must be positive, got {multiplier}"
         )
     compute = provider.compute
-    scaled = ComputePricing(
-        [
+    scaled = replace(
+        compute,
+        types=[
             replace(itype, hourly_rate=itype.hourly_rate * multiplier)
-            for itype in compute.instance_types.values()
+            for itype in compute.types
         ],
-        compute.granularity,
     )
-    return Provider(
+    return replace(
+        provider,
         name=f"{provider.name}~x{multiplier:.3f}",
         compute=scaled,
-        storage=provider.storage,
-        transfer=provider.transfer,
     )
 
 

@@ -186,19 +186,6 @@ class Workload:
     def __iter__(self) -> Iterator[AggregateQuery]:
         return iter(self.queries)
 
-    def fingerprint(self) -> Tuple:
-        """Hashable value identity of the workload.
-
-        Everything pricing-relevant per query, in workload order.  This
-        is *the* workload component of every pricing identity
-        (:meth:`repro.costmodel.PlanningInputs.fingerprint` and the
-        lifecycle simulator's state keys), so any new pricing-relevant
-        query field must be added here once, not at each call site.
-        """
-        return tuple(
-            (q.name, q.grain, q.frequency, q.filters) for q in self.queries
-        )
-
     def prefix(self, m: int) -> "Workload":
         """The first ``m`` queries as a workload (paper's m=3/5/10)."""
         if not 1 <= m <= self._size:

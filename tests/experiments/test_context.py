@@ -27,7 +27,7 @@ def test_config_describes_only_the_dataset():
 
 def test_default_deployment_is_the_section_6_one():
     deployment = ExperimentContext(CONFIG).deployment
-    assert deployment.fingerprint() == sales_deployment().fingerprint()
+    assert deployment == sales_deployment()
 
 
 class TestWithDeployment:

@@ -84,17 +84,16 @@ def reference_tier_cost(schedule, volume_gb: float) -> Money:
 
 def reference_intervals(timeline) -> List[Tuple[float, float, float]]:
     """(start, end, volume) per constant-volume interval."""
-    initial, horizon, inserts = timeline.fingerprint()
     result = []
-    volume = initial
+    volume = timeline.initial_volume_gb
     start = 0.0
-    for month, delta_gb in inserts:
+    for month, delta_gb in timeline.inserts:
         if month > start:
             result.append((start, month, volume))
             start = month
         volume += delta_gb
-    if horizon > start or not result:
-        result.append((start, horizon, volume))
+    if timeline.horizon_months > start or not result:
+        result.append((start, timeline.horizon_months, volume))
     return result
 
 
@@ -132,7 +131,7 @@ def reference_ledger(model: CloudCostModel, plan) -> Tuple[str, ...]:
         plan.base_timeline.with_extra_volume(plan.views_total_gb),
     )
     transfer = reference_tier_cost(
-        dep.provider.transfer.outbound_schedule,
+        dep.provider.transfer.outbound,
         _sequential(plan.billed_result_sizes_gb),
     )
     computing = processing + maintenance + materialization
@@ -211,7 +210,7 @@ def _schedules():
     for provider in _providers():
         for schedule in (
             provider.storage.schedule,
-            provider.transfer.outbound_schedule,
+            provider.transfer.outbound,
         ):
             schedules.append(schedule)
             other = (
@@ -219,7 +218,7 @@ def _schedules():
                 if schedule.mode is TierMode.SLAB
                 else TierMode.SLAB
             )
-            schedules.append(schedule.with_mode(other))
+            schedules.append(dataclasses.replace(schedule, mode=other))
     return schedules
 
 
@@ -246,7 +245,7 @@ def _edge_volumes(schedule) -> List[float]:
 @pytest.mark.parametrize("n_instances", range(1, 9))
 def test_instance_bill_matches_the_money_chain(granularity, n_instances):
     for provider in _providers():
-        pricing = provider.compute.with_granularity(granularity)
+        pricing = dataclasses.replace(provider.compute, granularity=granularity)
         for name, itype in sorted(pricing.instance_types.items()):
             rate = itype.hourly_rate.amount
             for hours in HOURS:
@@ -378,8 +377,8 @@ def test_storage_fold_matches_the_money_chain():
     for provider in _providers():
         for schedule in (
             provider.storage.schedule,
-            provider.storage.schedule.with_mode(TierMode.SLAB),
-            provider.storage.schedule.with_mode(TierMode.MARGINAL),
+            dataclasses.replace(provider.storage.schedule, mode=TierMode.SLAB),
+            dataclasses.replace(provider.storage.schedule, mode=TierMode.MARGINAL),
         ):
             pricing = StoragePricing(schedule)
             for timeline in _timelines(schedule):
@@ -486,7 +485,8 @@ def test_kernel_oracle_and_reference_price_identical_ledgers(
     for granularity in GRANULARITIES:
         provider = rng.choice(providers)
         provider = dataclasses.replace(
-            provider, compute=provider.compute.with_granularity(granularity)
+            provider,
+            compute=dataclasses.replace(provider.compute, granularity=granularity),
         )
         dep = dataclasses.replace(
             world.deployment,

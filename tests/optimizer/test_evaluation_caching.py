@@ -178,7 +178,7 @@ class TestProblemsPerState:
         """Regression: provider identity is the full price book.
 
         ``aws_2012(PER_HOUR)`` and ``aws_2012(PER_SECOND)`` share the
-        name 'aws-2012' but bill differently; a name-keyed fingerprint
+        name 'aws-2012' but bill differently; a name-keyed identity
         once let them share cached outcomes.  They share one priced
         (dataset, cluster) world here, and still each problem bills at
         its own book's rates.
@@ -192,7 +192,7 @@ class TestProblemsPerState:
             hourly, provider=aws_2012(BillingGranularity.PER_SECOND)
         )
         assert hourly.provider.name == per_second.provider.name
-        assert hourly.fingerprint() != per_second.fingerprint()
+        assert hourly != per_second
 
         first, second = self._problems(
             paper_problem, sales_dataset_10gb, per_second

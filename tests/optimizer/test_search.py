@@ -19,7 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cube import generate_lattice_inputs
-from repro.errors import InfeasibleProblemError
+from repro.errors import InfeasibleProblemError, OptimizationError
 from repro.money import Money
 from repro.optimizer import (
     BeamSearchSpec,
@@ -303,6 +303,13 @@ class TestSearchBudget:
     def test_budget_must_be_positive(self):
         with pytest.raises(ValueError):
             SearchBudget(0)
+
+    @pytest.mark.parametrize(
+        "spec, budget", [(BeamSearchSpec, -1), (LocalSearchSpec, 0)]
+    )
+    def test_specs_reject_a_budget_below_one(self, spec, budget):
+        with pytest.raises(OptimizationError, match="budget must be positive"):
+            spec(budget=budget)
 
 
 class TestBudgetProxy:

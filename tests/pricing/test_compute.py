@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -65,7 +67,7 @@ class TestBilling:
         assert compute.cost("small", 0.0, 2) == Money(0)
 
     def test_per_second_bills_exactly(self, compute):
-        per_second = compute.with_granularity(BillingGranularity.PER_SECOND)
+        per_second = replace(compute, granularity=BillingGranularity.PER_SECOND)
         assert per_second.cost("small", 0.5, 1) == Money("0.06")
 
     def test_per_minute_rounds_to_minutes(self):

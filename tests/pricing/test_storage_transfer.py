@@ -42,7 +42,7 @@ class TestTransfer:
 
     def test_inbound_free_on_aws_model(self):
         transfer = aws_2012().transfer
-        assert transfer.inbound_is_free
+        assert transfer.inbound is None
         assert transfer.inbound_cost(10_000.0) == Money(0)
 
     def test_inbound_charged_when_schedule_present(self):
@@ -50,7 +50,7 @@ class TestTransfer:
             outbound=TierSchedule.flat(Money("0.10")),
             inbound=TierSchedule.flat(Money("0.02")),
         )
-        assert not transfer.inbound_is_free
+        assert transfer.inbound is not None
         assert transfer.inbound_cost(50) == Money(1)
 
     def test_negative_volumes_rejected(self):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -116,8 +118,8 @@ class TestSlabSemantics:
         schedule = storage_schedule(TierMode.MARGINAL)
         assert schedule.cost(1024.0) > schedule.cost(1023.0)
 
-    def test_with_mode_converts(self):
-        slab = storage_schedule(TierMode.MARGINAL).with_mode(TierMode.SLAB)
+    def test_replacing_the_mode_converts(self):
+        slab = replace(storage_schedule(TierMode.MARGINAL), mode=TierMode.SLAB)
         assert slab.mode is TierMode.SLAB
         assert slab.cost(2560.0) == Money("0.125") * 2560
 

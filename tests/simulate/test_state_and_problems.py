@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -24,6 +24,13 @@ from repro.simulate import (
 )
 from repro.simulate.presets import elastic_multi_tenant_simulator
 from repro.workload import AggregateQuery
+
+
+def _world(inputs):
+    """Every field of ``inputs``, its workload by value (its queries)."""
+    return [inputs.workload.queries] + [
+        getattr(inputs, f.name) for f in fields(inputs) if f.name != "workload"
+    ]
 
 
 @pytest.fixture()
@@ -147,7 +154,7 @@ class TestEpochProblemBuilder:
         assert incremental.result_sizes_gb == batch.result_sizes_gb
         assert incremental.view_stats == batch.view_stats
         assert incremental.dataset_gb == batch.dataset_gb
-        assert incremental.fingerprint() == batch.fingerprint()
+        assert _world(incremental) == _world(batch)
 
     def test_adding_one_query_prices_one_query(self, builder, initial_state):
         builder.problem_for(initial_state)
@@ -226,11 +233,10 @@ class TestOneProblemPerWorld:
     """The traffic finding behind the one per-problem memo.
 
     A builder returns one problem per state key, and no two of the
-    problems it returns share a numeric world: their
-    ``inputs.fingerprint()`` values are pairwise distinct.  A memo
-    keyed by world across problems could therefore never hit; reuse
-    across epochs and policies is the builder handing an unchanged
-    state its own problem back.
+    problems it returns share a numeric world: their inputs are
+    pairwise distinct values.  A memo keyed by world across problems
+    could therefore never hit; reuse across epochs and policies is the
+    builder handing an unchanged state its own problem back.
     """
 
     @pytest.mark.parametrize(
@@ -248,9 +254,10 @@ class TestOneProblemPerWorld:
         monkeypatch.setattr(EpochProblemBuilder, "problem_for", recording)
         sweep()
         (problems,) = returned.values()  # one simulator, one builder
-        worlds = [p.inputs.fingerprint() for p in problems.values()]
+        worlds = [_world(p.inputs) for p in problems.values()]
         assert len(worlds) > 1
-        assert len(set(worlds)) == len(worlds)
+        for i, world in enumerate(worlds):
+            assert world not in worlds[i + 1 :]
 
 
 def _batch_inputs(state, catalogue):
@@ -287,9 +294,8 @@ class TestPhysicsKeyedWorlds:
             # Each problem keeps its own book: the stamped deployment
             # and everything derived from it match the batch path's.
             assert problem.inputs.deployment is state.deployment
-            assert (
-                problem.inputs.fingerprint()
-                == _batch_inputs(state, builder.catalogue).fingerprint()
+            assert _world(problem.inputs) == _world(
+                _batch_inputs(state, builder.catalogue)
             )
 
     def test_shared_world_bills_each_book_at_its_own_rates(
@@ -333,9 +339,8 @@ class TestPhysicsKeyedWorlds:
         builder.problem_for(initial_state)
         problem = builder.problem_for(changed)
         assert builder.worlds_built == 2
-        assert (
-            problem.inputs.fingerprint()
-            == _batch_inputs(changed, builder.catalogue).fingerprint()
+        assert _world(problem.inputs) == _world(
+            _batch_inputs(changed, builder.catalogue)
         )
 
     def test_malformed_candidate_grain_fails_when_its_world_is_built(

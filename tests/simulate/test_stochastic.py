@@ -162,9 +162,9 @@ class TestGenerators:
         assert doubled.compute.instance("small").hourly_rate == (
             base.compute.instance("small").hourly_rate * 2
         )
-        assert doubled.storage.fingerprint() == base.storage.fingerprint()
-        assert doubled.transfer.fingerprint() == base.transfer.fingerprint()
-        assert doubled.fingerprint() != base.fingerprint()
+        assert doubled.storage == base.storage
+        assert doubled.transfer == base.transfer
+        assert doubled != base
         with pytest.raises(SimulationError):
             spot_repriced(base, 0.0)
 

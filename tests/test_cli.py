@@ -547,6 +547,25 @@ class TestSearchFlags:
         assert code != 0
         assert "--algorithm beam" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "algorithm, budget", [("beam", "-1"), ("beam", "0"), ("local", "0")]
+    )
+    def test_search_budget_below_one_is_one_error_line(
+        self, capsys, algorithm, budget
+    ):
+        code = main(
+            [
+                "simulate",
+                "--rows", "5000",
+                "--algorithm", algorithm,
+                "--search-budget", budget,
+                "--quiet",
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: a search budget must be positive, got {budget}\n"
+
     def test_beam_simulation_end_to_end(self, capsys):
         code = main(
             [
