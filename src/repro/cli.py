@@ -31,8 +31,8 @@ and depart mid-lifecycle, billed through onboarding/offboarding
 events — and ``--shards K``
 switches to the population-scale path: each epoch's attribution is
 partitioned across K tenant shards (``--jobs`` worker processes) and
-streamed into per-tenant lifetime totals (``--tenant-csv``), byte-
-identical for any K.
+streamed into per-tenant lifetime totals.  ``--tenant-csv`` writes
+those totals, byte-identical for any K and without ``--shards``.
 
 ``--arbitrage`` quotes a multi-provider market and wraps every policy
 in the migration layer (:mod:`repro.simulate.arbitrage`): each epoch
@@ -84,6 +84,7 @@ import argparse
 import dataclasses
 import sys
 from contextlib import ExitStack
+from functools import partial
 from typing import List, Optional
 
 from .errors import ReproError, SimulationError
@@ -124,6 +125,7 @@ from .simulate.presets import (
     multi_tenant_sales_simulator,
     stochastic_sales_simulator,
 )
+from .simulate.simulator import compare_policies
 from .simulate.stochastic import GENERATOR_PRESETS, FleetChurn
 
 __all__ = ["main", "build_parser"]
@@ -328,9 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help=(
-            "write the per-tenant lifetime totals as CSV (needs "
-            "--shards and a single --policy); byte-identical for any "
-            "--shards/--jobs combination"
+            "write the per-tenant lifetime totals as CSV (needs a "
+            "single --policy); byte-identical with or without --shards, "
+            "for any --shards/--jobs combination"
         ),
     )
 
@@ -722,9 +724,18 @@ def _optimizer_spec(args: argparse.Namespace):
     return dataclasses.replace(spec, **replacements) if replacements else spec
 
 
-def _simulate_policies(args: argparse.Namespace, scenario_factory=None):
+def _policy_flags(args: argparse.Namespace):
+    """Resolve the policy flags as ``(optimizer, horizon, hold)``, so a
+    bad flag fails before anything is built or printed."""
     horizon, hold = _migration_knobs(args)
-    optimizer = _optimizer_spec(args)
+    return _optimizer_spec(args), horizon, hold
+
+
+def _simulate_policies(
+    args: argparse.Namespace, flags, scenario_factory=None
+):
+    """The run's policies, from :func:`_policy_flags`' resolution."""
+    optimizer, horizon, hold = flags
     names = POLICY_NAMES if args.policy == "all" else (args.policy,)
     policies = [
         make_policy(
@@ -861,6 +872,7 @@ def _dispatch_simulate(args: argparse.Namespace) -> int:
             "--tenant-stay, --shards and --tenant-csv apply to "
             "multi-tenant runs; add --tenants N"
         )
+    flags = _policy_flags(args)
     market = _simulate_market(args)
     builds = _build_config(args)
     if args.generator is not None:
@@ -878,7 +890,7 @@ def _dispatch_simulate(args: argparse.Namespace) -> int:
             market=market,
             builds=builds,
         )
-    ledgers = simulator.compare(_simulate_policies(args))
+    ledgers = simulator.compare(_simulate_policies(args, flags))
     for ledger in ledgers.values():
         if args.quiet:
             print(ledger.summary())
@@ -911,9 +923,8 @@ def _run_simulate_montecarlo(args: argparse.Namespace) -> int:
         raise SimulationError(
             "--tenant-churn applies to multi-tenant runs; add --tenants N"
         )
-    horizon, hold = _migration_knobs(args)
+    optimizer, horizon, hold = _policy_flags(args)
     builds = _build_config(args)
-    optimizer = _optimizer_spec(args)
     arbitrage_knobs = (
         {
             "arbitrage": True,
@@ -965,14 +976,15 @@ def _run_simulate_montecarlo(args: argparse.Namespace) -> int:
 
 
 def _run_simulate_tenants(args: argparse.Namespace) -> int:
+    flags = _policy_flags(args)
+    if args.tenant_csv is not None and args.policy == "all":
+        raise SimulationError(
+            "--tenant-csv writes one policy's per-tenant totals; name "
+            "a single --policy"
+        )
     market = _simulate_market(args)
     builds = _build_config(args)
     churn = _tenant_churn(args)
-    if args.tenant_csv is not None and args.shards is None:
-        raise SimulationError(
-            "--tenant-csv streams totals from the sharded path; add "
-            "--shards K"
-        )
     if churn is not None or args.generator is not None:
         # Sampled drift: without --tenant-churn the fleet is fixed.
         simulator = elastic_multi_tenant_simulator(
@@ -1008,46 +1020,31 @@ def _run_simulate_tenants(args: argparse.Namespace) -> int:
             max_share_slack=args.fair_slack,
             latency_ceilings=ceilings,
         )
+    policies = _simulate_policies(args, flags, factory)
     print(
         f"fleet: {simulator.fleet.describe()}; "
         f"attribution: {simulator.attributor.describe()}\n"
     )
-    if args.shards is not None:
-        return _run_simulate_sharded(args, simulator, factory)
-    ledgers = simulator.compare(_simulate_policies(args, factory))
-    for fleet_ledger in ledgers.values():
+    # Without --shards the in-process route keeps every tenant record;
+    # with it, the population-scale route streams them into totals.
+    run = (
+        simulator.run
+        if args.shards is None
+        else partial(simulator.run_sharded, shards=args.shards, jobs=args.jobs)
+    )
+    for books in compare_policies(run, policies).values():
         if args.quiet:
-            print(fleet_ledger.summary())
+            print(books.summary())
         else:
-            print(fleet_ledger.render())
-            _print_ledger_cache(fleet_ledger.fleet)
-            print()
-    _print_cache_stats(simulator.builder)
-    return 0
-
-
-def _run_simulate_sharded(args, simulator, factory) -> int:
-    """The population-scale path: sharded, streaming attribution."""
-    policies = _simulate_policies(args, factory)
-    if args.tenant_csv is not None and len(policies) != 1:
-        raise SimulationError(
-            "--tenant-csv writes one policy's per-tenant totals; name "
-            "a single --policy"
-        )
-    for policy in policies:
-        summary = simulator.run_sharded(
-            policy, shards=args.shards, jobs=args.jobs
-        )
-        if args.quiet:
-            print(summary.summary())
-        else:
-            print(summary.render())
+            print(books.render())
+            if args.shards is None:
+                _print_ledger_cache(books.fleet)
             print()
         if args.tenant_csv is not None:
             with open(
                 args.tenant_csv, "w", encoding="utf-8", newline="\n"
             ) as handle:
-                handle.write(summary.to_csv())
+                handle.write(books.to_csv())
             print(f"tenant totals csv written to {args.tenant_csv}")
     _print_cache_stats(simulator.builder)
     return 0

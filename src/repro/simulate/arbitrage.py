@@ -192,6 +192,10 @@ class ArbitrageAware(ReselectionPolicy):
         Consecutive epochs the same candidate family must stay
         worthwhile before the policy moves (``--migration-hold``).
         ``1`` migrates on the first worthwhile epoch.
+
+    Both knobs are required here; their defaults are
+    :class:`~repro.simulate.montecarlo.PolicySpec`'s
+    ``migration_horizon`` and ``migration_hold``, which the CLI reads.
     """
 
     name = "arbitrage"
@@ -199,8 +203,8 @@ class ArbitrageAware(ReselectionPolicy):
     def __init__(
         self,
         inner: ReselectionPolicy,
-        horizon: int = 6,
-        hysteresis: int = 2,
+        horizon: int,
+        hysteresis: int,
     ) -> None:
         if isinstance(inner, ArbitrageAware):
             raise SimulationError(

@@ -62,9 +62,9 @@ of its ratios is converted to ``Decimal`` once per epoch.
 in-process, :class:`~repro.simulate.sharding.ShardedAttribution`
 across tenant shards; both run the same ``Decimal`` operations in the
 same order, so they give the same bytes.  The merge streams one
-:class:`~repro.simulate.ledger.ShareRow` of raw ``Decimal``\\ s per
-tenant-epoch; only :meth:`SharedCostAttributor.attribute` turns them
-into :class:`~repro.simulate.ledger.TenantEpochRecord`\\ s.
+:class:`~repro.simulate.ledger.TenantEpochRecord` per tenant-epoch,
+its charges the merged raw ``Decimal``\\ s, and both routes hand out
+those records.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ from ..costmodel.total import CostBreakdown
 from ..errors import SimulationError
 from ..money import MONEY_CONTEXT, Money, ZERO, to_decimal
 from ..optimizer.problem import SelectionOutcome, SelectionProblem
-from .ledger import EpochRecord, ShareRow, TenantEpochRecord, check_books
+from .ledger import EpochRecord, TenantEpochRecord, check_books
 
 __all__ = [
     "ATTRIBUTION_MODES",
@@ -289,17 +289,17 @@ def merge_epoch(
     entries: Sequence[AllocationEntry],
     hours: Mapping[str, float],
     products: Sequence[Tuple[Tuple[Decimal, ...], ...]],
-) -> Iterator[ShareRow]:
+) -> Iterator[TenantEpochRecord]:
     """One epoch's per-tenant shares, merged from shard products.
 
-    Yields one :class:`~repro.simulate.ledger.ShareRow` per active
-    tenant in tenant order, then one settlement-only row per
+    Yields one :class:`~repro.simulate.ledger.TenantEpochRecord` per
+    active tenant in tenant order, then one settlement-only record per
     departure.  Churn charges are direct: an arrival's onboarding
-    lands on the arriving tenant's row, a departure's offboarding on a
-    row of its own.  Before anything is yielded, every component's
-    shares are checked to sum exactly to the fleet record — the
-    per-epoch half of the books-balance invariant, which streaming
-    callers cannot re-check later.
+    lands on the arriving tenant's record, a departure's offboarding
+    on a record of its own.  Before anything is yielded, every
+    component's shares are checked to sum exactly to the fleet record
+    — the per-epoch half of the books-balance invariant, which
+    streaming callers cannot re-check later.
     """
     arrivals = dict(record.arrivals)
     active_set = set(active)
@@ -338,13 +338,13 @@ def merge_epoch(
     zeros = [zero] * len(active)
     rows = zip(*(columns.get(field, zeros) for field in _FIELDS))
     for name, amounts in zip(active, rows):
-        yield ShareRow(record.epoch, name, hours[name], amounts)
+        yield TenantEpochRecord(record.epoch, name, hours[name], amounts)
     for tenant, amount in record.departures:
         settlement = tuple(
             amount.amount if field == "offboarding_cost" else zero
             for field in _FIELDS
         )
-        yield ShareRow(record.epoch, tenant, 0.0, settlement)
+        yield TenantEpochRecord(record.epoch, tenant, 0.0, settlement)
 
 
 class SharedCostAttributor:
@@ -738,16 +738,16 @@ class SharedCostAttributor:
         tenant no longer in the active set.
 
         The plan's products are computed in-process and merged by
-        :func:`merge_epoch`, the sharded route's merge (same bytes);
-        each merged row becomes the tenant's record.
+        :func:`merge_epoch`, the sharded route's merge (same records,
+        same bytes).
         """
         entries, hours = self.component_plan(
             problem, record, breakdown, tenants
         )
         active = self._active(tenants)
         return {
-            row.tenant: row.record()
-            for row in merge_epoch(
+            share.tenant: share
+            for share in merge_epoch(
                 record,
                 active,
                 entries,

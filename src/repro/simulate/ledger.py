@@ -35,13 +35,19 @@ A :class:`SimulationLedger` accumulates the records for one policy and
 answers the comparison questions (total cost, hours, churn,
 migrations).
 
-Multi-tenant runs add a second layer: each epoch's fleet record is
+Multi-tenant runs add a second layer.  Each epoch's fleet record is
 split by a :class:`~repro.simulate.attribution.SharedCostAttributor`
-into one :class:`TenantEpochRecord` per tenant, accumulated in
-per-tenant :class:`TenantLedger`\\ s, and a :class:`FleetLedger` rolls
-the fleet history and the tenant histories up together — with
-:meth:`FleetLedger.verify_attribution` enforcing that the tenant
-ledgers sum *exactly* to the fleet ledger, epoch by epoch.
+into one :class:`TenantEpochRecord` per tenant: the tenant's charges
+as raw ``Decimal``\\ s in :data:`~repro.bill.COMPONENTS` order, each
+readable as a ``<name>_cost`` :class:`~repro.money.Money`.  A
+tenant's books are a :class:`TenantTotals`, which folds the records
+into lifetime totals as they stream past; a :class:`TenantLedger` is
+the same fold that also keeps the records.  A :class:`FleetSummary`
+holds the fleet ledger and one set of tenant books per tenant, checks
+that the tenant totals sum *exactly* to the fleet's lifetime charges
+(:meth:`FleetSummary.verify_totals`) and writes them as CSV; a
+:class:`FleetLedger` is the summary of kept ledgers, and
+:meth:`FleetLedger.verify_attribution` checks the sum epoch by epoch.
 
 Elastic fleets (tenants arriving and departing mid-lifecycle via
 :class:`~repro.simulate.events.TenantArrival` /
@@ -50,24 +56,22 @@ channels to each epoch record: ``onboarding`` (inbound load of an
 arriving tenant's initial result products) and ``offboarding`` (export
 of a departing tenant's final footprint), each carried as
 ``(tenant, amount)`` pairs so attribution can charge them 100% to the
-tenant that caused them.  Tenant ledgers become *ragged* — a tenant
+tenant that caused them.  Tenant books become *ragged* — a tenant
 has records only for the epochs it was present — and population-scale
-runs fold the merge's :class:`ShareRow`\\ s (one tenant-epoch's charges
-as raw ``Decimal``\\ s) into :class:`TenantTotals` accumulators
-collected in a :class:`FleetSummary`, never building a record per
-tenant-epoch nor materializing the per-tenant matrix in memory.
+runs keep only the :class:`TenantTotals`, never materializing the
+tenant x epoch matrix in memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from operator import add, attrgetter, itemgetter
 from typing import (
     Callable,
     Dict,
-    Generic,
+    Iterable,
     Iterator,
     List,
     Mapping,
@@ -75,8 +79,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    TypeVar,
-    Union,
 )
 
 from ..bill import COMPONENTS, FLEET_CHARGES
@@ -88,7 +90,6 @@ __all__ = [
     "EpochSegment",
     "FleetLedger",
     "FleetSummary",
-    "ShareRow",
     "SimulationLedger",
     "TenantEpochRecord",
     "TenantLedger",
@@ -102,14 +103,11 @@ _TENANT_FIELDS = tuple(component.field for component in COMPONENTS)
 #: The tenant fields that fold into the fleet's operating charge.
 _OPERATING = next(c for c in FLEET_CHARGES if c.name == "operating").parts
 
-#: A record's charges in fold order, at each level.
+#: A fleet record's charges, in fold order.
 _fleet_amounts = attrgetter(*(charge.field for charge in FLEET_CHARGES))
-_tenant_amounts = attrgetter(*_TENANT_FIELDS)
-_operating_amounts = attrgetter(*_OPERATING)
-#: A tenant record's charges as raw ``Decimal``\ s, in fold order.
-_raw_amounts = attrgetter(*(f"{field}.amount" for field in _TENANT_FIELDS))
 
-_Record = TypeVar("_Record")
+#: Raw ``Decimal`` amounts added left to right through Money's context.
+_fold = partial(reduce, MONEY_CONTEXT.add)
 
 
 @dataclass(frozen=True)
@@ -247,33 +245,36 @@ class EpochRecord:
         )
 
 
-def _lifetime_total(field: str, doc: str) -> property:
+def _with_lifetime_totals(total: Callable[[str], Callable]):
+    """Give a ledger class ``total_<charge>_cost`` for every fleet
+    charge, ``total(field)`` reading the lifetime sum of one field."""
+
+    def decorate(cls):
+        for charge in FLEET_CHARGES:
+            doc = f"Lifetime {charge.name} charges."
+            setattr(cls, f"total_{charge.field}", property(total(charge.field), doc=doc))
+        return cls
+
+    return decorate
+
+
+def _record_sum(field: str) -> Callable:
     """A ledger's lifetime sum of one record field, from ``ZERO``."""
     amount = attrgetter(field)
-    return property(lambda self: sum(map(amount, self._records), ZERO), doc=doc)
+    return lambda self: sum(map(amount, self._records), ZERO)
 
 
-def _with_lifetime_totals(cls):
-    """Give a ledger class ``total_<charge>_cost`` for every fleet charge."""
-    for charge in FLEET_CHARGES:
-        doc = f"Lifetime {charge.name} charges."
-        setattr(cls, f"total_{charge.field}", _lifetime_total(charge.field, doc))
-    return cls
-
-
-@_with_lifetime_totals
-class _EpochLedger(Generic[_Record]):
-    """An epoch-ordered record history, with lifetime totals of each
-    fleet charge (``total_operating_cost``, ``total_build_cost``, ...).
-
-    The shell :class:`SimulationLedger` and :class:`TenantLedger` share.
-    """
+@_with_lifetime_totals(_record_sum)
+class SimulationLedger:
+    """The per-epoch cost history of one policy's run, with lifetime
+    totals of each fleet charge (``total_operating_cost``,
+    ``total_build_cost``, ...)."""
 
     def __init__(self, policy_name: str) -> None:
         self._policy = policy_name
-        self._records: List[_Record] = []
+        self._records: List[EpochRecord] = []
 
-    def append(self, record: _Record) -> None:
+    def append(self, record: EpochRecord) -> None:
         """Record the next epoch (indexes must arrive in order)."""
         if self._records and record.epoch <= self._records[-1].epoch:
             raise SimulationError(
@@ -288,26 +289,22 @@ class _EpochLedger(Generic[_Record]):
         return self._policy
 
     @property
-    def records(self) -> Tuple[_Record, ...]:
+    def records(self) -> Tuple[EpochRecord, ...]:
         """Every epoch's record, in order."""
         return tuple(self._records)
 
     def __len__(self) -> int:
         return len(self._records)
 
-    def __iter__(self) -> Iterator[_Record]:
+    def __iter__(self) -> Iterator[EpochRecord]:
         return iter(self._records)
 
-    total_cost = _lifetime_total("total_cost", "The lifetime bill.")
+    total_cost = property(_record_sum("total_cost"), doc="The lifetime bill.")
 
     @property
     def total_hours(self) -> float:
         """Lifetime processing hours (the response-time metric)."""
         return sum(r.processing_hours for r in self._records)
-
-
-class SimulationLedger(_EpochLedger[EpochRecord]):
-    """The per-epoch cost history of one policy's run."""
 
     @property
     def migration_count(self) -> int:
@@ -443,64 +440,83 @@ def check_books(where: str, checks) -> None:
             )
 
 
-@dataclass(frozen=True)
-class TenantEpochRecord:
+def _charge_reader(parts: Sequence[str]) -> Callable[[Sequence[Decimal]], Decimal]:
+    """Reads one fleet charge off a tenant's amounts: its ``parts``
+    added in fold order through Money's context, the additions the
+    Money-valued charges make."""
+    pick = itemgetter(*(_TENANT_FIELDS.index(part) for part in parts))
+    if len(parts) == 1:
+        return pick
+    return lambda amounts: _fold(pick(amounts))
+
+
+#: Each fleet charge's reader, in :data:`~repro.bill.FLEET_CHARGES` order.
+_CHARGE_READERS = tuple(_charge_reader(charge.parts) for charge in FLEET_CHARGES)
+_operating_of = _charge_reader(_OPERATING)
+
+
+def _check_tenant_sums(
+    where: str, fleet: Iterable[Money], shares: Sequence[Sequence[Decimal]]
+) -> None:
+    """:func:`check_books` for every fleet charge: ``fleet`` holds the
+    fleet's amounts in :data:`~repro.bill.FLEET_CHARGES` order, each
+    checked against its charge read off every tenant's ``shares`` and
+    summed in the order given from zero, the additions a sum of the
+    Money-valued charges makes, then wrapped in Money once."""
+    add, zero = MONEY_CONTEXT.add, ZERO.amount
+    check_books(where, (
+        (charge.name, amount, Money(reduce(add, map(read, shares), zero)))
+        for charge, amount, read in zip(FLEET_CHARGES, fleet, _CHARGE_READERS)
+    ))
+
+
+def _with_charges(whose: str):
+    """Give a class holding ``amounts`` (raw ``Decimal``\\ s in
+    :data:`~repro.bill.COMPONENTS` order) a read-only Money view of each
+    charge (``processing_cost``, ...), of their steady-state part
+    (``operating_cost``) and of their total (``total_cost``); ``whose``
+    opens each view's doc."""
+
+    def decorate(cls):
+        for index, component in enumerate(COMPONENTS):
+            view = property(
+                lambda self, i=index: Money(self.amounts[i]),
+                doc=f"{whose} {component.name} charge.",
+            )
+            setattr(cls, component.field, view)
+        cls.operating_cost = property(
+            lambda self: Money(_operating_of(self.amounts)),
+            doc=f"{whose} steady-state charges: the parts of the fleet's "
+            "operating charge.",
+        )
+        cls.total_cost = property(
+            lambda self: Money(_fold(self.amounts)),
+            doc=f"{whose} whole bill, every charge folded in "
+            ":data:`~repro.bill.COMPONENTS` order.",
+        )
+        return cls
+
+    return decorate
+
+
+@_with_charges("The epoch's")
+class TenantEpochRecord(NamedTuple):
     """One tenant's attributed share of one epoch's fleet charges.
 
-    The component fields mirror how the fleet bill decomposes —
-    processing compute, result transfer, view maintenance, storage
-    (base share + view share), builds and teardowns — so a tenant's
-    invoice explains *why* it owes what it owes.  Across the fleet's
-    tenants, each component sums exactly to the fleet amount (see
-    :mod:`repro.simulate.attribution`).
+    ``amounts`` holds the charges as raw ``Decimal``\\ s in
+    :data:`~repro.bill.COMPONENTS` order, and each reads as a
+    ``<name>_cost`` Money: processing compute, result transfer, view
+    maintenance, storage (base share + view share), builds, teardowns
+    and the one-off charges, so a tenant's invoice explains *why* it
+    owes what it owes.  Across the fleet's tenants, each charge sums
+    exactly to the fleet amount (see :mod:`repro.simulate.attribution`).
     """
 
     epoch: int
     tenant: str
-    processing_cost: Money
-    transfer_cost: Money
-    maintenance_cost: Money
-    storage_cost: Money
-    build_cost: Money
-    teardown_cost: Money
     #: The tenant's own frequency-weighted processing hours this epoch.
     processing_hours: float
-    #: The tenant's share of a provider switch fired this epoch (zero
-    #: on ordinary epochs) — the answer to "which tenant pays for a
-    #: migration?".
-    migration_cost: Money = ZERO
-    #: The tenant's share of sunk compute from builds abandoned this
-    #: epoch (async runs only; split by the infrastructure rule).
-    cancelled_cost: Money = ZERO
-    #: Inbound-load charge of this tenant's own arrival (nonzero only
-    #: on the epoch it joined an elastic fleet; 100% direct, no split).
-    onboarding_cost: Money = ZERO
-    #: Settlement export of this tenant's own departure (nonzero only
-    #: on its settlement-only record; 100% direct, no split).
-    offboarding_cost: Money = ZERO
-
-    @property
-    def operating_cost(self) -> Money:
-        """Steady-state share: the parts of the fleet's operating charge."""
-        return reduce(add, _operating_amounts(self))
-
-    @property
-    def amounts(self) -> Tuple[Decimal, ...]:
-        """The charges as raw ``Decimal``\\ s, in
-        :data:`~repro.bill.COMPONENTS` order: the view
-        :meth:`TenantTotals.fold` reads, as on a :class:`ShareRow`."""
-        return _raw_amounts(self)
-
-    @cached_property
-    def total_cost(self) -> Money:
-        """Everything attributed to the tenant this epoch, folded in
-        :data:`~repro.bill.COMPONENTS` order.
-
-        Cached for the same reason as
-        :attr:`EpochRecord.total_cost` — the per-tenant delta fold
-        reads consecutive totals pairwise.
-        """
-        return reduce(add, _tenant_amounts(self))
+    amounts: Tuple[Decimal, ...]
 
     def describe(self) -> str:
         """One invoice line: the recurring charges, then each other
@@ -525,233 +541,25 @@ _INVOICE = [c for name in _ALWAYS_INVOICED for c in COMPONENTS if c.name == name
 _INVOICE += [c for c in COMPONENTS if c.name not in _ALWAYS_INVOICED]
 
 
-class ShareRow(NamedTuple):
-    """One tenant's share of one epoch, as the attribution merge
-    streams it: the charges as raw ``Decimal``\\ s in
-    :data:`~repro.bill.COMPONENTS` order, the very objects a
-    :class:`TenantEpochRecord` wraps in ``Money``.
-
-    :class:`TenantTotals` folds :attr:`amounts` directly; :meth:`record`
-    builds the full record for a consumer that keeps it.
-    """
-
-    epoch: int
-    tenant: str
-    #: The tenant's own frequency-weighted processing hours this epoch.
-    processing_hours: float
-    amounts: Tuple[Decimal, ...]
-
-    def record(self) -> TenantEpochRecord:
-        """The :class:`TenantEpochRecord` holding this share."""
-        return TenantEpochRecord(
-            epoch=self.epoch,
-            tenant=self.tenant,
-            processing_hours=self.processing_hours,
-            **dict(zip(_TENANT_FIELDS, map(Money, self.amounts))),
-        )
-
-
-class TenantLedger(_EpochLedger[TenantEpochRecord]):
-    """One tenant's attributed cost history under one policy's run."""
-
-    def __init__(self, tenant: str, policy_name: str) -> None:
-        super().__init__(policy_name)
-        self._tenant = tenant
-
-    def append(self, record: TenantEpochRecord) -> None:
-        """Record the next epoch's share (must belong to this tenant)."""
-        if record.tenant != self._tenant:
-            raise SimulationError(
-                f"record for tenant {record.tenant!r} appended to "
-                f"{self._tenant!r}'s ledger"
-            )
-        super().append(record)
-
-    @property
-    def tenant(self) -> str:
-        """The tenant this ledger bills."""
-        return self._tenant
-
-    # -- display --------------------------------------------------------
-
-    def summary(self) -> str:
-        """One comparison line for the tenant."""
-        return (
-            f"{self._tenant:<12} total={self.total_cost}  "
-            f"operating={self.total_operating_cost}  "
-            f"build={self.total_build_cost}  "
-            f"hours={self.total_hours:.2f}"
-        )
-
-    def render(self) -> str:
-        """The tenant's full per-epoch invoice as text."""
-        lines = [f"tenant: {self._tenant}  (policy: {self._policy})"]
-        lines += [r.describe() for r in self._records]
-        lines.append(self.summary())
-        return "\n".join(lines)
-
-
-_Books = TypeVar("_Books")
-
-
-class _FleetBooks(Generic[_Books]):
-    """The fleet's own ledger plus one set of books per tenant.
-
-    The shell :class:`FleetLedger` and :class:`FleetSummary` share;
-    ``_kind`` names the result in its errors.
-    """
-
-    _kind: str
-
-    def __init__(
-        self, fleet: SimulationLedger, tenants: Mapping[str, _Books]
-    ) -> None:
-        if not tenants:
-            raise SimulationError(f"a fleet {self._kind} needs at least one tenant")
-        self._fleet = fleet
-        self._tenants: Dict[str, _Books] = dict(tenants)
-
-    @property
-    def fleet(self) -> SimulationLedger:
-        """The shared warehouse's own per-epoch ledger."""
-        return self._fleet
-
-    @property
-    def tenants(self) -> Mapping[str, _Books]:
-        """Per-tenant books, by tenant name (fleet order)."""
-        return dict(self._tenants)
-
-    @property
-    def policy_name(self) -> str:
-        """The policy that produced this history."""
-        return self._fleet.policy_name
-
-    @property
-    def total_cost(self) -> Money:
-        """The fleet's lifetime bill (equals the sum of tenant bills)."""
-        return self._fleet.total_cost
-
-    def tenant(self, name: str) -> _Books:
-        """One tenant's books, by name."""
-        try:
-            return self._tenants[name]
-        except KeyError:
-            raise SimulationError(
-                f"no tenant named {name!r}; fleet has {self._roster()}"
-            ) from None
-
-    def _roster(self) -> str:
-        """How a missing-tenant error describes the fleet."""
-        return str(sorted(self._tenants))
-
-
-class FleetLedger(_FleetBooks[TenantLedger]):
-    """A fleet run's full accounting: the fleet ledger + tenant ledgers.
-
-    ``fleet`` is the ordinary :class:`SimulationLedger` of the shared
-    warehouse; ``tenants`` maps tenant name to its attributed
-    :class:`TenantLedger`.  The two views describe the same money:
-    :meth:`verify_attribution` re-checks the books and raises if any
-    epoch's tenant shares do not sum exactly to the fleet record.
-    """
-
-    _kind = "ledger"
-
-    def verify_attribution(self) -> None:
-        """Assert the books balance: tenant shares sum to fleet charges.
-
-        Checked exactly (``Decimal`` equality), per epoch and per
-        fleet charge of :data:`~repro.bill.FLEET_CHARGES`.  Tenant ledgers may be
-        *ragged* — an elastic fleet's tenant has records only for the
-        epochs it was present — so each epoch is checked over the
-        tenant records that exist for it.  Raises
-        :class:`~repro.errors.SimulationError` on the first mismatch.
-        """
-        fleet_epochs = {r.epoch for r in self._fleet.records}
-        by_epoch: Dict[int, List[TenantEpochRecord]] = {}
-        for ledger in self._tenants.values():
-            for share in ledger.records:
-                if share.epoch not in fleet_epochs:
-                    raise SimulationError(
-                        f"tenant {ledger.tenant!r} has a record for "
-                        f"epoch {share.epoch}, which the fleet ledger "
-                        f"never billed"
-                    )
-                by_epoch.setdefault(share.epoch, []).append(share)
-        for record in self._fleet.records:
-            shares = by_epoch.get(record.epoch, [])
-            check_books(f"epoch {record.epoch}: tenant {{}} shares", (
-                (charge.name, getattr(record, charge.field),
-                 sum((getattr(s, charge.field) for s in shares), ZERO))
-                for charge in FLEET_CHARGES
-            ))
-
-    def summary(self) -> str:
-        """The fleet comparison line plus one line per tenant."""
-        lines = [self._fleet.summary()]
-        lines += [
-            "  " + ledger.summary() for ledger in self._tenants.values()
-        ]
-        return "\n".join(lines)
-
-    def render(self) -> str:
-        """Fleet ledger followed by every tenant's invoice."""
-        parts = [self._fleet.render()]
-        parts += [ledger.render() for ledger in self._tenants.values()]
-        return "\n\n".join(parts)
-
-
-# ---------------------------------------------------------------------------
-# Streaming aggregation for population-scale fleets
-# ---------------------------------------------------------------------------
-
-
-def _charge_reader(parts: Sequence[str]) -> Callable[[Sequence[Decimal]], Decimal]:
-    """Reads one fleet charge off a tenant's folded amounts: its
-    ``parts`` added in fold order through Money's context, the additions
-    the Money-valued properties make."""
-    pick = itemgetter(*(_TENANT_FIELDS.index(part) for part in parts))
-    if len(parts) == 1:
-        return pick
-    return lambda amounts: reduce(MONEY_CONTEXT.add, pick(amounts))
-
-
-#: Each fleet charge's reader, in :data:`~repro.bill.FLEET_CHARGES` order.
-_CHARGE_READERS = tuple(_charge_reader(charge.parts) for charge in FLEET_CHARGES)
-_operating_of = _charge_reader(_OPERATING)
-
-
-def _with_charge_totals(cls):
-    """Give :class:`TenantTotals` a read-only Money view of each folded
-    charge (``processing_cost``, ...)."""
-    for index, component in enumerate(COMPONENTS):
-        doc = f"Lifetime {component.name} share."
-        total = property(lambda self, i=index: Money(self._sums[i]), doc=doc)
-        setattr(cls, component.field, total)
-    return cls
-
-
-@_with_charge_totals
+@_with_charges("Lifetime")
 class TenantTotals:
-    """One tenant's lifetime totals, folded share by share.
+    """One tenant's books: lifetime totals, folded record by record.
 
-    The streaming counterpart of :class:`TenantLedger`: instead of
-    keeping every :class:`TenantEpochRecord`, it accumulates each
-    component total as shares stream past — O(1) memory per tenant
-    regardless of horizon, which is what lets a 10⁴-tenant run merge
-    shard outputs without materializing the full per-tenant matrix.
-    Folding the same shares in the same order as a
-    :class:`TenantLedger` would hold produces totals exactly equal to
-    the ledger's: each component is summed as a raw ``Decimal`` through
-    Money's own context (the additions Money would make, in identical
-    sequence).  The totals, the CSV row and the books check read those
-    columns directly and wrap a result in
-    :class:`~repro.money.Money` only where one is returned.
+    Keeps each charge's running sum instead of the records — O(1)
+    memory per tenant regardless of horizon, which is what lets a
+    10⁴-tenant run merge shard outputs without materializing the
+    tenant x epoch matrix.  Each charge is summed as a raw ``Decimal``
+    through Money's own context, the additions a sum of the records'
+    Money charges makes in the same order, and ``amounts`` holds the
+    sums in :data:`~repro.bill.COMPONENTS` order, as on a record.  The
+    totals, the CSV row and the books checks read those sums directly
+    and wrap a result in :class:`~repro.money.Money` only where one is
+    returned.
     """
 
     __slots__ = (
         "tenant",
-        "_sums",
+        "amounts",
         "processing_hours",
         "n_records",
         "first_epoch",
@@ -760,16 +568,15 @@ class TenantTotals:
 
     def __init__(self, tenant: str) -> None:
         self.tenant = tenant
-        self._sums: List[Decimal] = [ZERO.amount] * len(COMPONENTS)
+        self.amounts: Tuple[Decimal, ...] = (ZERO.amount,) * len(COMPONENTS)
         self.processing_hours = 0.0
         self.n_records = 0
         self.first_epoch: Optional[int] = None
         self.last_epoch: Optional[int] = None
 
-    def fold(self, share: Union[ShareRow, TenantEpochRecord]) -> None:
-        """Accumulate one epoch's share: a :class:`ShareRow` or a
-        :class:`TenantEpochRecord`, read through the same ``amounts``
-        (must belong to this tenant, and arrive in epoch order)."""
+    def fold(self, share: TenantEpochRecord) -> None:
+        """Accumulate one epoch's share (must belong to this tenant,
+        and arrive in epoch order)."""
         if share.tenant != self.tenant:
             raise SimulationError(
                 f"record for tenant {share.tenant!r} folded into "
@@ -780,27 +587,12 @@ class TenantTotals:
                 f"tenant {self.tenant!r}: epoch {share.epoch} folded "
                 f"after epoch {self.last_epoch}"
             )
-        self._sums = list(map(MONEY_CONTEXT.add, self._sums, share.amounts))
+        self.amounts = tuple(map(MONEY_CONTEXT.add, self.amounts, share.amounts))
         self.processing_hours += share.processing_hours
         self.n_records += 1
         if self.first_epoch is None:
             self.first_epoch = share.epoch
         self.last_epoch = share.epoch
-
-    @property
-    def operating_cost(self) -> Money:
-        """Lifetime steady-state share."""
-        return Money(_operating_of(self._sums))
-
-    def _total(self) -> Decimal:
-        """The lifetime bill as a raw ``Decimal``."""
-        return reduce(MONEY_CONTEXT.add, self._sums)
-
-    @property
-    def total_cost(self) -> Money:
-        """The tenant's lifetime attributed bill, folded in
-        :data:`~repro.bill.COMPONENTS` order."""
-        return Money(self._total())
 
     #: CSV column names for :meth:`row`, in order: one per charge.
     CSV_HEADER = (
@@ -821,8 +613,8 @@ class TenantTotals:
             "" if self.first_epoch is None else str(self.first_epoch),
             "" if self.last_epoch is None else str(self.last_epoch),
             str(self.n_records),
-            str(self._total()),
-            *map(str, self._sums),
+            str(_fold(self.amounts)),
+            *map(str, self.amounts),
             f"{self.processing_hours:.10g}",
         )
 
@@ -841,19 +633,80 @@ class TenantTotals:
         )
 
 
-class FleetSummary(_FleetBooks[TenantTotals]):
-    """A population-scale fleet run's books: fleet ledger + streamed
-    per-tenant totals.
+@_with_lifetime_totals(attrgetter)
+class TenantLedger(TenantTotals):
+    """One tenant's attributed cost history under one policy's run.
 
-    The streaming counterpart of :class:`FleetLedger` — produced by
-    :meth:`~repro.simulate.tenants.MultiTenantSimulator.run_sharded`,
-    which folds each shard's :class:`TenantEpochRecord` stream into
-    :class:`TenantTotals` without ever holding the full per-tenant
-    record matrix.  ``shards`` records how the attribution work was
-    partitioned (results are byte-identical for any value).
+    The tenant's :class:`TenantTotals` that also keeps every record it
+    folds, in epoch order.  Its lifetime totals (``total_cost``,
+    ``total_<charge>_cost``, ``total_hours``) read the fold.
     """
 
-    _kind = "summary"
+    __slots__ = ("_policy", "_records")
+
+    def __init__(self, tenant: str, policy_name: str) -> None:
+        super().__init__(tenant)
+        self._policy = policy_name
+        self._records: List[TenantEpochRecord] = []
+
+    def fold(self, share: TenantEpochRecord) -> None:
+        """Fold the next epoch's share and keep its record."""
+        super().fold(share)
+        self._records.append(share)
+
+    @property
+    def policy_name(self) -> str:
+        """The policy that produced this history."""
+        return self._policy
+
+    @property
+    def records(self) -> Tuple[TenantEpochRecord, ...]:
+        """Every epoch's record, in order."""
+        return tuple(self._records)
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def __iter__(self) -> Iterator[TenantEpochRecord]:
+        return iter(self._records)
+
+    total_hours = property(
+        attrgetter("processing_hours"),
+        doc="Lifetime processing hours (the response-time metric).",
+    )
+
+    # -- display --------------------------------------------------------
+
+    def summary(self) -> str:
+        """One comparison line for the tenant."""
+        return (
+            f"{self.tenant:<12} total={self.total_cost}  "
+            f"operating={self.total_operating_cost}  "
+            f"build={self.total_build_cost}  "
+            f"hours={self.total_hours:.2f}"
+        )
+
+    def render(self) -> str:
+        """The tenant's full per-epoch invoice as text."""
+        lines = [f"tenant: {self.tenant}  (policy: {self._policy})"]
+        lines += [r.describe() for r in self._records]
+        lines.append(self.summary())
+        return "\n".join(lines)
+
+
+class FleetSummary:
+    """A fleet run's books: the fleet's own ledger plus each tenant's.
+
+    ``fleet`` is the shared warehouse's :class:`SimulationLedger`;
+    ``tenants`` maps each tenant name to its :class:`TenantTotals`, in
+    fleet order.
+    :meth:`~repro.simulate.tenants.MultiTenantSimulator.run_sharded`
+    folds each shard's :class:`TenantEpochRecord` stream into the
+    totals without ever holding the tenant x epoch matrix; ``shards``
+    records how the attribution work was partitioned (results are
+    byte-identical for any value).  :class:`FleetLedger` is the
+    in-process run's summary, whose tenant books keep their records.
+    """
 
     def __init__(
         self,
@@ -861,31 +714,59 @@ class FleetSummary(_FleetBooks[TenantTotals]):
         tenants: Mapping[str, TenantTotals],
         shards: int = 1,
     ) -> None:
-        super().__init__(fleet, tenants)
+        if not tenants:
+            raise SimulationError("a fleet's books need at least one tenant")
+        self._fleet = fleet
+        self._tenants: Dict[str, TenantTotals] = dict(tenants)
         self._shards = shards
+
+    @property
+    def fleet(self) -> SimulationLedger:
+        """The shared warehouse's own per-epoch ledger."""
+        return self._fleet
+
+    @property
+    def tenants(self) -> Mapping[str, TenantTotals]:
+        """Per-tenant books, by tenant name (fleet order)."""
+        return dict(self._tenants)
+
+    @property
+    def policy_name(self) -> str:
+        """The policy that produced this history."""
+        return self._fleet.policy_name
+
+    @property
+    def total_cost(self) -> Money:
+        """The fleet's lifetime bill (equals the sum of tenant bills)."""
+        return self._fleet.total_cost
 
     @property
     def shards(self) -> int:
         """How many attribution shards produced these totals."""
         return self._shards
 
-    def _roster(self) -> str:
-        return f"{len(self._tenants)} tenants"
+    def tenant(self, name: str) -> TenantTotals:
+        """One tenant's books, by name."""
+        try:
+            return self._tenants[name]
+        except KeyError:
+            raise SimulationError(
+                f"no tenant named {name!r}; the fleet has "
+                f"{len(self._tenants)} tenants"
+            ) from None
 
     def verify_totals(self) -> None:
         """Assert the books balance: per-charge tenant totals sum
         exactly to the fleet ledger's lifetime totals.
 
-        Each charge is summed over the tenants' folded columns in fleet
-        order from zero, the additions a sum of the Money-valued
-        properties makes, and wrapped in Money once."""
-        folded = [totals._sums for totals in self._tenants.values()]
-        add, zero = MONEY_CONTEXT.add, ZERO.amount
-        check_books("lifetime {}: tenant totals", (
-            (charge.name, getattr(self._fleet, f"total_{charge.field}"),
-             Money(reduce(add, map(read, folded), zero)))
-            for charge, read in zip(FLEET_CHARGES, _CHARGE_READERS)
-        ))
+        Each charge is summed over the tenants' folded amounts in fleet
+        order from zero, the additions a sum of the Money-valued totals
+        makes, and wrapped in Money once."""
+        _check_tenant_sums(
+            "lifetime {}: tenant totals",
+            (getattr(self._fleet, f"total_{c.field}") for c in FLEET_CHARGES),
+            [totals.amounts for totals in self._tenants.values()],
+        )
 
     def summary(self) -> str:
         """The fleet comparison line plus a tenant-population line."""
@@ -911,7 +792,62 @@ class FleetSummary(_FleetBooks[TenantTotals]):
     def to_csv(self) -> str:
         """The per-tenant totals as CSV text (header + one row per
         tenant, fleet order, full-precision amounts) — the artifact
-        the determinism job ``cmp``\\ s across shard counts."""
+        the determinism job ``cmp``\\ s across shard counts and
+        routes."""
         lines = [",".join(TenantTotals.CSV_HEADER)]
         lines += [",".join(t.row()) for t in self._tenants.values()]
         return "\n".join(lines) + "\n"
+
+
+class FleetLedger(FleetSummary):
+    """A fleet run's full accounting: the fleet ledger + tenant ledgers.
+
+    The :class:`FleetSummary` of
+    :meth:`~repro.simulate.tenants.MultiTenantSimulator.run`: each
+    tenant's books are a :class:`TenantLedger` keeping every record.
+    The two views describe the same money: :meth:`verify_attribution`
+    re-checks the books and raises if any epoch's tenant shares do not
+    sum exactly to the fleet record.
+    """
+
+    def verify_attribution(self) -> None:
+        """Assert the books balance: tenant shares sum to fleet charges.
+
+        Checked exactly (``Decimal`` equality), per epoch and per
+        fleet charge of :data:`~repro.bill.FLEET_CHARGES`.  Tenant ledgers may be
+        *ragged* — an elastic fleet's tenant has records only for the
+        epochs it was present — so each epoch is checked over the
+        tenant records that exist for it.  Raises
+        :class:`~repro.errors.SimulationError` on the first mismatch.
+        """
+        fleet_epochs = {r.epoch for r in self._fleet.records}
+        by_epoch: Dict[int, List[Tuple[Decimal, ...]]] = {}
+        for ledger in self._tenants.values():
+            for share in ledger.records:
+                if share.epoch not in fleet_epochs:
+                    raise SimulationError(
+                        f"tenant {ledger.tenant!r} has a record for "
+                        f"epoch {share.epoch}, which the fleet ledger "
+                        f"never billed"
+                    )
+                by_epoch.setdefault(share.epoch, []).append(share.amounts)
+        for record in self._fleet.records:
+            _check_tenant_sums(
+                f"epoch {record.epoch}: tenant {{}} shares",
+                _fleet_amounts(record),
+                by_epoch.get(record.epoch, ()),
+            )
+
+    def summary(self) -> str:
+        """The fleet comparison line plus one line per tenant."""
+        lines = [self._fleet.summary()]
+        lines += [
+            "  " + ledger.summary() for ledger in self._tenants.values()
+        ]
+        return "\n".join(lines)
+
+    def render(self) -> str:
+        """Fleet ledger followed by every tenant's invoice."""
+        parts = [self._fleet.render()]
+        parts += [ledger.render() for ledger in self._tenants.values()]
+        return "\n\n".join(parts)

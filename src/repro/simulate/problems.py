@@ -151,8 +151,6 @@ class EpochProblemBuilder:
         self._catalogue: Tuple[CandidateView, ...] = tuple(catalogue)
         self._problems: Dict[Hashable, SelectionProblem] = {}
         self._worlds: Dict[Hashable, _PricedWorld] = {}
-        #: Problems actually constructed (not served from the cache).
-        self.builds = 0
         #: Queries priced through the estimator (not reused), summed
         #: over every (dataset, cluster) world.
         self.queries_priced = 0
@@ -207,5 +205,4 @@ class EpochProblemBuilder:
         self.queries_priced += fresh
         problem = SelectionProblem(inputs)
         self._problems[key] = problem
-        self.builds += 1
         return problem

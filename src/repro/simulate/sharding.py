@@ -6,13 +6,13 @@ the per-tenant products of an epoch's
 :meth:`~repro.simulate.attribution.SharedCostAttributor.component_plan`
 into contiguous tenant ranges (optionally across worker processes)
 and streams the :func:`~repro.simulate.attribution.merge_epoch`
-rows back — one :class:`~repro.simulate.ledger.ShareRow` of raw
-``Decimal`` charges per tenant-epoch — so a population-scale caller
-can fold them into :class:`~repro.simulate.ledger.TenantTotals`
-without building a record per share or materializing the tenant x
-epoch matrix.  Each shard's work order carries every distinct weight
-vector of the plan once, so a worker converts each weight ratio once
-and multiplies it by every entry that shares it.
+records back — one :class:`~repro.simulate.ledger.TenantEpochRecord`
+of raw ``Decimal`` charges per tenant-epoch — so a population-scale
+caller can fold them into :class:`~repro.simulate.ledger.TenantTotals`
+without materializing the tenant x epoch matrix.  Each shard's work
+order carries every distinct weight vector of the plan once, so a
+worker converts each weight ratio once and multiplies it by every
+entry that shares it.
 
 **Why the results are byte-identical for any shard count.**  A
 non-last tenant's share is an independent product, so a shard
@@ -38,7 +38,7 @@ from .attribution import (
     shard_payload,
     shard_products,
 )
-from .ledger import EpochRecord, ShareRow
+from .ledger import EpochRecord, TenantEpochRecord
 
 __all__ = ["ShardedAttribution", "shard_bounds"]
 
@@ -131,16 +131,18 @@ class ShardedAttribution:
         record: EpochRecord,
         breakdown,
         tenants: Optional[Sequence[str]] = None,
-    ) -> Iterator[ShareRow]:
+    ) -> Iterator[TenantEpochRecord]:
         """One epoch's per-tenant shares, merged from shard products.
 
-        Yields the epoch's :class:`~repro.simulate.ledger.ShareRow`\\ s
-        in tenant order (active split first, then departure
-        settlements) after :func:`~repro.simulate.attribution.
-        merge_epoch` has checked that every component's shares sum
-        exactly to the fleet record; ``row.record()`` builds a share's
-        full record where one is kept.  The globally-last tenant takes
-        a residual, so its product is never computed.
+        Yields the epoch's
+        :class:`~repro.simulate.ledger.TenantEpochRecord`\\ s in tenant
+        order (active split first, then departure settlements) after
+        :func:`~repro.simulate.attribution.merge_epoch` has checked
+        that every component's shares sum exactly to the fleet record:
+        the records :meth:`~repro.simulate.attribution.
+        SharedCostAttributor.attribute` gives in-process.  The
+        globally-last tenant takes a residual, so its product is never
+        computed.
         """
         entries, hours = self._attributor.component_plan(
             problem, record, breakdown, tenants

@@ -158,10 +158,10 @@ class WarehouseState:
         Returns
         -------
         Hashable
-            The workload's queries, the :meth:`dataset_key` and the
-            deployment, each compared by value.
+            The workload, the :meth:`dataset_key` and the deployment,
+            each compared by value.
         """
-        return (self.workload.queries, self.dataset_key(), self.deployment)
+        return (self.workload, self.dataset_key(), self.deployment)
 
     def dataset_key(self) -> Hashable:
         """The dataset's share of the identity.

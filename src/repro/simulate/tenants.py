@@ -34,20 +34,23 @@ epoch itself carries only the tenant's settlement record.  Tenant
 ledgers become ragged (records only for present epochs) and the
 sum-to-fleet invariant holds per epoch over the tenants present.
 
-**One observer, two routes.**  :meth:`MultiTenantSimulator.run`
-computes each epoch's split in-process and keeps every record in a
+**One observer, two routes.**  Both routes share one observer, plan
+and merge, and fold the same
+:class:`~repro.simulate.ledger.TenantEpochRecord`\\ s into each
+tenant's books.  :meth:`MultiTenantSimulator.run` computes each
+epoch's split in-process and keeps every record in a
 :class:`~repro.simulate.ledger.TenantLedger`;
 :meth:`MultiTenantSimulator.run_sharded`, the population-scale route,
 computes it across tenant shards (:mod:`repro.simulate.sharding`) and
-folds the records into :class:`~repro.simulate.ledger.TenantTotals` —
-O(tenants) memory instead of O(tenants x epochs).  Both share one
-observer, plan and merge, so their totals are the same bytes.
+keeps only each tenant's :class:`~repro.simulate.ledger.TenantTotals`
+— O(tenants) memory instead of O(tenants x epochs).  Their totals and
+CSVs are the same bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..costmodel.params import DeploymentSpec
 from ..cube.views import CandidateView
@@ -75,7 +78,8 @@ from .events import (
     TenantRoster,
 )
 from .ledger import (
-    FleetLedger, FleetSummary, ShareRow, SimulationLedger, TenantLedger, TenantTotals,
+    FleetLedger, FleetSummary, SimulationLedger, TenantEpochRecord, TenantLedger,
+    TenantTotals,
 )
 from .policy import ReselectionPolicy
 from .problems import EpochProblemBuilder
@@ -539,20 +543,19 @@ class MultiTenantSimulator:
     def _observe(
         self,
         policy: ReselectionPolicy,
-        route: Callable[..., Iterable],
-        sink: Callable,
+        route: Callable[..., Iterable[TenantEpochRecord]],
+        books: Mapping[str, TenantTotals],
         observer: Optional[EpochObserver] = None,
     ) -> SimulationLedger:
         """The one attribution observer behind :meth:`run` and
         :meth:`run_sharded`; returns the fleet's own ledger.
 
         ``route(problem, record, breakdown, tenants)`` yields an
-        epoch's tenant shares in global tenant order (``tenants`` is
-        the active set of an elastic fleet, else ``None``): records, or
-        :class:`~repro.simulate.ledger.ShareRow`\\ s on the streaming
-        route.  Each share goes to ``sink`` and, in that order and in
-        this process, to the explain fold as a record, so the explain
-        stream does not depend on the route.
+        epoch's tenant records in global tenant order (``tenants`` is
+        the active set of an elastic fleet, else ``None``).  Each
+        record folds into its tenant's ``books`` and then, in this
+        process, feeds the explain fold, so the explain stream does
+        not depend on the route.
         """
         elastic = self._fleet.is_elastic
         telemetry = current_telemetry()
@@ -568,10 +571,8 @@ class MultiTenantSimulator:
                 else None
             )
             for share in route(problem, record, breakdown, active):
-                sink(share)
+                books[share.tenant].fold(share)
                 if fold is not None:
-                    if isinstance(share, ShareRow):
-                        share = share.record()
                     explain.emit(fold.feed(share))
             if telemetry.enabled and (record.arrivals or record.departures):
                 telemetry.inc("fleet.arrivals", len(record.arrivals))
@@ -590,8 +591,9 @@ class MultiTenantSimulator:
 
         The in-process route: every epoch's records come from
         :meth:`~repro.simulate.attribution.SharedCostAttributor.attribute`
-        and are kept, one :class:`~repro.simulate.ledger.TenantLedger`
-        per tenant.  ``observer`` (the standard
+        and are folded and kept, one
+        :class:`~repro.simulate.ledger.TenantLedger` per tenant.
+        ``observer`` (the standard
         :class:`~repro.simulate.simulator.EpochObserver` contract) is
         composed *after* attribution via
         :func:`~repro.simulate.simulator.compose_observers`, so
@@ -605,7 +607,7 @@ class MultiTenantSimulator:
         fleet_ledger = self._observe(
             policy,
             lambda *epoch: self._attributor.attribute(*epoch).values(),
-            lambda share: ledgers[share.tenant].append(share),
+            ledgers,
             observer,
         )
         result = FleetLedger(fleet_ledger, ledgers)
@@ -623,14 +625,12 @@ class MultiTenantSimulator:
         The population-scale route of :meth:`run`'s observer: each
         epoch's products are partitioned into ``shards`` contiguous
         tenant ranges (evaluated across ``jobs`` worker processes when
-        ``jobs > 1``), and the stream of
-        :class:`~repro.simulate.ledger.ShareRow`\\ s is folded into
-        :class:`~repro.simulate.ledger.TenantTotals` — no record is
-        built unless an explain log is active, and the tenant x epoch
-        matrix is never materialized.  Both routes share one plan and
-        one merge, so the totals are byte-identical for any ``shards``
-        / ``jobs`` and equal to :meth:`run`'s ledgers folded record by
-        record.
+        ``jobs > 1``), and the stream of records is folded into
+        :class:`~repro.simulate.ledger.TenantTotals` without keeping a
+        record, so the tenant x epoch matrix is never materialized.
+        Both routes share one plan and one merge, so the totals are
+        byte-identical for any ``shards`` / ``jobs`` and to
+        :meth:`run`'s: ``to_csv()`` gives the same bytes on either.
         """
         from .sharding import ShardedAttribution
 
@@ -638,9 +638,7 @@ class MultiTenantSimulator:
         sharded = ShardedAttribution(self._attributor, shards=shards, jobs=jobs)
         try:
             fleet_ledger = self._observe(
-                policy,
-                sharded.attribute_streaming,
-                lambda share: totals[share.tenant].fold(share),
+                policy, sharded.attribute_streaming, totals
             )
         finally:
             sharded.close()

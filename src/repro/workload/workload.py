@@ -186,6 +186,18 @@ class Workload:
     def __iter__(self) -> Iterator[AggregateQuery]:
         return iter(self.queries)
 
+    def __eq__(self, other: object) -> bool:
+        """Equal workloads query the same schema object (drift never
+        changes the star) with equal queries, in the same order."""
+        if not isinstance(other, Workload):
+            return NotImplemented
+        return self is other or (
+            self._schema is other._schema and self.queries == other.queries
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.queries)
+
     def prefix(self, m: int) -> "Workload":
         """The first ``m`` queries as a workload (paper's m=3/5/10)."""
         if not 1 <= m <= self._size:

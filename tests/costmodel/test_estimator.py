@@ -37,6 +37,27 @@ def inputs(sales_dataset_10gb, deployment):
     )
 
 
+class TestInputsAreValues:
+    def test_inputs_from_equal_workloads_are_equal(
+        self, sales_dataset_10gb, deployment
+    ):
+        schema = sales_dataset_10gb.schema
+        estimator = PlanningEstimator(sales_dataset_10gb, deployment)
+        candidates = candidates_from_workload(
+            CuboidLattice(schema), paper_sales_workload(schema, 5)
+        )
+
+        def inputs_for(workload):
+            return estimator.build(workload, candidates)
+
+        first = inputs_for(paper_sales_workload(schema, 5))
+        second = inputs_for(paper_sales_workload(schema, 5))
+        assert first.workload is not second.workload
+        assert first == second
+        reweighted = paper_sales_workload(schema, 5).reweighted({"Q1": 7.0})
+        assert inputs_for(reweighted) != first
+
+
 class TestModes:
     def test_unknown_mode_rejected(self, sales_dataset_10gb, deployment):
         with pytest.raises(CostModelError):

@@ -356,7 +356,7 @@ class TestArbitragePolicy:
     def test_empty_market_is_a_passthrough(self, world):
         simulator = _simulator(world, sales_deployment(), market=())
         wrapped = simulator.run(
-            ArbitrageAware(make_policy("never"), horizon=6)
+            ArbitrageAware(make_policy("never"), horizon=6, hysteresis=2)
         )
         plain = _simulator(world, sales_deployment(), market=()).run(
             make_policy("never")
@@ -367,11 +367,15 @@ class TestArbitragePolicy:
     def test_validation_and_describe(self):
         inner = make_policy("regret")
         with pytest.raises(SimulationError, match="horizon"):
-            ArbitrageAware(inner, horizon=0)
+            ArbitrageAware(inner, horizon=0, hysteresis=2)
         with pytest.raises(SimulationError, match="hysteresis"):
-            ArbitrageAware(inner, hysteresis=0)
+            ArbitrageAware(inner, horizon=6, hysteresis=0)
         with pytest.raises(SimulationError, match="nest"):
-            ArbitrageAware(ArbitrageAware(inner))
+            ArbitrageAware(
+                ArbitrageAware(inner, horizon=6, hysteresis=2),
+                horizon=6,
+                hysteresis=2,
+            )
         assert (
             ArbitrageAware(inner, horizon=6, hysteresis=2).describe()
             == "arbitrage[regret(>0.05), h=6, hold 2]"

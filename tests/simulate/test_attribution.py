@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import random
 from decimal import Decimal
+from functools import reduce
+from operator import add, attrgetter
 from typing import Dict, Mapping, Sequence
 
 import pytest
 
-from repro.bill import COMPONENTS
+from repro.bill import COMPONENTS, FLEET_CHARGES
 from repro.errors import SimulationError
 from repro.money import Money, ZERO
 from repro.simulate import SharedCostAttributor, tenant_of_query
@@ -19,7 +21,13 @@ from repro.simulate.attribution import (
     shard_payload,
     shard_products,
 )
-from repro.simulate.ledger import ShareRow, TenantEpochRecord, TenantTotals
+from repro.simulate.ledger import (
+    FleetLedger,
+    FleetSummary,
+    TenantEpochRecord,
+    TenantLedger,
+    TenantTotals,
+)
 from repro.simulate.sharding import shard_bounds
 
 
@@ -228,45 +236,84 @@ class TestMergeMatchesReference:
                 }, f"draw {draw}: {n} tenants on {shards} shards ({mode})"
 
 
+def _draw_record(rng, epoch, tenant="t"):
+    """A tenant record of random charges; zero products keep their
+    exponent (``0E-19``)."""
+    return TenantEpochRecord(
+        epoch,
+        tenant,
+        rng.random() * 100,
+        tuple(
+            rng.choice((_draw_amount(rng), Money(Decimal("0E-19")), ZERO)).amount
+            for _ in COMPONENTS
+        ),
+    )
+
+
+class TestTenantEpochRecord:
+    def test_the_record_is_the_merge_row(self):
+        assert TenantEpochRecord._fields == (
+            "epoch", "tenant", "processing_hours", "amounts",
+        )
+
+    def test_each_charge_reads_its_amount(self):
+        rng = random.Random(3)
+        for epoch in range(40):
+            record = _draw_record(rng, epoch)
+            charges = [getattr(record, c.field) for c in COMPONENTS]
+            assert [repr(charge) for charge in charges] == [
+                repr(Money(amount)) for amount in record.amounts
+            ]
+            assert repr(record.total_cost) == repr(reduce(add, charges))
+            assert repr(record.operating_cost) == repr(reduce(add, charges[:4]))
+
+
 class TestTenantTotalsFold:
-    def test_rows_and_records_fold_to_equal_rows(self):
-        """A share folds the same as a row or as its record: one fold
-        reads both through ``amounts``."""
+    def test_ledger_totals_equal_record_by_record_sums(self):
+        """A ledger's totals read its fold, yet are repr-equal to its
+        records' Money charges summed record by record from ZERO."""
         rng = random.Random(7)
-        by_rows, by_records = TenantTotals("t"), TenantTotals("t")
-        for epoch in range(6):
-            record = TenantEpochRecord(
-                epoch=epoch,
-                tenant="t",
-                processing_hours=rng.random() * 100,
-                # Zero products keep their exponent (``0E-19``).
-                **{
-                    field: rng.choice(
-                        (_draw_amount(rng), Money(Decimal("0E-19")), ZERO)
-                    )
-                    for field in (component.field for component in COMPONENTS)
-                },
-            )
-            row = ShareRow(epoch, "t", record.processing_hours, record.amounts)
-            assert row.record() == record
-            by_rows.fold(row)
-            by_records.fold(record)
-        assert by_rows.row() == by_records.row()
-        assert repr(by_rows.total_cost) == repr(by_records.total_cost)
-        assert repr(by_rows.operating_cost) == repr(by_records.operating_cost)
+        for draw in range(40):
+            ledger = TenantLedger("t", "policy")
+            for epoch in range(rng.randint(0, 8)):
+                ledger.fold(_draw_record(rng, epoch))
+            records = ledger.records
 
-    @pytest.mark.parametrize("as_record", (False, True), ids=("row", "record"))
-    def test_fold_refuses_other_tenants_and_past_epochs(self, as_record):
+            def summed(field):
+                return repr(sum(map(attrgetter(field), records), ZERO))
+
+            assert repr(ledger.total_cost) == summed("total_cost"), draw
+            for charge in FLEET_CHARGES:
+                total = getattr(ledger, f"total_{charge.field}")
+                assert repr(total) == summed(charge.field), (draw, charge)
+            for component in COMPONENTS:
+                total = getattr(ledger, component.field)
+                assert repr(total) == summed(component.field), (draw, component)
+            assert ledger.total_hours == sum(r.processing_hours for r in records)
+            assert ledger.n_records == len(records)
+
+    def test_tenant_books_are_one_fold(self):
+        assert issubclass(TenantLedger, TenantTotals)
+        assert issubclass(FleetLedger, FleetSummary)
+
+    @pytest.mark.parametrize(
+        "books",
+        (lambda: TenantTotals("t"), lambda: TenantLedger("t", "policy")),
+        ids=("totals", "ledger"),
+    )
+    def test_fold_refuses_other_tenants_and_past_epochs(self, books):
         def share(epoch, tenant):
-            row = ShareRow(epoch, tenant, 0.0, (ZERO.amount,) * len(COMPONENTS))
-            return row.record() if as_record else row
+            return TenantEpochRecord(
+                epoch, tenant, 0.0, (ZERO.amount,) * len(COMPONENTS)
+            )
 
-        totals = TenantTotals("t")
+        totals = books()
         with pytest.raises(SimulationError, match="tenant 'u' folded into 't'"):
             totals.fold(share(0, "u"))
         totals.fold(share(1, "t"))
         with pytest.raises(SimulationError, match="epoch 1 folded after epoch 1"):
             totals.fold(share(1, "t"))
+        assert totals.n_records == 1
 
 
 class TestTenantOfQuery:

@@ -16,6 +16,7 @@ from decimal import Decimal
 
 import pytest
 
+from repro.bill import COMPONENTS
 from repro.errors import SimulationError
 from repro.money import MONEY_CONTEXT, Money
 from repro.simulate import (
@@ -103,6 +104,14 @@ class TestShardedStreaming:
         assert narrow.to_csv() == wide.to_csv()
         assert wide.shards == 16
 
+    def test_in_memory_run_writes_the_sharded_csv(self, elastic_sim):
+        """The in-process route's ledgers are tenant totals too: its
+        CSV is the sharded route's, byte for byte."""
+        ledger = elastic_sim.run(NeverReselect())
+        summary = elastic_sim.run_sharded(NeverReselect(), shards=3)
+        assert ledger.to_csv() == summary.to_csv()
+        ledger.verify_totals()
+
     def test_invalid_configuration_rejected(self, elastic_sim):
         with pytest.raises(SimulationError, match="shards must be >= 1"):
             ShardedAttribution(elastic_sim.attributor, shards=0)
@@ -187,6 +196,9 @@ def _assert_exact_report(error, prefix, fleet_amount):
     assert tenant_sum == MONEY_CONTEXT.add(fleet, difference)
 
 
+#: A tenant record's charge fields, in ``amounts`` order.
+FIELDS = [component.field for component in COMPONENTS]
+
 #: Every fleet charge the books checks compare, with a tenant record
 #: field that books into it.
 BOOKED = (
@@ -204,7 +216,9 @@ def _slivered(tenant, record, field):
     """Tenant a's epoch-1 record one ``SLIVER`` over on ``field``."""
     if tenant != "a" or record.epoch != 1:
         return record
-    return replace(record, **{field: getattr(record, field) + SLIVER})
+    amounts = list(record.amounts)
+    amounts[FIELDS.index(field)] = (getattr(record, field) + SLIVER).amount
+    return record._replace(amounts=tuple(amounts))
 
 
 class TestUnbalancedBooksReportExactAmounts:
@@ -234,7 +248,7 @@ class TestUnbalancedBooksReportExactAmounts:
         for name, tenant_ledger in ledger.tenants.items():
             copy = TenantLedger(name, tenant_ledger.policy_name)
             for record in tenant_ledger.records:
-                copy.append(_slivered(name, record, field))
+                copy.fold(_slivered(name, record, field))
             doctored[name] = copy
         with pytest.raises(SimulationError) as error:
             FleetLedger(ledger.fleet, doctored).verify_attribution()

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import pytest
 
@@ -24,13 +24,6 @@ from repro.simulate import (
 )
 from repro.simulate.presets import elastic_multi_tenant_simulator
 from repro.workload import AggregateQuery
-
-
-def _world(inputs):
-    """Every field of ``inputs``, its workload by value (its queries)."""
-    return [inputs.workload.queries] + [
-        getattr(inputs, f.name) for f in fields(inputs) if f.name != "workload"
-    ]
 
 
 @pytest.fixture()
@@ -109,7 +102,7 @@ class TestEpochProblemBuilder:
         first = builder.problem_for(initial_state)
         second = builder.problem_for(initial_state)
         assert first is second
-        assert builder.builds == 1
+        assert builder.problems_cached == 1
 
     @pytest.mark.parametrize(
         "unkeyed",
@@ -131,7 +124,7 @@ class TestEpochProblemBuilder:
         problem.evaluate(frozenset({"V1"}))
         assert problem is builder.problem_for(initial_state)
         assert (problem.stats.priced, problem.stats.hits) == (1, 1)
-        assert builder.builds == 1
+        assert builder.problems_cached == 1
 
     def test_evaluation_stats_sum_every_problem(self, builder, initial_state):
         first = builder.problem_for(initial_state)
@@ -154,7 +147,7 @@ class TestEpochProblemBuilder:
         assert incremental.result_sizes_gb == batch.result_sizes_gb
         assert incremental.view_stats == batch.view_stats
         assert incremental.dataset_gb == batch.dataset_gb
-        assert _world(incremental) == _world(batch)
+        assert incremental == batch
 
     def test_adding_one_query_prices_one_query(self, builder, initial_state):
         builder.problem_for(initial_state)
@@ -182,7 +175,7 @@ class TestEpochProblemBuilder:
         builder.problem_for(dropped)
         builder.problem_for(reweighted)
         assert builder.queries_priced == priced_before
-        assert builder.builds == 3  # three problems, zero new pricings
+        assert builder.problems_cached == 3  # three problems, zero new pricings
 
     def test_growth_opens_a_new_world(self, builder, initial_state):
         builder.problem_for(initial_state)
@@ -218,7 +211,12 @@ def _market_sweep():
     simulator = drifting_sales_simulator(
         n_epochs=DRIFT_MIN_EPOCHS, n_rows=2_000, market=default_market()
     )
-    simulator.compare([ArbitrageAware(make_policy(p)) for p in POLICIES])
+    simulator.compare(
+        [
+            ArbitrageAware(make_policy(p), horizon=6, hysteresis=2)
+            for p in POLICIES
+        ]
+    )
 
 
 def _fleet_sweep():
@@ -254,7 +252,7 @@ class TestOneProblemPerWorld:
         monkeypatch.setattr(EpochProblemBuilder, "problem_for", recording)
         sweep()
         (problems,) = returned.values()  # one simulator, one builder
-        worlds = [_world(p.inputs) for p in problems.values()]
+        worlds = [p.inputs for p in problems.values()]
         assert len(worlds) > 1
         for i, world in enumerate(worlds):
             assert world not in worlds[i + 1 :]
@@ -289,14 +287,12 @@ class TestPhysicsKeyedWorlds:
         problems = [builder.problem_for(state) for state in states]
         assert builder.worlds_built == 1
         assert builder.queries_priced == priced_after_first
-        assert builder.builds == len(states)
+        assert builder.problems_cached == len(states)
         for state, problem in zip(states, problems):
             # Each problem keeps its own book: the stamped deployment
             # and everything derived from it match the batch path's.
             assert problem.inputs.deployment is state.deployment
-            assert _world(problem.inputs) == _world(
-                _batch_inputs(state, builder.catalogue)
-            )
+            assert problem.inputs == _batch_inputs(state, builder.catalogue)
 
     def test_shared_world_bills_each_book_at_its_own_rates(
         self, builder, initial_state
@@ -339,9 +335,7 @@ class TestPhysicsKeyedWorlds:
         builder.problem_for(initial_state)
         problem = builder.problem_for(changed)
         assert builder.worlds_built == 2
-        assert _world(problem.inputs) == _world(
-            _batch_inputs(changed, builder.catalogue)
-        )
+        assert problem.inputs == _batch_inputs(changed, builder.catalogue)
 
     def test_malformed_candidate_grain_fails_when_its_world_is_built(
         self, builder, initial_state

@@ -247,18 +247,18 @@ class TestAttributionExactness:
         )
 
     def test_verify_attribution_catches_cooked_books(self, fleet_ledgers):
-        from dataclasses import replace
-
+        from repro.bill import COMPONENTS
         from repro.simulate import FleetLedger, TenantLedger
 
+        storage = [c.field for c in COMPONENTS].index("storage_cost")
         fleet_ledger = next(iter(fleet_ledgers.values()))
         cooked = {}
         for name, ledger in fleet_ledger.tenants.items():
             copy = TenantLedger(name, ledger.policy_name)
             for record in ledger.records:
-                copy.append(
-                    replace(record, storage_cost=record.storage_cost * 2)
-                )
+                amounts = list(record.amounts)
+                amounts[storage] = (record.storage_cost * 2).amount
+                copy.fold(record._replace(amounts=tuple(amounts)))
             cooked[name] = copy
         broken = FleetLedger(fleet_ledger.fleet, cooked)
         with pytest.raises(SimulationError, match="shares"):

@@ -302,6 +302,49 @@ class TestSimulate:
         assert code == 1
         assert "n_epochs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        (
+            ["--algorithm", "beam", "--search-budget", "0", "--tenants", "3"],
+            ["--migration-hold", "3", "--tenants", "2"],
+        ),
+        ids=("search-budget", "migration-hold"),
+    )
+    def test_bad_policy_flags_fail_before_the_fleet_prints(
+        self, capsys, flags
+    ):
+        code = main(["simulate", *flags, "--rows", "5000", "--quiet"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_tenant_csv_needs_no_shards(self, tmp_path, capsys):
+        """The in-memory route writes the sharded route's CSV bytes."""
+        argv = [
+            "simulate",
+            "--tenants", "3",
+            "--tenant-churn", "0.4",
+            "--seed", "7",
+            "--rows", "5000",
+            "--epochs", "6",
+            "--quiet",
+        ]
+        in_memory = tmp_path / "memory.csv"
+        sharded = tmp_path / "sharded.csv"
+        one = ["--policy", "never"]
+        assert main(argv + one + ["--tenant-csv", str(in_memory)]) == 0
+        assert main(
+            argv + one + ["--shards", "2", "--tenant-csv", str(sharded)]
+        ) == 0
+        capsys.readouterr()
+        assert in_memory.read_bytes() == sharded.read_bytes()
+        assert main(argv + ["--tenant-csv", str(in_memory)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "single --policy" in captured.err
+
 
 class TestNoOracleFlag:
     """The oracle switch is ``SelectionProblem(inputs, kernel=False)``

@@ -66,6 +66,30 @@ class TestWorkload:
             workload.prefix(11)
 
 
+class TestWorkloadValue:
+    """Two workloads built alike are one value: ``==``, ``hash`` and
+    set membership agree, so planning inputs and warehouse states
+    holding them compare by value too."""
+
+    def test_workloads_built_alike_are_one_value(self, schema):
+        first = paper_sales_workload(schema, 5)
+        second = paper_sales_workload(schema, 5)
+        assert first is not second
+        assert first == second
+        assert hash(first) == hash(second)
+        assert len({first, second}) == 1
+
+    def test_queries_their_order_and_the_schema_object_count(self, schema):
+        workload = paper_sales_workload(schema, 5)
+        assert workload != workload.reweighted({"Q1": 7.0})
+        assert workload != paper_sales_workload(schema, 3)
+        assert workload != Workload(schema, reversed(workload.queries))
+        # Drift never changes the star, so a workload on another schema
+        # object is another workload, as ``with_workload`` requires.
+        assert workload != Workload(sales_schema(), workload.queries)
+        assert workload != tuple(workload.queries)
+
+
 class TestPrefixEdges:
     def test_prefix_of_one_is_just_q1(self, schema):
         one = paper_sales_workload(schema, 10).prefix(1)
